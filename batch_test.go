@@ -37,13 +37,6 @@ func TestPublicReachBatch(t *testing.T) {
 			}
 		}
 	}
-	// The deprecated bool-slice form answers identically.
-	bools := ix.ReachBools(pairs, 2)
-	for i, p := range pairs {
-		if bools[i] != ix.Reach(p.S, p.T) {
-			t.Fatalf("ReachBools pair %+v = %v", p, bools[i])
-		}
-	}
 }
 
 func TestPublicReachBatchPanicsOutOfRange(t *testing.T) {
@@ -98,13 +91,6 @@ func TestPublicHKAndMultiReachBatch(t *testing.T) {
 			}
 			if verdict == kreach.YesWithin && got[i].EffectiveK != effK {
 				t.Fatalf("multi k=%d pair %+v effective %d, want %d", k, p, got[i].EffectiveK, effK)
-			}
-		}
-		// The deprecated per-k batch form agrees verdict-for-verdict.
-		old := multi.ReachVerdicts(pairs, k, 3)
-		for i := range pairs {
-			if old[i].Verdict != got[i].Verdict {
-				t.Fatalf("ReachVerdicts k=%d diverged at %d: %v vs %v", k, i, old[i].Verdict, got[i].Verdict)
 			}
 		}
 	}

@@ -10,17 +10,15 @@
 //	    -primary http://10.0.0.1:7325
 //
 // Every replica serves the full dataset set (replication, not
-// partitioning), so any replica can answer any query; the router's
-// consistent-hash ring keyed on (dataset, source vertex) decides which
-// replica answers it hot — repeated queries about one vertex keep landing
-// on the same replica and hit its result cache. Placement is bounded-load:
-// an overloaded replica sheds keys to the next ring owner.
+// partitioning), so any replica can answer any query; the router sends
+// each one to the routable replica with the fewest requests in flight.
 //
 // Endpoints mirror kreachd's query surface: /v1/reach and /v1/neighbors
-// proxy to the ring owner with failover, /v1/batch scatter-gathers across
-// owners (parallel legs, retries with jittered backoff, hedged dispatch,
-// per-replica epoch fencing — see kreach/internal/router), and mutations
-// (/v1/datasets/{name}/edges, .../compact) forward to -primary only.
+// proxy to that replica with failover, /v1/batch scatter-gathers in
+// -leg-pairs chunks (parallel legs, retries with jittered backoff, hedged
+// dispatch, per-replica epoch fencing — see kreach/internal/router), and
+// mutations (/v1/datasets/{name}/edges, .../compact) forward to -primary
+// only.
 // POST /v1/datasets/{name}/reload orchestrates a rolling reload: each
 // replica in turn is drained at the router, reloaded, and readmitted, so
 // clients see zero errors and no mixed-epoch answers.
@@ -55,13 +53,11 @@ func main() {
 	var (
 		listen        = flag.String("listen", ":7330", "address to serve HTTP on")
 		primary       = flag.String("primary", "", "replica URL receiving mutations (default: the first -replica)")
-		vnodes        = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per replica on the placement ring")
-		loadFactor    = flag.Float64("load-factor", router.DefaultLoadFactor, "bounded-load factor c: a replica above c x mean in-flight sheds new keys (negative disables)")
 		maxBatch      = flag.Int("maxbatch", server.DefaultMaxBatch, "maximum pairs per /v1/batch request")
 		legPairs      = flag.Int("leg-pairs", router.DefaultLegPairs, "maximum pairs per scatter leg to one replica")
-		retries       = flag.Int("retries", router.DefaultRetries, "extra owners tried after a failed leg (negative disables)")
+		retries       = flag.Int("retries", router.DefaultRetries, "extra replicas tried after a failed leg (negative disables)")
 		retryBackoff  = flag.Duration("retry-backoff", router.DefaultRetryBackoff, "base of the jittered exponential backoff between leg attempts")
-		hedgeAfter    = flag.Duration("hedge-after", router.DefaultHedgeAfter, "per-leg latency budget before hedging against the next owner (negative disables)")
+		hedgeAfter    = flag.Duration("hedge-after", router.DefaultHedgeAfter, "per-leg latency budget before hedging against the next replica (negative disables)")
 		probeInterval = flag.Duration("probe-interval", router.DefaultProbeInterval, "active health-check period")
 		probeTimeout  = flag.Duration("probe-timeout", router.DefaultProbeTimeout, "health-check round-trip timeout")
 		ejectAfter    = flag.Int("eject-after", router.DefaultEjectAfter, "consecutive failures that fully eject a replica")
@@ -89,8 +85,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Replicas:      replicas,
 		Primary:       *primary,
-		VNodes:        *vnodes,
-		LoadFactor:    *loadFactor,
 		MaxBatch:      *maxBatch,
 		LegPairs:      *legPairs,
 		Retries:       *retries,

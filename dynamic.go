@@ -1,7 +1,6 @@
 package kreach
 
 import (
-	"context"
 	"errors"
 
 	"kreach/internal/core"
@@ -149,16 +148,6 @@ func (ix *DynamicIndex) Reach(s, t int) bool {
 	ix.check(s)
 	ix.check(t)
 	return ix.d.Reach(graph.Vertex(s), graph.Vertex(t), nil)
-}
-
-// ReachBools answers every (S, T) pair with a worker pool; see
-// Index.ReachBools. A mutation landing mid-batch is reflected by either
-// the old or the new edge set per pair, never a mix within one pair.
-//
-// Deprecated: use ReachBatch (context cancellation, uniform verdicts).
-func (ix *DynamicIndex) ReachBools(pairs []Pair, parallelism int) []bool {
-	out, _ := ix.d.ReachBatch(context.Background(), ix.corePairs(pairs), parallelism)
-	return out
 }
 
 // corePairs validates every endpoint against the (fixed) vertex range and

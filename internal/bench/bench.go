@@ -657,18 +657,18 @@ func (r *Runner) TableNeighbors() error {
 }
 
 // Run executes the requested tables ("2".."9", "batch", "cache", "latency",
-// "mutate", "neighbors", "router" or "all") in order.
+// "mutate", "neighbors" or "all") in order.
 func (r *Runner) Run(tables []string) error {
 	fns := map[string]func() error{
 		"2": r.Table2, "3": r.Table3, "4": r.Table4, "5": r.Table5,
 		"6": r.Table6, "7": r.Table7, "8": r.Table8, "9": r.Table9,
 		"batch": r.TableBatch, "cache": r.TableCache, "mutate": r.TableMutate,
-		"neighbors": r.TableNeighbors, "latency": r.TableLatency, "router": r.TableRouter,
+		"neighbors": r.TableNeighbors, "latency": r.TableLatency,
 	}
 	var order []string
 	for _, t := range tables {
 		if t == "all" {
-			order = []string{"2", "3", "4", "5", "6", "7", "8", "9", "batch", "cache", "latency", "mutate", "neighbors", "router"}
+			order = []string{"2", "3", "4", "5", "6", "7", "8", "9", "batch", "cache", "latency", "mutate", "neighbors"}
 			break
 		}
 		order = append(order, t)

@@ -37,14 +37,13 @@ func TestAllTablesSmall(t *testing.T) {
 		"µ-BFS", "µ-dist", "2-hop VC",
 		"Cache:", "celeb hit%", "uniform hit%", "speedup",
 		"Mutate:", "oracle errs",
-		"Router:", "tier hit%",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
 	}
 	// Each dataset appears in tables 2,3,4,5,7,8,9, batch, cache and
-	// router → at least 10 times.
+	// latency → at least 10 times.
 	if n := strings.Count(out, "AgroCyc"); n < 10 {
 		t.Errorf("AgroCyc appears %d times, want ≥ 10", n)
 	}

@@ -31,8 +31,8 @@ import (
 // fsync-per-batch WAL, so the price of durability is part of the
 // trajectory; schema 4 added Latency, per-operation p50/p90/p99/max for
 // the serving query families via the internal/obs histogram; schema 5
-// added Router, the serving-tier cache-locality proof (aggregate 3-replica
-// hit rate behind kreach-router vs single node on the celebrity workload).
+// added Router rows, which schema 6 removed with the placement ring they
+// measured (benchmark/'s router.* rungs time the router now).
 type Report struct {
 	Schema        int                `json:"schema"`
 	Queries       int                `json:"queries"`
@@ -46,7 +46,6 @@ type Report struct {
 	MutateDurable []MutateDurableRow `json:"mutate_durable"`
 	Neighbors     []NeighborRow      `json:"neighbors"`
 	Latency       []LatencyRow       `json:"latency"`
-	Router        []RouterRow        `json:"router"`
 }
 
 // ReachRow is sequential single-query throughput on the k=µ index.
@@ -147,7 +146,7 @@ func batchSweep() []int {
 // RunJSON measures every section and writes the indented Report to w.
 func (r *Runner) RunJSON(w io.Writer) error {
 	rep := Report{
-		Schema:     5,
+		Schema:     6,
 		Queries:    r.cfg.Queries,
 		Scale:      r.cfg.Scale,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -239,13 +238,6 @@ func (r *Runner) RunJSON(w io.Writer) error {
 			return err
 		}
 		rep.Latency = append(rep.Latency, lrows...)
-
-		// router: the serving-tier cache-locality proof over real HTTP.
-		rrow, err := r.routerRow(name, d)
-		if err != nil {
-			return err
-		}
-		rep.Router = append(rep.Router, rrow)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -6,21 +6,23 @@
 //
 // Four ideas carry the package:
 //
-//   - Source-locality routing. Queries are placed on a consistent-hash
-//     ring keyed by (dataset, source vertex), so repeated queries about
-//     one vertex's small world keep landing on the same replica and hit
-//     its singleflight LRU (the PR-2 result cache). Placement is
-//     bounded-load: a replica drowning in in-flight work sheds the
-//     overflow to the next ring owner instead of queueing behind it.
+//   - Least-in-flight placement. Every read goes to the routable replica
+//     with the fewest requests outstanding (Router.candidates; ties
+//     rotate), and the rest of that ordering is the failover/hedge order.
+//     Nothing is hashed and no request body is parsed for a routing key:
+//     source affinity would only feed the replicas' result caches, and
+//     the ledger (benchmark/, cache.* and server.reach_*handler_us rows)
+//     shows those never beat the uncached handler.
 //
-//   - Scatter-gather batches. /v1/batch is partitioned by owner, the legs
-//     dispatched in parallel under the request context (a client
-//     disconnect cancels every leg), and the answers reassembled in
-//     request order. Failed legs retry on surviving owners with jittered
-//     backoff; a leg past its latency budget is hedged against the next
-//     owner and the first answer wins. Whatever cannot be answered after
-//     retries is reported as a typed partial error — never silently
-//     dropped.
+//   - Scatter-gather batches. /v1/batch is cut into contiguous legs of at
+//     most LegPairs (a batch within that is one leg on one replica at one
+//     epoch), the legs dispatched in parallel under the request context
+//     (a client disconnect cancels every leg), and the answers copied
+//     back at their offsets. Failed legs retry on the next candidates
+//     with jittered backoff; a leg past its latency budget is hedged
+//     against the next candidate and the first answer wins. Whatever
+//     cannot be answered after retries is reported as a typed partial
+//     error — never silently dropped.
 //
 //   - Health-checked replica sets. An active checker drives each replica
 //     through healthy/degraded/ejected off /readyz + /v1/stats scrapes;
@@ -44,6 +46,6 @@
 // The router holds no index state of its own: every replica serves the
 // full dataset set (replication, not partitioning — sharding the graph
 // itself is the follower-catch-up item in ROADMAP.md), which is what
-// makes failover trivially correct: any replica can answer any query, the
-// ring only decides who answers it hot.
+// makes failover trivially correct and placement a pure load decision:
+// any replica can answer any query.
 package router

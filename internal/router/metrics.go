@@ -60,7 +60,7 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 		retries: r.Counter("kreach_router_retries_total",
 			"Leg dispatch attempts beyond the first (failover retries)."),
 		hedges: r.Counter("kreach_router_hedges_total",
-			"Hedged leg dispatches (second owner fired past the latency budget)."),
+			"Hedged leg dispatches (next candidate fired past the latency budget)."),
 		fences: r.Counter("kreach_router_fence_rejections_total",
 			"Batch legs rejected by the per-replica epoch fence."),
 		partials: r.Counter("kreach_router_partial_failures_total",

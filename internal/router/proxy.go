@@ -11,49 +11,21 @@ import (
 )
 
 // Pass-through proxying for the single-query endpoints and mutations.
-// /v1/reach and /v1/neighbors are keyed on (graph, source) and routed to
-// the ring owner — same placement as batch legs, so single queries and
-// batch shares warm the same replica cache. Mutations go to the primary
-// only: they are not idempotent and the other replicas don't journal them.
+// /v1/reach and /v1/neighbors go to the least-loaded routable replica,
+// unparsed: every replica serves every dataset, so the body is the
+// backend's to validate. Mutations go to the primary only: they are not
+// idempotent and the other replicas don't journal them.
 
-// keyFields is the slice of a single-query body the router needs for
-// placement: the dataset and the source vertex (either field name).
-type keyFields struct {
-	Graph  string `json:"graph"`
-	S      *int   `json:"s"`
-	Source *int   `json:"source"`
-}
-
-func (rt *Router) handleReach(w http.ResponseWriter, r *http.Request) {
-	rt.proxyKeyed(w, r, "/v1/reach")
-}
-
-func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	rt.proxyKeyed(w, r, "/v1/neighbors")
-}
-
-// proxyKeyed forwards a single-query body to the ring owners of its
-// (graph, source) key, in preference order. Only transport errors and
-// upstream 5xx fail over — a 4xx is the client's answer.
-func (rt *Router) proxyKeyed(w http.ResponseWriter, r *http.Request, path string) {
+// handleRead forwards a /v1/reach or /v1/neighbors body to candidates()
+// in order. Only transport errors and upstream 5xx fail over — a 4xx is
+// the client's answer.
+func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.maxBody))
 	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
 		return
 	}
-	var key keyFields
-	if err := json.Unmarshal(body, &key); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: %v", err)
-		return
-	}
-	s := 0
-	switch {
-	case key.S != nil:
-		s = *key.S
-	case key.Source != nil:
-		s = *key.Source
-	}
-	cands := rt.owners(key.Graph, s)
+	cands := rt.candidates()
 	if len(cands) == 0 {
 		writeErrorCode(w, http.StatusServiceUnavailable, CodeNoReplicas, "no routable replicas")
 		return
@@ -64,7 +36,7 @@ func (rt *Router) proxyKeyed(w http.ResponseWriter, r *http.Request, path string
 		if i > 0 {
 			rt.metrics.retries.Inc()
 		}
-		done, err := rt.forward(r.Context(), w, cands[i], path, body)
+		done, err := rt.forward(r.Context(), w, cands[i], r.URL.Path, body)
 		if done {
 			return
 		}
@@ -147,9 +119,9 @@ type replicaReload struct {
 }
 
 // handleRollingReload orchestrates POST /v1/datasets/{name}/reload across
-// the replica set, one replica at a time: drain it at the router (no new
-// placements; its keys fail over along the ring), wait for its in-flight
-// legs to finish, run the backend reload, observe the new epoch, undrain.
+// the replica set, one replica at a time: drain it at the router (it
+// leaves candidates()), wait for its in-flight legs to finish, run the
+// backend reload, observe the new epoch, undrain.
 // Queries keep flowing throughout — at most one replica is out of rotation
 // at any moment, and because a drained replica finishes its in-flight work
 // before reloading, the epoch fence never trips on this path.
@@ -250,8 +222,8 @@ type replicaStats struct {
 	LastProbe  string            `json:"last_probe,omitempty"`
 }
 
-// handleStats serves the router's own view: uptime, placement config and
-// the live per-replica health/epoch table the fence routes against.
+// handleStats serves the router's own view: uptime, leg config and the
+// live per-replica health/load/epoch table placement and the fence read.
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	reps := make([]replicaStats, 0, len(rt.replicas))
 	for _, rep := range rt.replicas {
@@ -279,8 +251,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"router": map[string]any{
 			"uptime_seconds": time.Since(rt.started).Seconds(),
 			"primary":        rt.primary.ID,
-			"vnodes":         rt.cfg.VNodes,
-			"load_factor":    rt.cfg.LoadFactor,
 			"leg_pairs":      rt.cfg.LegPairs,
 			"hedge_after_ms": float64(rt.cfg.HedgeAfter) / float64(time.Millisecond),
 			"routable":       rt.routableCount(),

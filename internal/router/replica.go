@@ -16,7 +16,7 @@ import (
 type ReplicaState int32
 
 const (
-	// StateHealthy replicas receive their full ring share.
+	// StateHealthy replicas are eligible for placement.
 	StateHealthy ReplicaState = iota
 	// StateDegraded replicas have failed recently (1..ejectAfter-1
 	// consecutive failures) and receive no new placements, but a single
@@ -40,11 +40,11 @@ func (s ReplicaState) String() string {
 }
 
 // Replica is the router's view of one kreachd backend: transport, health
-// state, in-flight load (the bounded-load signal), and the per-dataset
+// state, in-flight load (the placement signal), and the per-dataset
 // epochs the fence validates against. All fields are safe for concurrent
 // use; the mutable identity/epoch section hides behind mu.
 type Replica struct {
-	ID   string // host:port, the ring member id
+	ID   string // host:port
 	Base string // http://host:port
 	http *http.Client
 

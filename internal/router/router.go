@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"kreach/internal/server"
@@ -21,26 +21,20 @@ type Config struct {
 	// idempotent, and follower replicas reject local writes anyway — they
 	// catch up from the primary's WAL feed (kreachd -follow).
 	Primary string
-	// VNodes is the per-replica virtual-node count (0 = DefaultVNodes).
-	VNodes int
-	// LoadFactor c bounds placement load: a replica already carrying more
-	// than c×(mean in-flight)+1 sheds new keys to the next ring owner.
-	// 0 means DefaultLoadFactor; negative disables bounded-load.
-	LoadFactor float64
 	// MaxBatch caps the pairs accepted by one /v1/batch request
 	// (0 = server.DefaultMaxBatch).
 	MaxBatch int
-	// LegPairs caps the pairs sent to one replica in one leg; larger
-	// owner shares split into multiple legs (0 = DefaultLegPairs).
+	// LegPairs caps the pairs sent to one replica in one leg; a larger
+	// batch splits into contiguous legs (0 = DefaultLegPairs).
 	LegPairs int
 	// Retries is the extra dispatch attempts a failed leg gets on
-	// successive owners (0 = DefaultRetries; negative disables).
+	// successive candidates (0 = DefaultRetries; negative disables).
 	Retries int
 	// RetryBackoff is the base of the jittered exponential backoff
 	// between a leg's attempts (0 = DefaultRetryBackoff).
 	RetryBackoff time.Duration
 	// HedgeAfter is the per-leg latency budget past which the leg is
-	// hedged against the next owner (0 = DefaultHedgeAfter; negative
+	// hedged against the next candidate (0 = DefaultHedgeAfter; negative
 	// disables hedging).
 	HedgeAfter time.Duration
 	// ProbeInterval is the active health-check period
@@ -66,7 +60,6 @@ type Config struct {
 
 // Tuning defaults; every zero Config field resolves to one of these.
 const (
-	DefaultLoadFactor    = 1.25
 	DefaultLegPairs      = 4096
 	DefaultRetries       = 3
 	DefaultRetryBackoff  = 10 * time.Millisecond
@@ -84,9 +77,8 @@ const (
 type Router struct {
 	cfg      Config
 	replicas []*Replica
-	byID     map[string]*Replica
 	primary  *Replica
-	ring     *Ring
+	next     atomic.Uint64 // rotates the tie-break among equally loaded replicas
 	mux      *http.ServeMux
 	logger   *slog.Logger
 	metrics  *routerMetrics
@@ -98,12 +90,6 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: at least one replica is required")
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
-	if cfg.LoadFactor == 0 {
-		cfg.LoadFactor = DefaultLoadFactor
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = server.DefaultMaxBatch
@@ -136,7 +122,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:     cfg,
-		byID:    make(map[string]*Replica, len(cfg.Replicas)),
 		mux:     http.NewServeMux(),
 		logger:  cfg.Logger,
 		started: time.Now(),
@@ -148,18 +133,17 @@ func New(cfg Config) (*Router, error) {
 		MaxIdleConnsPerHost: 64, // scatter legs reuse connections per replica
 		IdleConnTimeout:     90 * time.Second,
 	}}
-	ids := make([]string, 0, len(cfg.Replicas))
+	byID := make(map[string]*Replica, len(cfg.Replicas))
 	for _, base := range cfg.Replicas {
 		rep, err := newReplica(base, client)
 		if err != nil {
 			return nil, fmt.Errorf("router: replica %q: %w", base, err)
 		}
-		if _, dup := rt.byID[rep.ID]; dup {
+		if _, dup := byID[rep.ID]; dup {
 			return nil, fmt.Errorf("router: duplicate replica %q", rep.ID)
 		}
-		rt.byID[rep.ID] = rep
+		byID[rep.ID] = rep
 		rt.replicas = append(rt.replicas, rep)
-		ids = append(ids, rep.ID)
 	}
 	rt.primary = rt.replicas[0]
 	if cfg.Primary != "" {
@@ -167,19 +151,18 @@ func New(cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("router: primary %q: %w", cfg.Primary, err)
 		}
-		existing, ok := rt.byID[rep.ID]
+		existing, ok := byID[rep.ID]
 		if !ok {
 			return nil, fmt.Errorf("router: primary %q is not one of the replicas", cfg.Primary)
 		}
 		rt.primary = existing
 	}
-	rt.ring = NewRing(ids, cfg.VNodes)
 	rt.metrics = newRouterMetrics(rt)
 	rt.maxBody = 4096 + 64*int64(cfg.MaxBatch)
 
-	rt.mux.HandleFunc("POST /v1/reach", rt.instrument("reach", rt.handleReach))
+	rt.mux.HandleFunc("POST /v1/reach", rt.instrument("reach", rt.handleRead))
 	rt.mux.HandleFunc("POST /v1/batch", rt.instrument("batch", rt.handleBatch))
-	rt.mux.HandleFunc("POST /v1/neighbors", rt.instrument("neighbors", rt.handleNeighbors))
+	rt.mux.HandleFunc("POST /v1/neighbors", rt.instrument("neighbors", rt.handleRead))
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/edges", rt.instrument("edges", rt.handlePrimary))
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/compact", rt.instrument("compact", rt.handlePrimary))
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/reload", rt.instrument("reload", rt.handleRollingReload))
@@ -196,40 +179,37 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // Replicas returns the router's replica views (stats, tests).
 func (rt *Router) Replicas() []*Replica { return append([]*Replica(nil), rt.replicas...) }
 
-// owners resolves the candidate replicas for one (dataset, s) key:
-// ring-ordered routable owners, with the bounded-load rule applied to the
-// head — a primary owner already carrying more than LoadFactor× the mean
-// in-flight load sheds this key to the first non-overloaded successor
-// (consistent hashing with bounded loads; the overflow is deterministic
-// per ring order, so even shed keys retain second-choice locality).
-func (rt *Router) owners(dataset string, s int) []*Replica {
-	ids := rt.ring.Owners(rt.ring.Key(dataset, s), len(rt.replicas),
-		func(id string) bool { return rt.byID[id].Routable() })
-	if len(ids) == 0 {
-		return nil
-	}
-	reps := make([]*Replica, len(ids))
-	for i, id := range ids {
-		reps[i] = rt.byID[id]
-	}
-	if rt.cfg.LoadFactor > 0 && len(reps) > 1 {
-		var total int64
-		for _, rep := range reps {
-			total += rep.Inflight()
-		}
-		limit := int64(math.Ceil(rt.cfg.LoadFactor * float64(total+1) / float64(len(reps))))
-		for i, rep := range reps {
-			if rep.Inflight() < limit {
-				if i > 0 {
-					head := reps[i]
-					copy(reps[1:i+1], reps[:i])
-					reps[0] = head
-				}
-				break
-			}
+// candidates is the router's whole placement policy: the routable
+// replicas in ascending in-flight order. Element 0 is the target, the
+// rest are the failover/hedge order. Equally loaded replicas are ordered
+// by a rotation an atomic counter advances on every call, so an idle tier
+// spreads requests evenly instead of pinning the first replica.
+func (rt *Router) candidates() []*Replica {
+	routable := make([]*Replica, 0, len(rt.replicas))
+	for _, rep := range rt.replicas {
+		if rep.Routable() {
+			routable = append(routable, rep)
 		}
 	}
-	return reps
+	n := len(routable)
+	if n < 2 {
+		return routable
+	}
+	// Stable insertion sort, from the rotated start, on one snapshot of
+	// each load; n is a replica count.
+	start := int(rt.next.Add(1) % uint64(n))
+	cands := make([]*Replica, n)
+	loads := make([]int64, n)
+	for i := 0; i < n; i++ {
+		rep := routable[(start+i)%n]
+		load := rep.Inflight()
+		j := i
+		for ; j > 0 && loads[j-1] > load; j-- {
+			cands[j], loads[j] = cands[j-1], loads[j-1]
+		}
+		cands[j], loads[j] = rep, load
+	}
+	return cands
 }
 
 // routableCount is the number of replicas currently accepting placements.
@@ -247,7 +227,7 @@ func (rt *Router) routableCount() int {
 // so clients and tests can tell an unanswerable request from a wrong one
 // without parsing prose.
 const (
-	CodeNoReplicas     = "no_replicas"     // no routable replica for the key
+	CodeNoReplicas     = "no_replicas"     // no routable replica
 	CodePartialFailure = "partial_failure" // some legs failed after retries
 	CodeMixedEpoch     = "mixed_epoch"     // fence: one replica answered across a reload
 	CodePrimaryDown    = "primary_down"    // mutation target unreachable

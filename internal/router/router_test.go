@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,14 @@ func testDataset(t *testing.T, g *kreach.Graph, name string) *server.Dataset {
 	return d
 }
 
-// startBackend runs one real kreachd serving stack over httptest.
-func startBackend(t *testing.T, g *kreach.Graph) *httptest.Server {
+// backend is one real kreachd serving stack over httptest, counting the
+// queries (POSTs; probes are GETs) it was sent.
+type backend struct {
+	*httptest.Server
+	queries atomic.Int64
+}
+
+func startBackend(t *testing.T, g *kreach.Graph) *backend {
 	t.Helper()
 	reg := server.NewRegistry()
 	if err := reg.Add(testDataset(t, g, "g")); err != nil {
@@ -55,16 +62,22 @@ func startBackend(t *testing.T, g *kreach.Graph) *httptest.Server {
 	}
 	srv := server.New(reg, server.Config{})
 	srv.MarkReady()
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts
+	b := &backend{}
+	b.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			b.queries.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(b.Close)
+	return b
 }
 
 // startTier runs n backends plus a router over them, all in-process.
-func startTier(t *testing.T, n int, cfg Config) (*Router, []*httptest.Server, *kreach.Graph) {
+func startTier(t *testing.T, n int, cfg Config) (*Router, []*backend, *kreach.Graph) {
 	t.Helper()
 	g := testGraph(t)
-	backends := make([]*httptest.Server, n)
+	backends := make([]*backend, n)
 	for i := range backends {
 		backends[i] = startBackend(t, g)
 		cfg.Replicas = append(cfg.Replicas, backends[i].URL)
@@ -143,10 +156,10 @@ func TestRouterBatchMatchesBackend(t *testing.T) {
 	}
 }
 
-// TestRouterReachLocality: the same (graph, s) must keep routing to the
-// same replica, and the proxied answer must match the backend's.
-func TestRouterReachLocality(t *testing.T) {
-	rt, backends, g := startTier(t, 3, Config{})
+// TestRouterReachMatchesBackend: a /v1/reach proxied through the router
+// carries the backend's answer.
+func TestRouterReachMatchesBackend(t *testing.T) {
+	rt, backends, _ := startTier(t, 3, Config{})
 	body := map[string]any{"graph": "g", "s": 5, "t": 9}
 	code, raw := postJSON(t, rt, "/v1/reach", body)
 	if code != http.StatusOK {
@@ -165,14 +178,90 @@ func TestRouterReachLocality(t *testing.T) {
 	if viaRouter["reachable"] != direct["reachable"] {
 		t.Fatalf("router answer %v != backend answer %v", viaRouter["reachable"], direct["reachable"])
 	}
-	// Locality: many repeats of the same s land on one replica.
-	owner := rt.owners("g", 5)[0]
-	for i := 0; i < 20; i++ {
-		if got := rt.owners("g", 5)[0]; got != owner {
-			t.Fatalf("owner for s=5 moved from %s to %s with no health change", owner.ID, got.ID)
-		}
+}
+
+// TestRouterPlacement pins the placement policy: least in-flight among
+// the routable replicas, ties rotated. Each case perturbs replica 0 of a
+// three-replica tier and then sends sequential queries, so the other two
+// stay tied at zero in flight.
+func TestRouterPlacement(t *testing.T) {
+	rt, backends, g := startTier(t, 3, Config{})
+	cases := []struct {
+		name    string
+		perturb func(rep *Replica) (undo func())
+		target  bool // replica 0 still receives queries
+		listed  bool // replica 0 still appears in candidates()
+	}{
+		{"equal load rotates", func(*Replica) func() { return func() {} }, true, true},
+		{"busier replica is last choice", func(rep *Replica) func() {
+			rep.inflight.Add(5)
+			return func() { rep.inflight.Add(-5) }
+		}, false, true},
+		{"draining", func(rep *Replica) func() {
+			rep.draining.Store(true)
+			return func() { rep.draining.Store(false) }
+		}, false, false},
+		{"lag-demoted", func(rep *Replica) func() {
+			rep.setLag(9, 9, true)
+			return func() { rep.setLag(0, 0, false) }
+		}, false, false},
+		{"ejected", func(rep *Replica) func() {
+			rep.noteFailure(1, nil)
+			return rep.noteSuccess
+		}, false, false},
+		{"backend not ready", func(rep *Replica) func() {
+			rep.ready.Store(false)
+			return func() { rep.ready.Store(true) }
+		}, false, false},
 	}
-	_ = g
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.perturb(rt.replicas[0])()
+			before := make([]int64, len(backends))
+			for i, b := range backends {
+				before[i] = b.queries.Load()
+			}
+			for i := 0; i < 6; i++ {
+				cands := rt.candidates()
+				if listed := slices.Contains(cands, rt.replicas[0]); listed != tc.listed {
+					t.Fatalf("replica 0 in candidates(): %v, want %v", listed, tc.listed)
+				}
+				if !tc.target && cands[0] == rt.replicas[0] {
+					t.Fatal("candidates() targets replica 0")
+				}
+			}
+			for i := 0; i < 6; i++ {
+				if code, raw := postJSON(t, rt, "/v1/reach", map[string]any{"graph": "g", "s": i, "t": 9}); code != http.StatusOK {
+					t.Fatalf("reach: status %d: %s", code, raw)
+				}
+			}
+			for i, b := range backends {
+				got := b.queries.Load() - before[i]
+				if want := i > 0 || tc.target; (got > 0) != want {
+					t.Errorf("replica %d served %d of 6 queries; should serve any: %v", i, got, want)
+				}
+			}
+		})
+	}
+
+	// A batch within LegPairs is one leg: one request to one replica.
+	var before int64
+	for _, b := range backends {
+		before += b.queries.Load()
+	}
+	code, raw := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "g", "pairs": randPairs(50, g.NumVertices(), 3)})
+	if code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", code, raw)
+	}
+	var routed routerBatch
+	mustUnmarshal(t, raw, &routed)
+	after := -before
+	for _, b := range backends {
+		after += b.queries.Load()
+	}
+	if routed.Legs != 1 || after != 1 {
+		t.Fatalf("50-pair batch: legs %d, backend requests %d, want 1 and 1", routed.Legs, after)
+	}
 }
 
 // TestRouterFailover: SIGKILL-equivalent (closed backend) mid-tier — every
@@ -468,7 +557,7 @@ func TestRouterStats(t *testing.T) {
 // TestRouterBadRequestPassThrough: a backend 4xx (unknown dataset) is the
 // client's answer — it must pass through, not be retried into a 502.
 func TestRouterBadRequestPassThrough(t *testing.T) {
-	rt, _, _ := startTier(t, 2, Config{})
+	rt, backends, _ := startTier(t, 2, Config{})
 	code, _ := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "nope", "pairs": [][2]int{{1, 2}}})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown dataset through router: status %d, want 404", code)
@@ -476,6 +565,20 @@ func TestRouterBadRequestPassThrough(t *testing.T) {
 	code, _ = postJSON(t, rt, "/v1/reach", map[string]any{"graph": "nope", "s": 1, "t": 2})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown dataset reach through router: status %d, want 404", code)
+	}
+	// The router does not parse single-query bodies: malformed JSON is the
+	// backend's to reject, and its 400 passes through like any other 4xx.
+	req := httptest.NewRequest(http.MethodPost, "/v1/reach", strings.NewReader(`{"graph":`))
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, req)
+	direct, err := http.Post(backends[0].URL+"/v1/reach", "application/json", strings.NewReader(`{"graph":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(direct.Body)
+	direct.Body.Close()
+	if w.Code != http.StatusBadRequest || w.Code != direct.StatusCode || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("malformed reach through router: %d %q, backend says %d %q", w.Code, w.Body.Bytes(), direct.StatusCode, want)
 	}
 }
 

@@ -8,15 +8,14 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"time"
 )
 
-// Scatter-gather for /v1/batch: partition the pairs by ring owner, fan
-// the legs out in parallel under the request context, gather with the
-// per-replica epoch fence, reassemble in request order. The contract is
-// total accounting — every pair position is either answered or named in
-// a typed failed_pairs list; nothing silently drops.
+// Scatter-gather for /v1/batch: cut the pairs into contiguous legs of at
+// most LegPairs, fan the legs out in parallel under the request context,
+// gather with the per-replica epoch fence, reassemble in request order.
+// The contract is total accounting — every pair position is either
+// answered or named in a typed failed_pairs list; nothing silently drops.
 
 // batchRequest mirrors the backend body (internal/server handlers).
 type batchRequest struct {
@@ -49,11 +48,12 @@ type routerBatch struct {
 	Legs       int      `json:"legs"`
 }
 
-// leg is one replica-sized slice of a batch: the pair positions it covers,
-// the replica that ultimately answered, and the backend response.
+// leg is one contiguous chunk of a batch: the request positions
+// [off, off+len(pairs)), the replica that ultimately answered, and the
+// backend response.
 type leg struct {
-	idx   []int    // positions in the client request
-	pairs [][2]int // aligned with idx
+	off   int      // position of pairs[0] in the client request
+	pairs [][2]int // a window of the request's pairs, not a copy
 	cands []*Replica
 
 	rep      *Replica
@@ -93,7 +93,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	legs := rt.partition(req.Graph, req.Pairs)
+	legs := rt.partition(req.Pairs)
 	if legs == nil {
 		writeErrorCode(w, http.StatusServiceUnavailable, CodeNoReplicas, "no routable replicas")
 		return
@@ -111,7 +111,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.logger.Warn("epoch fence tripped, re-dispatching stale legs",
 			"dataset", req.Graph, "legs", len(stale))
 		for _, lg := range stale {
-			lg.cands = rt.owners(req.Graph, lg.pairs[0][0])
+			lg.cands = rt.candidates()
 			lg.rep, lg.resp, lg.err = nil, nil, nil
 		}
 		rt.dispatchAll(r.Context(), req.Graph, req.K, stale)
@@ -142,26 +142,24 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var failed []int
 	for _, lg := range legs {
+		end := lg.off + len(lg.pairs)
 		if lg.resp == nil {
-			failed = append(failed, lg.idx...)
+			for pos := lg.off; pos < end; pos++ {
+				failed = append(failed, pos)
+			}
 			continue
 		}
-		if lg.resp.Verdicts != nil && resp.Verdicts == nil {
-			resp.Verdicts = make([]string, len(req.Pairs))
-			resp.EffectiveK = make([]int, len(req.Pairs))
-		}
-		for j, pos := range lg.idx {
-			resp.Results[pos] = lg.resp.Results[j]
-			if resp.Verdicts != nil && j < len(lg.resp.Verdicts) {
-				resp.Verdicts[pos] = lg.resp.Verdicts[j]
-				if lg.resp.EffectiveK != nil {
-					resp.EffectiveK[pos] = lg.resp.EffectiveK[j]
-				}
+		copy(resp.Results[lg.off:end], lg.resp.Results)
+		if lg.resp.Verdicts != nil {
+			if resp.Verdicts == nil {
+				resp.Verdicts = make([]string, len(req.Pairs))
+				resp.EffectiveK = make([]int, len(req.Pairs))
 			}
+			copy(resp.Verdicts[lg.off:end], lg.resp.Verdicts)
+			copy(resp.EffectiveK[lg.off:end], lg.resp.EffectiveK)
 		}
 	}
 	if len(failed) > 0 {
-		sort.Ints(failed)
 		rt.metrics.partials.Inc()
 		writeJSON(w, http.StatusBadGateway, routerError{
 			Error:       fmt.Sprintf("%d of %d pairs unanswered after retries", len(failed), len(req.Pairs)),
@@ -173,44 +171,23 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// partition groups the pairs by their primary ring owner and splits each
-// owner's share into legs of at most LegPairs. Returns nil when no
-// replica is routable.
-func (rt *Router) partition(dataset string, pairs [][2]int) []*leg {
-	type group struct {
-		idx   []int
-		pairs [][2]int
-		cands []*Replica
+// partition cuts the pairs into contiguous legs of at most LegPairs, in
+// request order. One candidates() call places the whole batch: leg j
+// starts at candidate j mod n, so a batch within LegPairs is one leg on
+// the least-loaded replica and a larger one spreads round-robin from
+// there. Returns nil when no replica is routable.
+func (rt *Router) partition(pairs [][2]int) []*leg {
+	cands := rt.candidates()
+	n := len(cands)
+	if n == 0 {
+		return nil
 	}
-	ownersBySource := make(map[int][]*Replica)
-	groups := make(map[string]*group)
-	var order []string
-	for i, p := range pairs {
-		cands, ok := ownersBySource[p[0]]
-		if !ok {
-			cands = rt.owners(dataset, p[0])
-			ownersBySource[p[0]] = cands
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		id := cands[0].ID
-		g := groups[id]
-		if g == nil {
-			g = &group{cands: cands}
-			groups[id] = g
-			order = append(order, id)
-		}
-		g.idx = append(g.idx, i)
-		g.pairs = append(g.pairs, p)
-	}
+	cands = append(cands, cands...) // every rotation is a window of the doubled slice
 	var legs []*leg
-	for _, id := range order {
-		g := groups[id]
-		for off := 0; off < len(g.idx); off += rt.cfg.LegPairs {
-			end := min(off+rt.cfg.LegPairs, len(g.idx))
-			legs = append(legs, &leg{idx: g.idx[off:end], pairs: g.pairs[off:end], cands: g.cands})
-		}
+	for off := 0; off < len(pairs); off += rt.cfg.LegPairs {
+		end := min(off+rt.cfg.LegPairs, len(pairs))
+		j := len(legs) % n
+		legs = append(legs, &leg{off: off, pairs: pairs[off:end], cands: cands[j : j+n]})
 	}
 	return legs
 }
@@ -229,7 +206,7 @@ func (rt *Router) dispatchAll(ctx context.Context, dataset string, k *int, legs 
 	}
 }
 
-// dispatchLeg walks a leg's candidate owners: the primary first, then the
+// dispatchLeg walks a leg's candidates: the target first, then the
 // failover order with jittered exponential backoff between attempts, each
 // attempt hedged against the next candidate past the latency budget. The
 // first successful answer wins; a backend 4xx stops the walk immediately.

@@ -199,9 +199,10 @@ func TestReplicationSoak(t *testing.T) {
 		if applied == ops/2 {
 			// Kill the durable follower mid-stream and rebuild it over the
 			// same journal: the restart must resume from its own durable
-			// cursor, not from zero.
-			atStop := durable.f.Status().LastAppliedEpoch
+			// cursor, not from zero. The cursor is read after the stop: until
+			// then the apply loop is still journaling epochs.
 			durable.stop()
+			atStop := durable.f.Status().LastAppliedEpoch
 			durable = newReplFollower(t, primary.URL, base, durDir)
 			resumed := durable.f.Status().LastAppliedEpoch
 			if resumed == 0 || resumed > atStop {

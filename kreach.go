@@ -46,7 +46,6 @@ package kreach
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -261,19 +260,6 @@ func (ix *Index) Reach(s, t int) bool {
 	return ok
 }
 
-// ReachBools answers every (S, T) pair at once with a worker pool that
-// reuses per-worker query scratch. parallelism bounds the workers
-// (0 = GOMAXPROCS, 1 = sequential). The result is positionally aligned
-// with pairs. Safe for concurrent use, including concurrently with Reach.
-//
-// Deprecated: use ReachBatch, which adds context cancellation and the
-// uniform BatchVerdict answer shape. ReachBools remains for callers that
-// predate the Reacher interface.
-func (ix *Index) ReachBools(pairs []Pair, parallelism int) []bool {
-	out, _ := ix.ix.ReachBatch(context.Background(), checkPairs(ix.g, pairs), parallelism)
-	return out
-}
-
 // K returns the hop bound (Unbounded for classic reachability).
 func (ix *Index) K() int { return ix.ix.K() }
 
@@ -352,15 +338,6 @@ func (ix *HKIndex) Reach(s, t int) bool {
 	ok := ix.ix.Reach(graph.Vertex(s), graph.Vertex(t), sc)
 	ix.scratch.Put(sc)
 	return ok
-}
-
-// ReachBools answers every (S, T) pair at once with a worker pool; see
-// Index.ReachBools. parallelism: 0 = GOMAXPROCS, 1 = sequential.
-//
-// Deprecated: use ReachBatch (context cancellation, uniform verdicts).
-func (ix *HKIndex) ReachBools(pairs []Pair, parallelism int) []bool {
-	out, _ := ix.ix.ReachBatch(context.Background(), checkPairs(ix.g, pairs), parallelism)
-	return out
 }
 
 // H returns the hop-cover radius.
@@ -518,22 +495,6 @@ func (ix *MultiIndex) Reach(s, t, k int) (Verdict, int) {
 type BatchVerdict struct {
 	Verdict    Verdict
 	EffectiveK int
-}
-
-// ReachVerdicts answers every (S, T) pair for hop bound k (k < 0 means
-// classic reachability) with a worker pool; parallelism: 0 = GOMAXPROCS,
-// 1 = sequential. EffectiveK is set only for YesWithin answers, matching
-// Reach.
-//
-// Deprecated: use ReachBatch with BatchOptions.K (context cancellation,
-// uniform verdicts across all Reacher variants).
-func (ix *MultiIndex) ReachVerdicts(pairs []Pair, k, parallelism int) []BatchVerdict {
-	res, _ := ix.m.ReachBatch(context.Background(), checkPairs(ix.g, pairs), k, parallelism)
-	out := make([]BatchVerdict, len(res))
-	for i, r := range res {
-		out[i] = BatchVerdict{Verdict: r.Verdict, EffectiveK: r.EffectiveK}
-	}
-	return out
 }
 
 // Rungs returns the ladder's k values in ascending order.
