@@ -8,9 +8,12 @@ package kreach_test
 // pipeline the kbench harness uses: gen → scc → cover → indexes.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
+	"kreach"
 	"kreach/internal/baseline/grail"
 	"kreach/internal/baseline/pll"
 	"kreach/internal/baseline/ptree"
@@ -163,5 +166,48 @@ func TestCelebrityWorkloadFavorsCheapCases(t *testing.T) {
 	mix := workload.Classify(ix, q)
 	if mix.Case[3] > 0 {
 		t.Fatalf("celebrity-only workload hit Case 4: %+v", mix)
+	}
+}
+
+// TestBuiltBytesDoNotDependOnParallelism: on one dataset per generator
+// family, every cover strategy and the (h,k) variant save the same bytes
+// however many workers built them — the row builder's chunk claims and the
+// concurrent finalize may reorder work, never output.
+func TestBuiltBytesDoNotDependOnParallelism(t *testing.T) {
+	type saver interface{ Save(io.Writer) error }
+	for _, name := range []string{"AgroCyc", "aMaze", "ArXiv", "Nasa", "YAGO"} {
+		spec, ok := gen.Dataset(name)
+		if !ok {
+			t.Fatalf("unknown dataset %q", name)
+		}
+		g := kreach.WrapInternal(spec.Scaled(10).Generate())
+		builds := map[string]func(parallelism int) (saver, error){
+			"(2,5)-reach": func(p int) (saver, error) {
+				return kreach.BuildHKIndex(g, kreach.HKOptions{H: 2, K: 5, Parallelism: p})
+			},
+		}
+		for _, strat := range []kreach.CoverStrategy{kreach.RandomEdgeCover, kreach.DegreePrioritizedCover, kreach.GreedyCover} {
+			builds[fmt.Sprintf("3-reach, cover strategy %d", strat)] = func(p int) (saver, error) {
+				return kreach.BuildIndex(g, kreach.IndexOptions{K: 3, Cover: strat, Seed: 7, Parallelism: p})
+			}
+		}
+		for label, build := range builds {
+			var want []byte
+			for _, p := range []int{1, 2, 8} {
+				ix, err := build(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := ix.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if p == 1 {
+					want = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("%s, %s: Parallelism %d saves different bytes than Parallelism 1", name, label, p)
+				}
+			}
+		}
 	}
 }

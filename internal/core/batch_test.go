@@ -197,17 +197,25 @@ func TestReachBatchPreCancelled(t *testing.T) {
 
 // TestBatchEvalCancelMidFlight cancels while workers are mid-batch and
 // checks both that BatchEval stops early (cooperative cancellation between
-// pairs) and that every result written before the stop is intact.
+// pairs) and that every result written before the stop is intact. Items are
+// no-ops, so three workers could drain the whole batch while the fourth is
+// descheduled inside cancel(); past the 1000th evaluation every other
+// worker therefore waits on a gate that opens once cancel() has returned.
 func TestBatchEvalCancelMidFlight(t *testing.T) {
 	const n = 1 << 16
 	ctx, cancel := context.WithCancel(context.Background())
 	out := make([]int32, n)
 	var evaluated atomic.Int64
+	cancelReturned := make(chan struct{})
 	err := core.BatchEval(ctx, n, 4, func() struct{} { return struct{}{} }, func(lo, hi int, _ struct{}) {
 		for i := lo; i < hi; i++ {
 			out[i] = 1
-			if evaluated.Add(1) == 1000 {
+			switch done := evaluated.Add(1); {
+			case done == 1000:
 				cancel()
+				close(cancelReturned)
+			case done > 1000:
+				<-cancelReturned
 			}
 		}
 	})

@@ -6,8 +6,10 @@
 //
 // # Layout
 //
-//   - kreach.go — Index construction (Algorithm 1): vertex cover, per-cover
-//     k-hop BFS, CSR index graph with 2-bit bucketed weights.
+//   - kreach.go — Index construction (Algorithm 1): vertex cover, CSR
+//     index graph with 2-bit bucketed weights, derived query-time layouts.
+//   - rows.go — BuildRows, the per-cover-vertex k-hop BFS of Algorithm 1,
+//     shared by the plain, (h,k) and dynamic builds.
 //   - query.go — Index queries (Algorithm 2): the four cover-membership
 //     cases, each at most one adjacency-list intersection. QueryCase and
 //     Classify expose the case split for the Table 8 experiment.

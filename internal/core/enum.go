@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"kreach/internal/bitvec"
@@ -183,11 +184,11 @@ func (sc *EnumScratch) mark(v graph.Vertex)      { sc.ball.mark(v) }
 func (sc *EnumScratch) Finish(opts EnumOptions) ([]Neighbor, int) {
 	total := len(sc.out)
 	if opts.SortByDistance {
-		sort.Slice(sc.out, func(i, j int) bool {
-			if sc.out[i].Bucket != sc.out[j].Bucket {
-				return sc.out[i].Bucket < sc.out[j].Bucket
+		slices.SortFunc(sc.out, func(a, b Neighbor) int {
+			if c := cmp.Compare(a.Bucket, b.Bucket); c != 0 {
+				return c
 			}
-			return sc.out[i].V < sc.out[j].V
+			return cmp.Compare(a.V, b.V)
 		})
 	}
 	res := sc.out

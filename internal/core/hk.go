@@ -3,8 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"kreach/internal/cover"
 	"kreach/internal/graph"
@@ -89,66 +88,20 @@ func buildHKWithCover(g *graph.Graph, opts HKOptions, s *cover.Set) (*HKIndex, e
 		ix.coverID[v] = int32(i)
 	}
 
-	type arc struct {
-		to int32
-		w  uint16
-	}
-	perSource := make([][]arc, s.Len())
-	floor := ix.k - 2*ix.h // distances at or below this share bucket 0
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opts.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := graph.NewBFSScratch(n)
-			for ui := range work {
-				u := s.List()[ui]
-				graph.KHopBFS(g, u, ix.k, graph.Forward, scratch)
-				var arcs []arc
-				for _, v := range scratch.Visited() {
-					if v == u {
-						continue
-					}
-					ci := ix.coverID[v]
-					if ci < 0 {
-						continue
-					}
-					d := int(scratch.Dist(v))
-					w := 0
-					if d > floor {
-						w = d - floor
-					}
-					arcs = append(arcs, arc{to: ci, w: uint16(w)})
-				}
-				sort.Slice(arcs, func(i, j int) bool { return arcs[i].to < arcs[j].to })
-				perSource[ui] = arcs
-			}
-		}()
-	}
-	for ui := 0; ui < s.Len(); ui++ {
-		work <- ui
-	}
-	close(work)
-	wg.Wait()
-
-	total := 0
-	for _, arcs := range perSource {
-		total += len(arcs)
-	}
-	ix.outHead = make([]int32, s.Len()+1)
+	floor := int32(ix.k - 2*ix.h) // distances at or below this share bucket 0
+	rows := BuildRows(g, s.List(), ix.coverID, ix.k, opts.workers(), func(dist int32) uint16 {
+		return uint16(max(dist-floor, 0))
+	})
+	ix.outHead = rows.Head
+	total := int(rows.Head[s.Len()])
 	ix.outAdj = make([]int32, total)
 	ix.weights = newPackedArray(total, bitsFor(uint(2*ix.h)))
 	pos := 0
-	for ui, arcs := range perSource {
-		ix.outHead[ui] = int32(pos)
-		for _, a := range arcs {
-			ix.outAdj[pos] = a.to
-			ix.weights.set(pos, uint(a.w))
-			pos++
-		}
+	for to, w := range rows.Arcs() {
+		ix.outAdj[pos] = to
+		ix.weights.set(pos, uint(w))
+		pos++
 	}
-	ix.outHead[s.Len()] = int32(pos)
 	return ix, nil
 }
 
@@ -191,8 +144,9 @@ func (ix *HKIndex) arcWeight(u, v int32) uint {
 // ≤h-hop neighborhoods of the query endpoints.
 type HKQueryScratch struct {
 	fwd, bwd *graph.BFSScratch
-	bwdIDs   []int32 // sorted cover ids seen by the backward expansion
-	bwdDist  []int32 // backward hop count per entry of bwdIDs
+	bwdKeys  []uint64 // cover id<<32 | backward hop count, for sorting
+	bwdIDs   []int32  // sorted cover ids seen by the backward expansion
+	bwdDist  []int32  // backward hop count per entry of bwdIDs
 }
 
 // NewHKQueryScratch returns scratch space for queries against ix.
@@ -271,21 +225,28 @@ func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 		if scratch.bwd.Dist(s) >= 0 {
 			return true // direct path of length ≤ h
 		}
-		ids := scratch.bwdIDs[:0]
-		dists := scratch.bwdDist[:0]
+		// Cover vertices behind t, sorted by cover id: packed id<<32 | hops so
+		// the sort is over plain integers, then split for the merges below.
+		keys := scratch.bwdKeys[:0]
 		for _, v := range scratch.bwd.Visited() {
 			if cv := ix.coverID[v]; cv >= 0 && v != t {
-				ids = append(ids, cv)
-				dists = append(dists, scratch.bwd.Dist(v))
+				keys = append(keys, uint64(cv)<<32|uint64(scratch.bwd.Dist(v)))
 			}
 		}
-		scratch.bwdIDs, scratch.bwdDist = ids, dists
-		if len(ids) == 0 {
+		scratch.bwdKeys = keys
+		if len(keys) == 0 {
 			// No cover vertex within h hops behind t and no direct short
 			// path: unreachable, and the forward expansion can be skipped.
 			return false
 		}
-		sortPairs(ids, dists)
+		slices.Sort(keys)
+		ids := scratch.bwdIDs[:0]
+		dists := scratch.bwdDist[:0]
+		for _, key := range keys {
+			ids = append(ids, int32(key>>32))
+			dists = append(dists, int32(uint32(key)))
+		}
+		scratch.bwdIDs, scratch.bwdDist = ids, dists
 
 		graph.KHopBFS(ix.g, s, ix.h, graph.Forward, scratch.fwd)
 		for _, u := range scratch.fwd.Visited() {
@@ -345,19 +306,6 @@ func (ix *HKIndex) Classify(s, t graph.Vertex) QueryCase {
 	default:
 		return Case4
 	}
-}
-
-func sortPairs(ids, dists []int32) {
-	sort.Sort(&pairSlice{ids, dists})
-}
-
-type pairSlice struct{ ids, dists []int32 }
-
-func (p *pairSlice) Len() int           { return len(p.ids) }
-func (p *pairSlice) Less(i, j int) bool { return p.ids[i] < p.ids[j] }
-func (p *pairSlice) Swap(i, j int) {
-	p.ids[i], p.ids[j] = p.ids[j], p.ids[i]
-	p.dists[i], p.dists[j] = p.dists[j], p.dists[i]
 }
 
 func searchInt32(sorted []int32, v int32) int {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"kreach/internal/bitvec"
@@ -149,61 +148,18 @@ func buildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) 
 		ix.coverID[v] = int32(i)
 	}
 
-	type arc struct {
-		to int32
-		w  uint8
-	}
-	perSource := make([][]arc, s.Len())
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opts.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := graph.NewBFSScratch(n)
-			for ui := range work {
-				u := s.List()[ui]
-				graph.KHopBFS(g, u, ix.k, graph.Forward, scratch)
-				var arcs []arc
-				for _, v := range scratch.Visited() {
-					if v == u {
-						continue // (u,u): distance 0 is implicit at query time
-					}
-					ci := ix.coverID[v]
-					if ci < 0 {
-						continue
-					}
-					arcs = append(arcs, arc{to: ci, w: ix.bucketFor(scratch.Dist(v))})
-				}
-				sort.Slice(arcs, func(i, j int) bool { return arcs[i].to < arcs[j].to })
-				perSource[ui] = arcs
-			}
-		}()
-	}
-	for ui := 0; ui < s.Len(); ui++ {
-		work <- ui
-	}
-	close(work)
-	wg.Wait()
-
-	total := 0
-	for _, arcs := range perSource {
-		total += len(arcs)
-	}
-	ix.outHead = make([]int32, s.Len()+1)
+	rows := BuildRows(g, s.List(), ix.coverID, ix.k, opts.workers(), ix.bucketFor)
+	ix.outHead = rows.Head
+	total := int(rows.Head[s.Len()])
 	ix.outAdj = make([]int32, total)
 	ix.weights = bitvec.NewPacked2(total)
 	pos := 0
-	for ui, arcs := range perSource {
-		ix.outHead[ui] = int32(pos)
-		for _, a := range arcs {
-			ix.outAdj[pos] = a.to
-			ix.weights.Set(pos, a.w)
-			pos++
-		}
+	for to, w := range rows.Arcs() {
+		ix.outAdj[pos] = to
+		ix.weights.Set(pos, uint8(w))
+		pos++
 	}
-	ix.outHead[s.Len()] = int32(pos)
-	ix.finalize()
+	ix.finalize(opts.workers())
 	return ix, nil
 }
 
@@ -213,30 +169,57 @@ func buildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) 
 const denseRowMinLen = 32
 
 // finalize builds the query-time structures derived from the CSR: the
-// dense bitplane rows of every hub cover vertex, and the transposed index
-// CSR that gives backward enumeration its accelerated path. A row
+// dense bitplane rows of every hub cover vertex, the transposed index CSR
+// that gives backward enumeration its accelerated path, the graph-vertex
+// mirrors and the fringe adjacency. A row
 // qualifies for a dense copy when its CSR length is at least 1/8 of the
 // cover size — at that density the two bitplanes (|S|/4 bytes) cost under
 // half of the row's own CSR footprint, and the small-world hubs the
 // paper's cover construction prefers clear the bar easily. Called at the
 // end of every build and load.
-func (ix *Index) finalize() {
-	ix.buildTransposed()
-	nc := ix.coverSet.Len()
-	ix.rowWords = bitvec.RowWords(nc)
-	ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outAdj, ix.weights)
-	ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inAdj, ix.inW)
+//
+// Everything here reads the forward CSR and writes fields of its own, except
+// the in-side mirror and planes, which wait for the transpose; the layouts
+// are built on up to workers goroutines.
+func (ix *Index) finalize(workers int) {
+	ix.rowWords = bitvec.RowWords(ix.coverSet.Len())
+	tasks := []func(){
+		func() {
+			ix.buildTransposed()
+			ix.inVtx = ix.coverVertices(ix.inAdj)
+			ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inAdj, ix.inW)
+		},
+		func() { ix.outVtx = ix.coverVertices(ix.outAdj) },
+		func() { ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outAdj, ix.weights) },
+		func() { ix.fringeOutHead, ix.fringeOutAdj = ix.buildFringe(ix.g.OutNeighbors) },
+		func() { ix.fringeInHead, ix.fringeInAdj = ix.buildFringe(ix.g.InNeighbors) },
+	}
+	queue := make(chan func(), len(tasks))
+	for _, task := range tasks {
+		queue <- task
+	}
+	close(queue)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(tasks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for task := range queue {
+				task()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// coverVertices resolves an adjacency array of cover ids to graph vertices.
+func (ix *Index) coverVertices(adj []int32) []graph.Vertex {
 	list := ix.coverSet.List()
-	ix.outVtx = make([]graph.Vertex, len(ix.outAdj))
-	for p, cv := range ix.outAdj {
-		ix.outVtx[p] = list[cv]
+	vtx := make([]graph.Vertex, len(adj))
+	for p, c := range adj {
+		vtx[p] = list[c]
 	}
-	ix.inVtx = make([]graph.Vertex, len(ix.inAdj))
-	for p, cu := range ix.inAdj {
-		ix.inVtx[p] = list[cu]
-	}
-	ix.fringeOutHead, ix.fringeOutAdj = ix.buildFringe(ix.g.OutNeighbors)
-	ix.fringeInHead, ix.fringeInAdj = ix.buildFringe(ix.g.InNeighbors)
+	return vtx
 }
 
 // buildFringe filters one graph adjacency down to, per cover vertex, the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 
 	"kreach/internal/bitvec"
 	"kreach/internal/cover"
@@ -133,7 +134,7 @@ func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	ix.finalize()
+	ix.finalize(runtime.GOMAXPROCS(0))
 	return ix, nil
 }
 

@@ -2,7 +2,6 @@ package cover
 
 import (
 	"math/rand/v2"
-	"sort"
 
 	"kreach/internal/graph"
 )
@@ -16,13 +15,20 @@ type Set struct {
 // NewSet builds a Set over a graph with n vertices from the given members.
 func NewSet(n int, members []graph.Vertex) *Set {
 	s := &Set{member: make([]bool, n)}
+	size := 0
 	for _, v := range members {
 		if !s.member[v] {
 			s.member[v] = true
-			s.list = append(s.list, v)
+			size++
 		}
 	}
-	sort.Slice(s.list, func(i, j int) bool { return s.list[i] < s.list[j] })
+	// Walking the membership array yields the ascending list directly.
+	s.list = make([]graph.Vertex, 0, size)
+	for v, in := range s.member {
+		if in {
+			s.list = append(s.list, graph.Vertex(v))
+		}
+	}
 	return s
 }
 
@@ -90,28 +96,49 @@ func shuffledEdges(g *graph.Graph, seed uint64) []graph.Edge {
 	return edges
 }
 
+// degreeSortedEdges returns the edges by descending (max, min) endpoint
+// degree, ties in ascending (src, dst) order. A degree is an integer in
+// [0, 2n), so the order is two stable counting passes — least significant
+// key first — and linear in |E| + max degree, as Algorithm 1 assumes.
 func degreeSortedEdges(g *graph.Graph) []graph.Edge {
-	deg := make([]int, g.NumVertices())
+	deg := make([]int32, g.NumVertices())
+	maxDeg := int32(0)
 	for v := range deg {
-		deg[v] = g.Degree(graph.Vertex(v))
+		deg[v] = int32(g.Degree(graph.Vertex(v)))
+		maxDeg = max(maxDeg, deg[v])
 	}
 	edges := g.Edges()
-	pri := func(e graph.Edge) (int, int) {
-		a, b := deg[e.Src], deg[e.Dst]
-		if a < b {
-			a, b = b, a
-		}
-		return a, b // (max, min) endpoint degree
-	}
-	sort.SliceStable(edges, func(i, j int) bool {
-		ai, bi := pri(edges[i])
-		aj, bj := pri(edges[j])
-		if ai != aj {
-			return ai > aj
-		}
-		return bi > bj
-	})
+	tmp := make([]graph.Edge, len(edges))
+	start := make([]int32, maxDeg+1)
+	countingPassDesc(tmp, edges, deg, start, false)
+	countingPassDesc(edges, tmp, deg, start, true)
 	return edges
+}
+
+// countingPassDesc stably scatters src into dst by descending endpoint
+// degree: the larger of an edge's two when byMax, else the smaller. start is
+// scratch with one entry per degree 0..max.
+func countingPassDesc(dst, src []graph.Edge, deg, start []int32, byMax bool) {
+	key := func(e graph.Edge) int32 {
+		if byMax {
+			return max(deg[e.Src], deg[e.Dst])
+		}
+		return min(deg[e.Src], deg[e.Dst])
+	}
+	clear(start)
+	for _, e := range src {
+		start[key(e)]++
+	}
+	// start[d] becomes the number of edges with a key above d.
+	above := int32(0)
+	for d := len(start) - 1; d >= 0; d-- {
+		start[d], above = above, above+start[d]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[start[k]] = e
+		start[k]++
+	}
 }
 
 // matchingCover runs the maximal-matching 2-approximation over edges in the

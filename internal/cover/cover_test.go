@@ -1,7 +1,10 @@
 package cover_test
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"kreach/internal/cover"
@@ -246,4 +249,60 @@ func TestHHopPanicsOnBadH(t *testing.T) {
 		}
 	}()
 	cover.HHopCover(testgraph.Path(3), 0)
+}
+
+// referenceDegreeOrder is the edge order DegreePrioritized is defined by,
+// as a stable comparison sort: descending (max, min) endpoint degree, ties
+// in ascending (src, dst) order.
+func referenceDegreeOrder(g *graph.Graph) []graph.Edge {
+	pri := func(e graph.Edge) (int, int) {
+		a, b := g.Degree(e.Src), g.Degree(e.Dst)
+		return max(a, b), min(a, b)
+	}
+	edges := g.Edges()
+	sort.SliceStable(edges, func(i, j int) bool {
+		ai, bi := pri(edges[i])
+		aj, bj := pri(edges[j])
+		if ai != aj {
+			return ai > aj
+		}
+		return bi > bj
+	})
+	return edges
+}
+
+// TestDegreeOrderMatchesReference: the counting sort must return exactly the
+// sequence the stable comparison sort does — the cover, and with it every
+// saved index, depends on the order of ties.
+func TestDegreeOrderMatchesReference(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"n=0":      graph.NewBuilder(0).Build(),
+		"n=1":      graph.NewBuilder(1).Build(),
+		"n=1 loop": graph.FromEdges(1, []graph.Edge{{Src: 0, Dst: 0}}),
+		"n=2":      graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}),
+		"star out": testgraph.Star(40, true), // max degree = m
+		"star in":  testgraph.Star(40, false),
+		"cycle":    testgraph.Cycle(30), // every degree ties
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		// Few vertices touched by many edges: heavy degree ties, self-loops
+		// and, in the upper half of the id range, isolated vertices.
+		n := 2 + rng.IntN(40)
+		b := graph.NewBuilder(2 * n)
+		for i := rng.IntN(6 * n); i > 0; i-- {
+			u := graph.Vertex(rng.IntN(n))
+			v := graph.Vertex(rng.IntN(n))
+			if rng.IntN(8) == 0 {
+				v = u
+			}
+			b.AddEdge(u, v)
+		}
+		graphs[fmt.Sprintf("random %d", seed)] = b.Build()
+	}
+	for name, g := range graphs {
+		if got, want := cover.DegreeSortedEdges(g), referenceDegreeOrder(g); !slices.Equal(got, want) {
+			t.Errorf("%s: counting sort order %v, reference %v", name, got, want)
+		}
+	}
 }

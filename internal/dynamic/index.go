@@ -1,11 +1,12 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,42 +165,21 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	for i, v := range ix.coverList {
 		ix.coverID[v] = int32(i)
 	}
-	ix.rows = make([][]arc, len(ix.coverList))
 
-	// Initial rows: a k-hop BFS per cover vertex, parallel across cover
-	// vertices exactly like the static Algorithm 1 build. The overlay is
-	// empty, so the plain CSR BFS primitives apply.
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opts.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := graph.NewBFSScratch(n)
-			for ui := range work {
-				u := ix.coverList[ui]
-				graph.KHopBFS(base, u, ix.k, graph.Forward, sc)
-				var row []arc
-				for _, v := range sc.Visited() {
-					if v == u {
-						continue // (u,u): distance 0 is implicit at query time
-					}
-					if ci := ix.coverID[v]; ci >= 0 {
-						row = append(row, arc{to: ci, w: ix.bucketFor(sc.Dist(v))})
-					}
-				}
-				sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
-				ix.rows[ui] = row
-			}
-		}()
+	// Initial rows: Algorithm 1's build, shared with the static index. The
+	// overlay is empty, so the plain CSR BFS applies. Rows are carved out of
+	// one slab with their capacity clipped, so a row that later outgrows its
+	// slot reallocates instead of running into its neighbor.
+	rows := core.BuildRows(base, ix.coverList, ix.coverID, ix.k, opts.workers(), ix.bucketFor)
+	ix.arcCount = int(rows.Head[len(ix.coverList)])
+	slab := make([]arc, 0, ix.arcCount)
+	for to, w := range rows.Arcs() {
+		slab = append(slab, arc{to: to, w: uint8(w)})
 	}
-	for ui := range ix.coverList {
-		work <- ui
-	}
-	close(work)
-	wg.Wait()
-	for _, row := range ix.rows {
-		ix.arcCount += len(row)
+	ix.rows = make([][]arc, len(ix.coverList))
+	for ui := range ix.rows {
+		lo, hi := rows.Head[ui], rows.Head[ui+1]
+		ix.rows[ui] = slab[lo:hi:hi]
 	}
 	ix.epoch.Store(core.NextGeneration())
 	return ix, nil
@@ -343,7 +323,7 @@ func (ix *Index) reachLocked(s, t graph.Vertex, sc *QueryScratch) bool {
 		for _, v := range sc.in {
 			sc.inIDs = append(sc.inIDs, ix.coverID[v])
 		}
-		sort.Slice(sc.inIDs, func(i, j int) bool { return sc.inIDs[i] < sc.inIDs[j] })
+		slices.Sort(sc.inIDs)
 		twoHopOK := ix.k >= 2
 		sc.out = ix.dg.AppendOutNeighbors(s, sc.out[:0])
 		for _, u := range sc.out {
@@ -654,7 +634,7 @@ func (ix *Index) recomputeRow(id int32) {
 			row = append(row, arc{to: ci, w: ix.bucketFor(ix.scratch.dist[v])})
 		}
 	}
-	sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
+	slices.SortFunc(row, func(a, b arc) int { return cmp.Compare(a.to, b.to) })
 	ix.arcCount += len(row) - len(ix.rows[id])
 	ix.rows[id] = row
 }

@@ -9,6 +9,7 @@ import (
 	"kreach/internal/core"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
+	"kreach/internal/testgraph"
 )
 
 // oracle is an independent k-hop BFS over a plain map adjacency, mutated in
@@ -374,5 +375,89 @@ func TestReachBatchMatchesReach(t *testing.T) {
 				t.Fatalf("parallelism %d: pair %d = %v, want %v", par, i, got[i], want)
 			}
 		}
+	}
+}
+
+// TestNewMatchesReferenceRows checks the initial rows arc for arc against
+// the single-threaded reference builder at several worker counts, and that a
+// row rewritten past its slot in the shared slab leaves its neighbors alone.
+func TestNewMatchesReferenceRows(t *testing.T) {
+	g := testgraph.Random(300, 900, 23)
+	for _, k := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 8} {
+			ix, err := New(g, Options{K: k, Strategy: cover.DegreePrioritized, Parallelism: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := testgraph.ReferenceRows(g, ix.coverList, k)
+			arcs := 0
+			for u, row := range want {
+				if len(ix.rows[u]) != len(row) {
+					t.Fatalf("k=%d workers=%d: row %d has %d arcs, reference %d", k, workers, u, len(ix.rows[u]), len(row))
+				}
+				for i, a := range row {
+					if got := ix.rows[u][i]; got.to != a.To || got.w != ix.bucketFor(a.Dist) {
+						t.Fatalf("k=%d workers=%d: row %d arc %d is %+v, reference %+v", k, workers, u, i, got, a)
+					}
+				}
+				arcs += len(row)
+			}
+			if ix.arcCount != arcs {
+				t.Fatalf("k=%d workers=%d: arcCount %d, reference %d", k, workers, ix.arcCount, arcs)
+			}
+		}
+	}
+
+	// New edges out of the first cover vertex grow its row past its slot in
+	// the slab; every other row must still answer as the oracle does.
+	ix := mustNew(t, g, 2)
+	was := len(ix.rows[0])
+	u := ix.coverList[0]
+	var add []graph.Edge
+	for v := graph.Vertex(0); len(add) < 20; v++ {
+		if v != u && !g.HasEdge(u, v) {
+			add = append(add, graph.Edge{Src: u, Dst: v})
+		}
+	}
+	if _, err := ix.Mutate(add, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.rows[0]) <= was {
+		t.Fatalf("row 0 did not grow: %d arcs, was %d", len(ix.rows[0]), was)
+	}
+	o := newOracle(g)
+	for _, e := range add {
+		o.add(e.Src, e.Dst)
+	}
+	checkAllPairs(t, ix, o, 2, "after growing a slab row")
+}
+
+// TestCase4QueryDoesNotAllocate pins the Case-4 path — both endpoints
+// outside the cover, in-neighbor ids sorted per query — at zero allocations
+// on a warm scratch.
+func TestCase4QueryDoesNotAllocate(t *testing.T) {
+	g := testgraph.Random(200, 500, 5)
+	ix := mustNew(t, g, 3)
+	var pairs [][2]graph.Vertex
+	for s := graph.Vertex(0); int(s) < g.NumVertices() && len(pairs) < 50; s++ {
+		for dst := graph.Vertex(0); int(dst) < g.NumVertices(); dst++ {
+			if s != dst && ix.coverID[s] < 0 && ix.coverID[dst] < 0 && g.InDegree(dst) > 1 && g.OutDegree(s) > 0 {
+				pairs = append(pairs, [2]graph.Vertex{s, dst})
+				break
+			}
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("no Case-4 pair in the fixture")
+	}
+	sc := NewQueryScratch()
+	query := func() {
+		for _, p := range pairs {
+			ix.Reach(p[0], p[1], sc)
+		}
+	}
+	query() // warm the scratch buffers
+	if allocs := testing.AllocsPerRun(20, query); allocs != 0 {
+		t.Fatalf("Case-4 queries allocate %.1f times per run on a warm scratch", allocs)
 	}
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -176,25 +178,17 @@ func (b *Builder) HasEdgePending(u, v Vertex) bool {
 // Build produces the immutable CSR graph. Parallel (duplicate) edges are
 // collapsed. The builder remains usable afterwards.
 func (b *Builder) Build() *Graph {
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	// Collapse duplicates in place.
-	w := 0
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		edges[w] = e
-		w++
+	edges := slices.Clone(b.edges)
+	slices.SortFunc(edges, compareEdges)
+	return FromSortedEdges(b.n, slices.Compact(edges))
+}
+
+// compareEdges orders edges by (src, dst).
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	edges = edges[:w]
-	return FromSortedEdges(b.n, edges)
+	return cmp.Compare(a.Dst, b.Dst)
 }
 
 // FromEdges builds a graph directly from an edge list (deduplicated).
@@ -241,19 +235,9 @@ func FromSortedEdges(n int, edges []Edge) *Graph {
 // with the mapping from new vertex ids to original ids. Vertices are
 // renumbered densely in ascending original order.
 func (g *Graph) Subgraph(keep []Vertex) (*Graph, []Vertex) {
-	sorted := make([]Vertex, len(keep))
-	copy(sorted, keep)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Remove duplicates.
-	w := 0
-	for i, v := range sorted {
-		if i > 0 && v == sorted[i-1] {
-			continue
-		}
-		sorted[w] = v
-		w++
-	}
-	sorted = sorted[:w]
+	sorted := slices.Clone(keep)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 	remap := make(map[Vertex]Vertex, len(sorted))
 	for i, v := range sorted {
 		remap[v] = Vertex(i)

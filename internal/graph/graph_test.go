@@ -437,3 +437,107 @@ func TestComputeStatsSampled(t *testing.T) {
 		t.Errorf("reachable fraction = %v out of (0,1]", st.Reachable)
 	}
 }
+
+// checkCSR asserts the structural contract every graph constructor owes its
+// callers: degrees sum to |E| in both directions, heads are in range, rows
+// are strictly ascending (sorted and duplicate-free), the in-adjacency is
+// the exact transpose of the out-adjacency, and the edge set is want.
+func checkCSR(t *testing.T, label string, g *graph.Graph, want map[graph.Edge]bool) {
+	t.Helper()
+	n := g.NumVertices()
+	rows := func(dir string, nbrs func(graph.Vertex) []graph.Vertex, deg func(graph.Vertex) int) map[graph.Edge]bool {
+		seen := map[graph.Edge]bool{}
+		sum := 0
+		for v := 0; v < n; v++ {
+			row := nbrs(graph.Vertex(v))
+			if len(row) != deg(graph.Vertex(v)) {
+				t.Fatalf("%s: %s-degree of %d is %d, row has %d", label, dir, v, deg(graph.Vertex(v)), len(row))
+			}
+			sum += len(row)
+			for i, w := range row {
+				if w < 0 || int(w) >= n {
+					t.Fatalf("%s: %s-row of %d holds %d, outside [0,%d)", label, dir, v, w, n)
+				}
+				if i > 0 && row[i-1] >= w {
+					t.Fatalf("%s: %s-row of %d not strictly ascending: %v", label, dir, v, row)
+				}
+				e := graph.Edge{Src: graph.Vertex(v), Dst: w}
+				if dir == "in" {
+					e = graph.Edge{Src: w, Dst: graph.Vertex(v)}
+				}
+				seen[e] = true
+			}
+		}
+		if sum != g.NumEdges() {
+			t.Fatalf("%s: %s-degrees sum to %d, |E| = %d", label, dir, sum, g.NumEdges())
+		}
+		return seen
+	}
+	out := rows("out", g.OutNeighbors, g.OutDegree)
+	in := rows("in", g.InNeighbors, g.InDegree)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("%s: in-adjacency is not the transpose of the out-adjacency", label)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("%s: edge set %v, want %v", label, out, want)
+	}
+}
+
+// TestBuildCSRInvariants drives Build, Subgraph and Rebuild with inputs that
+// lean on the sort-and-deduplicate step: far more edges than distinct pairs,
+// self-loops, no edges, no vertices.
+func TestBuildCSRInvariants(t *testing.T) {
+	checkCSR(t, "no vertices", graph.NewBuilder(0).Build(), map[graph.Edge]bool{})
+	checkCSR(t, "no edges", graph.NewBuilder(7).Build(), map[graph.Edge]bool{})
+	rng := rand.New(rand.NewPCG(7, 0xc52))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.IntN(12)
+		randomEdges := func(m int) []graph.Edge {
+			es := make([]graph.Edge, m)
+			for i := range es {
+				es[i] = graph.Edge{Src: graph.Vertex(rng.IntN(n)), Dst: graph.Vertex(rng.IntN(n))}
+				if rng.IntN(4) == 0 {
+					es[i].Dst = es[i].Src
+				}
+			}
+			return es
+		}
+		input := randomEdges(rng.IntN(20 * n))
+		want := map[graph.Edge]bool{}
+		b := graph.NewBuilder(n)
+		for _, e := range input {
+			b.AddEdge(e.Src, e.Dst)
+			want[e] = true
+		}
+		g := b.Build()
+		checkCSR(t, "build", g, want)
+
+		add, remove := randomEdges(rng.IntN(3*n)), randomEdges(rng.IntN(3*n))
+		for _, e := range remove {
+			delete(want, e)
+		}
+		for _, e := range add {
+			want[e] = true
+		}
+		checkCSR(t, "rebuild", graph.Rebuild(g, add, remove), want)
+
+		keep := make([]graph.Vertex, rng.IntN(2*n))
+		for i := range keep {
+			keep[i] = graph.Vertex(rng.IntN(n))
+		}
+		sub, ids := g.Subgraph(keep)
+		newID := map[graph.Vertex]graph.Vertex{}
+		for i, v := range ids {
+			newID[v] = graph.Vertex(i)
+		}
+		induced := map[graph.Edge]bool{}
+		g.ForEachEdge(func(u, v graph.Vertex) {
+			nu, okU := newID[u]
+			nv, okV := newID[v]
+			if okU && okV {
+				induced[graph.Edge{Src: nu, Dst: nv}] = true
+			}
+		})
+		checkCSR(t, "subgraph", sub, induced)
+	}
+}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Rebuild materializes a fresh CSR graph from a base graph plus edge
@@ -89,19 +89,6 @@ func sortDedupEdges(n int, in []Edge) []Edge {
 			panic(fmt.Sprintf("graph: delta edge (%d,%d) out of range [0,%d)", e.Src, e.Dst, n))
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
-		}
-		return es[i].Dst < es[j].Dst
-	})
-	w := 0
-	for i, e := range es {
-		if i > 0 && e == es[i-1] {
-			continue
-		}
-		es[w] = e
-		w++
-	}
-	return es[:w]
+	slices.SortFunc(es, compareEdges)
+	return slices.Compact(es)
 }

@@ -142,3 +142,28 @@ func (o *ReachOracle) Reach(s, t graph.Vertex, k int) bool {
 	}
 	return k < 0 || int(d) <= k
 }
+
+// CoverArc is one arc of a reference index graph: the target's position in
+// the cover list and its exact shortest distance from the row's source.
+type CoverArc struct {
+	To   int32
+	Dist int32
+}
+
+// ReferenceRows is Lines 4–8 of Algorithm 1 with none of the build's
+// machinery: one full single-threaded BFS per vertex of list (a cover,
+// ascending), and per row one arc for every other cover vertex within k
+// hops (k < 0: at any distance), ascending by target. Each index build
+// buckets Dist its own way; the builds are tested arc-for-arc against this.
+func ReferenceRows(g *graph.Graph, list []graph.Vertex, k int) [][]CoverArc {
+	rows := make([][]CoverArc, len(list))
+	for i, u := range list {
+		dist := graph.BFSDistances(g, u, graph.Forward)
+		for j, v := range list {
+			if d := dist[v]; j != i && d != graph.InfDist && (k < 0 || int(d) <= k) {
+				rows[i] = append(rows[i], CoverArc{To: int32(j), Dist: d})
+			}
+		}
+	}
+	return rows
+}
