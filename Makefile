@@ -70,12 +70,13 @@ bench-cache:
 	$(GO) test ./internal/bench -bench 'ReachCached|ReachUncached' -benchtime 2s -run XXX
 
 # bench-smoke mirrors the CI benchmark-compile gate: one iteration of every
-# benchmark — the harness suite, the word-parallel kernel micro-benchmarks
-# and core's BenchmarkBuild, the per-stage split of index construction
-# (cover order, row BFS, finalize, load) — so bench-only code cannot rot
-# without failing the build.
+# benchmark — the harness suite, the word-parallel kernel micro-benchmarks,
+# core's BenchmarkBuild, the per-stage split of index construction (cover
+# order, row BFS, finalize, load), and dynamic's BenchmarkMutate, the local
+# reproduction of dynamic.mutate_us_per_edge (batch, collect, repair) — so
+# bench-only code cannot rot without failing the build.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bench ./internal/bitvec ./internal/core
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bench ./internal/bitvec ./internal/core ./internal/dynamic
 
 # obs-smoke is the observability e2e gate: build the real kreachd, boot it
 # on an ephemeral port, scrape GET /metrics and assert the exposition

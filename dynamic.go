@@ -33,8 +33,8 @@ type DynamicOptions struct {
 	Cover CoverStrategy
 	// Seed drives randomized cover selection.
 	Seed uint64
-	// Parallelism bounds BFS workers during full (re)builds
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds BFS workers during full (re)builds and when a
+	// mutation batch re-derives its affected rows (0 = GOMAXPROCS).
 	Parallelism int
 	// CompactRatio is the overlay-to-base edge ratio at which
 	// ShouldCompact reports true (0 = a default of 0.25).

@@ -9,6 +9,7 @@ import (
 
 	"kreach/internal/cover"
 	"kreach/internal/graph"
+	"kreach/internal/testgraph"
 )
 
 // BenchmarkBuild splits index construction into the stages the benchmark
@@ -24,7 +25,7 @@ func BenchmarkBuild(b *testing.B) {
 		strat cover.Strategy
 	}{
 		{"hubs", benchHubs(100_000), 3, cover.DegreePrioritized},
-		{"lattice", benchLattice(100_000), 4, cover.RandomEdge},
+		{"lattice", testgraph.Lattice(100_000, 1), 4, cover.RandomEdge},
 	}
 	for _, sh := range shapes {
 		g := sh.g
@@ -66,24 +67,6 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchLattice is a directed Watts–Strogatz ring: every vertex points at its
-// two nearest neighbours on each side, each head rewired to a uniform vertex
-// with probability 0.05.
-func benchLattice(n int) *graph.Graph {
-	rng := rand.New(rand.NewPCG(1, 0x77a7751))
-	b := graph.NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for _, d := range []int{1, 2, n - 1, n - 2} {
-			v := (u + d) % n
-			if rng.Float64() < 0.05 {
-				v = rng.IntN(n)
-			}
-			b.AddEdge(graph.Vertex(u), graph.Vertex(v))
-		}
-	}
-	return b.Build()
 }
 
 // benchHubs is a celebrity follow graph: vertices below n/64 are

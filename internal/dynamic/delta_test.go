@@ -2,10 +2,12 @@ package dynamic
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
 	"kreach/internal/graph"
+	"kreach/internal/testgraph"
 )
 
 func path5() *graph.Graph {
@@ -130,6 +132,101 @@ func TestDeltaGraphMatchesMaterialized(t *testing.T) {
 		for w := 0; w < n; w++ {
 			if d.HasEdge(src, graph.Vertex(w)) != m.HasEdge(src, graph.Vertex(w)) {
 				t.Fatalf("HasEdge(%d,%d) diverges", u, w)
+			}
+		}
+	}
+}
+
+// TestDirtyBitmaps drives random add/remove sequences — fresh adds, base
+// removals, un-removes and un-adds — and checks after every step that a
+// vertex's dirty bit is set exactly when that side's delta lists are not
+// both empty (a clear bit means the base slice is the live list), and that
+// the
+// map-free neighbor paths (outNeighbors/inNeighbors, forEachOut/forEachIn)
+// agree with the merging AppendOutNeighbors/AppendInNeighbors for every
+// vertex, without writing into a clean vertex's base slice.
+func TestDirtyBitmaps(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 0xd1e7))
+	n := 40
+	base := testgraph.Random(n, 3*n, 4)
+	d := NewDeltaGraph(base)
+	var added, removed []graph.Edge // live overlay entries, for un-add / un-remove
+	for step := 0; step < 400; step++ {
+		switch op := rng.IntN(4); {
+		case op == 0 && len(added) > 0: // un-add
+			i := rng.IntN(len(added))
+			if !d.RemoveEdge(added[i].Src, added[i].Dst) {
+				t.Fatalf("step %d: un-add of %v rejected", step, added[i])
+			}
+			added = append(added[:i], added[i+1:]...)
+		case op == 1 && len(removed) > 0: // un-remove
+			i := rng.IntN(len(removed))
+			if !d.AddEdge(removed[i].Src, removed[i].Dst) {
+				t.Fatalf("step %d: un-remove of %v rejected", step, removed[i])
+			}
+			removed = append(removed[:i], removed[i+1:]...)
+		case op == 2: // remove a base edge (possibly already removed)
+			u := graph.Vertex(rng.IntN(n))
+			if out := base.OutNeighbors(u); len(out) > 0 {
+				e := graph.Edge{Src: u, Dst: out[rng.IntN(len(out))]}
+				if d.RemoveEdge(e.Src, e.Dst) {
+					removed = append(removed, e)
+				}
+			}
+		default: // fresh add, a duplicate, or a chance un-remove
+			e := graph.Edge{Src: graph.Vertex(rng.IntN(n)), Dst: graph.Vertex(rng.IntN(n))}
+			switch {
+			case !d.AddEdge(e.Src, e.Dst):
+			case base.HasEdge(e.Src, e.Dst):
+				removed = slices.DeleteFunc(removed, func(r graph.Edge) bool { return r == e })
+			default:
+				added = append(added, e)
+			}
+		}
+		checkDirtyBitmaps(t, d, step)
+	}
+	if d.Added() != len(added) || d.Removed() != len(removed) {
+		t.Fatalf("overlay counts %d/%d, tracked %d/%d", d.Added(), d.Removed(), len(added), len(removed))
+	}
+}
+
+func checkDirtyBitmaps(t *testing.T, d *DeltaGraph, step int) {
+	t.Helper()
+	var buf, want, seen []graph.Vertex
+	collect := func(w graph.Vertex) { seen = append(seen, w) }
+	for u := 0; u < d.NumVertices(); u++ {
+		v := graph.Vertex(u)
+		if has := len(d.addOut[v]) > 0 || len(d.remOut[v]) > 0; has != isDirty(d.dirtyOut, v) {
+			t.Fatalf("step %d: vertex %d has out-deltas %v, out-bit %v", step, v, has, isDirty(d.dirtyOut, v))
+		}
+		if has := len(d.addIn[v]) > 0 || len(d.remIn[v]) > 0; has != isDirty(d.dirtyIn, v) {
+			t.Fatalf("step %d: vertex %d has in-deltas %v, in-bit %v", step, v, has, isDirty(d.dirtyIn, v))
+		}
+		for _, side := range []struct {
+			name    string
+			dirty   []uint64
+			base    []graph.Vertex
+			appendN func(graph.Vertex, []graph.Vertex) []graph.Vertex
+			direct  func(graph.Vertex, *[]graph.Vertex) []graph.Vertex
+			forEach func(graph.Vertex, func(graph.Vertex))
+		}{
+			{"out", d.dirtyOut, d.base.OutNeighbors(v), d.AppendOutNeighbors, d.outNeighbors, d.forEachOut},
+			{"in", d.dirtyIn, d.base.InNeighbors(v), d.AppendInNeighbors, d.inNeighbors, d.forEachIn},
+		} {
+			want = side.appendN(v, want[:0])
+			buf = append(buf[:0], -1)
+			got := side.direct(v, &buf)
+			if !vertexSlicesEqual(got, want) {
+				t.Fatalf("step %d: %s(%d) direct %v, merged %v", step, side.name, v, got, want)
+			}
+			if !isDirty(side.dirty, v) && (len(buf) != 1 || buf[0] != -1 || !vertexSlicesEqual(side.base, want)) {
+				t.Fatalf("step %d: clean %s(%d) touched the scratch buffer or differs from base", step, side.name, v)
+			}
+			seen = seen[:0]
+			side.forEach(v, collect)
+			slices.Sort(seen)
+			if !vertexSlicesEqual(seen, want) {
+				t.Fatalf("step %d: forEach %s(%d) %v, merged %v", step, side.name, v, seen, want)
 			}
 		}
 	}

@@ -14,7 +14,9 @@
 //
 //   - DeltaGraph: a per-vertex added/removed adjacency overlay on a base
 //     *graph.Graph, serving the adjacency surface Algorithm 2 needs
-//     (out/in neighbors, HasEdge, degrees) with deltas applied.
+//     (out/in neighbors, HasEdge, degrees) with deltas applied. Dirty
+//     bitmaps let every vertex without a delta read its base CSR slice
+//     directly.
 //   - Index: a mutable k-reach index over the overlay. Queries run the
 //     four cases of Algorithm 2 against live adjacency plus incrementally
 //     maintained cover-pair weight rows. Mutations promote uncovered
@@ -27,8 +29,12 @@
 //
 // Concurrency model: queries take a read lock and run concurrently with
 // each other; mutation batches serialize on a mutation mutex and take the
-// write lock only for the apply + row-recompute step. The index epoch (a
-// process-unique generation from internal/core) is re-issued inside every
-// mutation's write section, so epoch-keyed result caches can never serve
-// an answer older than the epoch they saw.
+// write lock only for the apply + row-recompute step. Inside that step the
+// affected rows — collected by one multi-source backward BFS per phase —
+// are re-derived by up to Options.Parallelism workers, each with its own
+// BFS scratch and writing only the rows it claimed, so the lock is held for
+// less time without readers ever seeing a half-repaired batch. The index
+// epoch (a process-unique generation from internal/core) is re-issued
+// inside every mutation's write section, so epoch-keyed result caches can
+// never serve an answer older than the epoch they saw.
 package dynamic

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"kreach/internal/core"
 	"kreach/internal/cover"
@@ -39,6 +39,15 @@ const (
 )
 
 const notFound = uint8(0xFF)
+
+// bucketBits is how far recomputeRow shifts a cover id to pack its bucket
+// below it, as core.BuildRows does: sorting the packed words sorts by id.
+const bucketBits = 2
+
+// repairChunk is how many affected row ids a repair worker claims at a
+// time; a batch fans out to one worker per 2·repairChunk rows at most, so
+// small batches stay on the calling goroutine.
+const repairChunk = 32
 
 // DefaultCompactRatio is the overlay-to-base edge ratio at which
 // ShouldCompact starts reporting true when Options.CompactRatio is 0.
@@ -78,9 +87,10 @@ type Options struct {
 	Strategy cover.Strategy
 	// Seed drives randomized cover selection.
 	Seed uint64
-	// Parallelism bounds concurrent BFS workers during full (re)builds;
-	// 0 = GOMAXPROCS. Incremental maintenance is single-threaded — it runs
-	// under the write lock and touches only the affected rows.
+	// Parallelism bounds concurrent BFS workers, both during full
+	// (re)builds and when a mutation batch re-derives its affected rows;
+	// 0 = GOMAXPROCS. Repair workers run inside the batch's write section,
+	// so readers still see exactly one epoch per batch.
 	Parallelism int
 	// CompactRatio is the DeltaSize/base-edges ratio at which ShouldCompact
 	// reports true (0 = DefaultCompactRatio).
@@ -136,7 +146,11 @@ type Index struct {
 	// bfsRuns is atomic: maintenance pre-scans run outside the write lock.
 	bfsRuns atomic.Uint64
 
-	scratch *overlayScratch // maintenance BFS state; used only under mutMu
+	// scratches holds one BFS state per repair worker, allocated on first
+	// use; scratches[0] also serves the collection phases. Guarded by mutMu
+	// and grown only under the write lock.
+	scratches []*overlayScratch
+	affected  []int32 // collected row ids, reused across batches (mutMu)
 
 	journal Journal // durability hook, nil for in-memory indexes (mutMu)
 }
@@ -152,11 +166,11 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	n := base.NumVertices()
 	cov := cover.VertexCover(base, opts.Strategy, opts.Seed)
 	ix := &Index{
-		dg:      NewDeltaGraph(base),
-		k:       opts.K,
-		opts:    opts,
-		coverID: make([]int32, n),
-		scratch: newOverlayScratch(n),
+		dg:        NewDeltaGraph(base),
+		k:         opts.K,
+		opts:      opts,
+		coverID:   make([]int32, n),
+		scratches: []*overlayScratch{newOverlayScratch(n)},
 	}
 	for i := range ix.coverID {
 		ix.coverID[i] = -1
@@ -247,7 +261,10 @@ func arcWeight(row []arc, to int32) uint8 {
 	return notFound
 }
 
-// QueryScratch holds reusable per-goroutine query buffers.
+// QueryScratch holds reusable per-goroutine query buffers. out and in hold
+// merged neighbor lists of dirty vertices only; a clean vertex's list is
+// read straight from the base CSR and never copied into (or aliased by)
+// these buffers.
 type QueryScratch struct {
 	out, in []graph.Vertex
 	inIDs   []int32
@@ -283,8 +300,7 @@ func (ix *Index) reachLocked(s, t graph.Vertex, sc *QueryScratch) bool {
 	case cs >= 0:
 		// Case 2: every live in-neighbor of non-cover t is in the cover;
 		// s →k t iff s reaches one of them within k-1 (or (s,t) is an edge).
-		sc.in = ix.dg.AppendInNeighbors(t, sc.in[:0])
-		for _, v := range sc.in {
+		for _, v := range ix.dg.inNeighbors(t, &sc.in) {
 			if v == s {
 				return true // direct edge (s,t), k ≥ 1 always
 			}
@@ -296,8 +312,7 @@ func (ix *Index) reachLocked(s, t graph.Vertex, sc *QueryScratch) bool {
 
 	case ct >= 0:
 		// Case 3: mirror of Case 2 through live out-neighbors of s.
-		sc.out = ix.dg.AppendOutNeighbors(s, sc.out[:0])
-		for _, u := range sc.out {
+		for _, u := range ix.dg.outNeighbors(s, &sc.out) {
 			if u == t {
 				return true
 			}
@@ -315,18 +330,17 @@ func (ix *Index) reachLocked(s, t graph.Vertex, sc *QueryScratch) bool {
 		// Case 4: all out-neighbors of s and in-neighbors of t are cover
 		// vertices; s →k t iff some pair (u,v) has dist(u,v) ≤ k-2,
 		// including u = v with distance 0 (the 2-hop path s→u→t).
-		sc.in = ix.dg.AppendInNeighbors(t, sc.in[:0])
-		if len(sc.in) == 0 {
+		in := ix.dg.inNeighbors(t, &sc.in)
+		if len(in) == 0 {
 			return false
 		}
 		sc.inIDs = sc.inIDs[:0]
-		for _, v := range sc.in {
+		for _, v := range in {
 			sc.inIDs = append(sc.inIDs, ix.coverID[v])
 		}
 		slices.Sort(sc.inIDs)
 		twoHopOK := ix.k >= 2
-		sc.out = ix.dg.AppendOutNeighbors(s, sc.out[:0])
-		for _, u := range sc.out {
+		for _, u := range ix.dg.outNeighbors(s, &sc.out) {
 			cu := ix.coverID[u]
 			if cu < 0 {
 				continue // unreachable if the cover invariant holds
@@ -478,16 +492,19 @@ func (ix *Index) mutateLocked(add, remove []graph.Edge, replayEpoch uint64) (Mut
 		}
 	}
 
-	affected := make(map[int32]struct{})
 	// Phase A (pre-batch graph, read-only — concurrent readers continue):
 	// collect rows reachable backward from each removed edge's source. Any
 	// path a removal can weaken passes through that source within k-1 hops
-	// of its cover origin.
+	// of its cover origin. One multi-source BFS visits exactly the union of
+	// the per-edge balls.
+	sc := ix.scratches[0]
+	sc.reset()
 	for _, e := range removes {
 		if ix.dg.HasEdge(e.Src, e.Dst) {
-			ix.collectBackward(e.Src, ix.k-1, affected)
+			sc.seed(e.Src, 0)
 		}
 	}
+	affected := ix.collectBackward(sc, ix.k-1, ix.affected[:0])
 
 	ix.rw.Lock()
 	defer ix.rw.Unlock()
@@ -523,21 +540,25 @@ func (ix *Index) mutateLocked(add, remove []graph.Edge, replayEpoch uint64) (Mut
 	}
 
 	// Phase C (post-batch graph): rows that an insertion can strengthen
-	// route through the new edge's source; a freshly promoted cover vertex
-	// additionally needs arcs from every cover vertex that already reached
-	// it, within the full k hops.
-	for _, e := range applied {
-		ix.collectBackward(e.Src, ix.k-1, affected)
-	}
+	// route through the new edge's source, within k-1 hops; a freshly
+	// promoted cover vertex additionally needs arcs from every cover vertex
+	// that already reached it, within the full k hops. One BFS with the
+	// promoted vertices seeded at distance 0 and the sources at 1, bounded
+	// at k, visits exactly the union of both kinds of ball.
+	sc.reset()
 	for _, c := range promoted {
-		affected[ix.coverID[c]] = struct{}{}
-		ix.collectBackward(c, ix.k, affected)
+		sc.seed(c, 0)
 	}
+	for _, e := range applied {
+		sc.seed(e.Src, 1)
+	}
+	affected = ix.collectBackward(sc, ix.k, affected)
 
-	// Phase D: re-derive every affected row by forward bounded BFS.
-	for id := range affected {
-		ix.recomputeRow(id)
-	}
+	// Phase D: re-derive every affected row, once, by forward bounded BFS.
+	slices.Sort(affected)
+	affected = slices.Compact(affected)
+	ix.affected = affected
+	ix.repair(affected)
 	res.RowsRecomputed = len(affected)
 
 	ix.batches++
@@ -607,36 +628,89 @@ func (ix *Index) promote(c graph.Vertex) {
 	ix.rows = append(ix.rows, nil)
 }
 
-// collectBackward adds the cover ids of every vertex within maxHops
-// backward of src (on the current overlay) to affected.
-func (ix *Index) collectBackward(src graph.Vertex, maxHops int, affected map[int32]struct{}) {
-	ix.scratch.run(ix.dg, src, maxHops, false)
+// collectBackward expands the seeds in sc into a maxHops-bounded backward
+// BFS over the current overlay and appends the cover id of every visited
+// vertex to ids. With no seeds it does nothing and counts no traversal.
+func (ix *Index) collectBackward(sc *overlayScratch, maxHops int, ids []int32) []int32 {
+	if len(sc.queue) == 0 {
+		return ids
+	}
+	sc.expand(ix.dg, maxHops, false)
 	ix.bfsRuns.Add(1)
-	for _, v := range ix.scratch.queue {
+	for _, v := range sc.queue {
 		if id := ix.coverID[v]; id >= 0 {
-			affected[id] = struct{}{}
+			ids = append(ids, id)
 		}
+	}
+	return ids
+}
+
+// repair re-derives the rows of ids (distinct cover ids) on up to
+// opts.workers() goroutines, one per 2·repairChunk ids at most. Workers claim
+// repairChunk ids at a time from a shared cursor, each with its own scratch,
+// and write only the rows they claimed; their arc-count deltas are summed
+// once all are done. Caller holds the write lock.
+func (ix *Index) repair(ids []int32) {
+	ix.bfsRuns.Add(uint64(len(ids)))
+	workers := min(ix.opts.workers(), (len(ids)+2*repairChunk-1)/(2*repairChunk))
+	if workers <= 1 {
+		for _, id := range ids {
+			ix.arcCount += ix.recomputeRow(id, ix.scratches[0])
+		}
+		return
+	}
+	for len(ix.scratches) < workers {
+		ix.scratches = append(ix.scratches, newOverlayScratch(ix.dg.NumVertices()))
+	}
+	deltas := make([]int, workers)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc, delta := ix.scratches[w], 0
+			for {
+				lo := int(cursor.Add(repairChunk)) - repairChunk
+				if lo >= len(ids) {
+					break
+				}
+				for _, id := range ids[lo:min(lo+repairChunk, len(ids))] {
+					delta += ix.recomputeRow(id, sc)
+				}
+			}
+			deltas[w] = delta
+		}()
+	}
+	wg.Wait()
+	for _, d := range deltas {
+		ix.arcCount += d
 	}
 }
 
 // recomputeRow re-derives one cover row with a forward k-hop BFS over the
-// overlay. Caller holds the write lock.
-func (ix *Index) recomputeRow(id int32) {
-	u := ix.coverList[id]
-	ix.scratch.run(ix.dg, u, ix.k, true)
-	ix.bfsRuns.Add(1)
-	row := ix.rows[id][:0]
-	for _, v := range ix.scratch.queue {
-		if v == u {
-			continue
-		}
+// overlay and returns the change in its arc count. It writes only
+// rows[id], so repair workers can run it concurrently on distinct ids.
+func (ix *Index) recomputeRow(id int32, sc *overlayScratch) int {
+	sc.reset()
+	sc.seed(ix.coverList[id], 0)
+	sc.expand(ix.dg, ix.k, true)
+	keys := sc.keys[:0]
+	// The queue leads with the row's own vertex: (u,u) is implicit.
+	for _, v := range sc.queue[1:] {
 		if ci := ix.coverID[v]; ci >= 0 {
-			row = append(row, arc{to: ci, w: ix.bucketFor(ix.scratch.dist[v])})
+			keys = append(keys, uint64(ci)<<bucketBits|uint64(ix.bucketFor(sc.dist[v])))
 		}
 	}
-	slices.SortFunc(row, func(a, b arc) int { return cmp.Compare(a.to, b.to) })
-	ix.arcCount += len(row) - len(ix.rows[id])
+	slices.Sort(keys)
+	sc.keys = keys
+	row := ix.rows[id][:0]
+	for _, key := range keys {
+		row = append(row, arc{to: int32(key >> bucketBits), w: uint8(key & (1<<bucketBits - 1))})
+	}
+	delta := len(row) - len(ix.rows[id])
 	ix.rows[id] = row
+	return delta
 }
 
 // ShouldCompact reports whether the overlay has grown past the configured
@@ -759,12 +833,24 @@ func (ix *Index) Stats() Stats {
 }
 
 // SizeBytes estimates the resident index size: cover id map, cover list,
-// rows (5 bytes per arc: id + bucket) and overlay bookkeeping.
+// one slice header per row plus its live arcs, the overlay's delta lists
+// and dirty bitmaps, and each repair worker's visitation arrays.
 func (ix *Index) SizeBytes() int {
 	ix.rw.RLock()
 	defer ix.rw.RUnlock()
-	size := 4*len(ix.coverID) + 4*len(ix.coverList) + 5*ix.arcCount
-	size += 8 * ix.dg.DeltaSize() // two delta-list entries per overlay edge
+	const (
+		idBytes     = int(unsafe.Sizeof(int32(0)))
+		stampBytes  = int(unsafe.Sizeof(uint32(0)))
+		vertexBytes = int(unsafe.Sizeof(graph.Vertex(0)))
+		arcBytes    = int(unsafe.Sizeof(arc{}))
+		rowBytes    = int(unsafe.Sizeof([]arc(nil)))
+		wordBytes   = int(unsafe.Sizeof(uint64(0)))
+	)
+	size := idBytes*len(ix.coverID) + vertexBytes*len(ix.coverList)
+	size += rowBytes*len(ix.rows) + arcBytes*ix.arcCount
+	size += 2 * vertexBytes * ix.dg.DeltaSize() // an out- and an in-entry per overlay edge
+	size += wordBytes * (len(ix.dg.dirtyOut) + len(ix.dg.dirtyIn))
+	size += len(ix.scratches) * ix.dg.NumVertices() * (idBytes + stampBytes) // dist + stamp
 	return size
 }
 
@@ -794,12 +880,14 @@ func (ix *Index) CheckInvariants() error {
 }
 
 // overlayScratch is BFS state over the overlay adjacency, with
-// epoch-stamped visitation like graph.BFSScratch.
+// epoch-stamped visitation like graph.BFSScratch, plus the packed arc keys
+// recomputeRow sorts. Each repair worker owns one.
 type overlayScratch struct {
 	dist  []int32
 	stamp []uint32
 	epoch uint32
 	queue []graph.Vertex
+	keys  []uint64
 }
 
 func newOverlayScratch(n int) *overlayScratch {
@@ -810,38 +898,55 @@ func newOverlayScratch(n int) *overlayScratch {
 	}
 }
 
-// run executes a maxHops-bounded BFS from src over dg, forward or
-// backward. Afterwards s.queue holds the visited vertices (src first) and
-// s.dist their hop distances.
-func (s *overlayScratch) run(dg *DeltaGraph, src graph.Vertex, maxHops int, forward bool) {
+// reset starts a traversal: every vertex becomes unvisited and the queue
+// empty.
+func (s *overlayScratch) reset() {
 	s.epoch++
 	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
+		clear(s.stamp)
 		s.epoch = 1
 	}
 	s.queue = s.queue[:0]
-	s.dist[src] = 0
-	s.stamp[src] = s.epoch
-	s.queue = append(s.queue, src)
-	visit := func(v graph.Vertex, d int32) {
-		if s.stamp[v] != s.epoch {
-			s.dist[v] = d
-			s.stamp[v] = s.epoch
-			s.queue = append(s.queue, v)
-		}
+}
+
+// seed enqueues v at hop distance d unless it is already visited. Seeds
+// must arrive in nondecreasing distance order, and before expand.
+func (s *overlayScratch) seed(v graph.Vertex, d int32) {
+	if s.stamp[v] != s.epoch {
+		s.stamp[v] = s.epoch
+		s.dist[v] = d
+		s.queue = append(s.queue, v)
 	}
+}
+
+// expand runs the BFS from the seeded queue over dg, forward or backward,
+// up to maxHops from the nearest seed. Afterwards s.queue holds every
+// visited vertex (seeds first) in nondecreasing distance order and s.dist
+// their distances. A clean vertex's neighbors are its base CSR slice; only
+// dirty vertices consult the delta lists.
+func (s *overlayScratch) expand(dg *DeltaGraph, maxHops int, forward bool) {
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		d := s.dist[u]
 		if int(d) >= maxHops {
 			break // queue is in nondecreasing distance order
 		}
+		var base, add, rem []graph.Vertex
 		if forward {
-			dg.forEachOut(u, func(w graph.Vertex) { visit(w, d+1) })
+			base = dg.base.OutNeighbors(u)
+			add, rem = dg.outDelta(u)
 		} else {
-			dg.forEachIn(u, func(w graph.Vertex) { visit(w, d+1) })
+			base = dg.base.InNeighbors(u)
+			add, rem = dg.inDelta(u)
+		}
+		d++
+		for _, w := range base {
+			if len(rem) == 0 || !sortedContains(rem, w) {
+				s.seed(w, d)
+			}
+		}
+		for _, w := range add {
+			s.seed(w, d)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"kreach/internal/core"
 	"kreach/internal/cover"
@@ -432,32 +433,86 @@ func TestNewMatchesReferenceRows(t *testing.T) {
 	checkAllPairs(t, ix, o, 2, "after growing a slab row")
 }
 
-// TestCase4QueryDoesNotAllocate pins the Case-4 path — both endpoints
-// outside the cover, in-neighbor ids sorted per query — at zero allocations
-// on a warm scratch.
+// TestCase4QueryDoesNotAllocate pins the query paths that read live
+// adjacency — Case 4 (both endpoints outside the cover, in-neighbor ids
+// sorted per query) and Cases 2 and 3 (one endpoint outside) — at zero
+// allocations on a warm scratch. A batch is applied first, so some of the
+// endpoints are dirty and take the merge path while the rest read the base
+// CSR directly.
 func TestCase4QueryDoesNotAllocate(t *testing.T) {
 	g := testgraph.Random(200, 500, 5)
 	ix := mustNew(t, g, 3)
-	var pairs [][2]graph.Vertex
-	for s := graph.Vertex(0); int(s) < g.NumVertices() && len(pairs) < 50; s++ {
-		for dst := graph.Vertex(0); int(dst) < g.NumVertices(); dst++ {
-			if s != dst && ix.coverID[s] < 0 && ix.coverID[dst] < 0 && g.InDegree(dst) > 1 && g.OutDegree(s) > 0 {
-				pairs = append(pairs, [2]graph.Vertex{s, dst})
-				break
+	// Dirty some endpoints of every kind: edges between a cover vertex and
+	// an uncovered one never promote, and one base edge is removed.
+	var add []graph.Edge
+	for v := graph.Vertex(0); int(v) < g.NumVertices() && len(add) < 20; v += 7 {
+		c := ix.coverList[int(v)%len(ix.coverList)]
+		if ix.coverID[v] < 0 && !g.HasEdge(c, v) && !g.HasEdge(v, c) {
+			add = append(add, graph.Edge{Src: c, Dst: v}, graph.Edge{Src: v, Dst: c})
+		}
+	}
+	remove := []graph.Edge{{Src: ix.coverList[0], Dst: g.OutNeighbors(ix.coverList[0])[0]}}
+	if _, err := ix.Mutate(add, remove); err != nil {
+		t.Fatal(err)
+	}
+	dirty := func(v graph.Vertex) bool { return isDirty(ix.dg.dirtyOut, v) || isDirty(ix.dg.dirtyIn, v) }
+	cases := map[string]func(s, t graph.Vertex) bool{
+		"case 2": func(s, t graph.Vertex) bool { return ix.coverID[s] >= 0 && ix.coverID[t] < 0 },
+		"case 3": func(s, t graph.Vertex) bool { return ix.coverID[s] < 0 && ix.coverID[t] >= 0 },
+		"case 4": func(s, t graph.Vertex) bool {
+			return ix.coverID[s] < 0 && ix.coverID[t] < 0 && ix.dg.InDegree(t) > 1 && ix.dg.OutDegree(s) > 0
+		},
+	}
+	for name, is := range cases {
+		var pairs [][2]graph.Vertex
+		dirtyPairs := 0
+		for s := graph.Vertex(0); int(s) < g.NumVertices() && len(pairs) < 50; s++ {
+			for dst := graph.Vertex(0); int(dst) < g.NumVertices(); dst++ {
+				if s != dst && is(s, dst) {
+					pairs = append(pairs, [2]graph.Vertex{s, dst})
+					if dirty(s) || dirty(dst) {
+						dirtyPairs++
+					}
+					break
+				}
 			}
 		}
-	}
-	if len(pairs) == 0 {
-		t.Fatal("no Case-4 pair in the fixture")
-	}
-	sc := NewQueryScratch()
-	query := func() {
-		for _, p := range pairs {
-			ix.Reach(p[0], p[1], sc)
+		if len(pairs) == 0 || dirtyPairs == 0 {
+			t.Fatalf("%s: %d pairs, %d with a dirty endpoint, in the fixture", name, len(pairs), dirtyPairs)
+		}
+		sc := NewQueryScratch()
+		query := func() {
+			for _, p := range pairs {
+				ix.Reach(p[0], p[1], sc)
+			}
+		}
+		query() // warm the scratch buffers
+		if allocs := testing.AllocsPerRun(20, query); allocs != 0 {
+			t.Fatalf("%s queries allocate %.1f times per run on a warm scratch", name, allocs)
 		}
 	}
-	query() // warm the scratch buffers
-	if allocs := testing.AllocsPerRun(20, query); allocs != 0 {
-		t.Fatalf("Case-4 queries allocate %.1f times per run on a warm scratch", allocs)
+}
+
+// TestSizeBytesCountsRows: SizeBytes must at least cover what the rows
+// hold — a slice header per cover id plus every arc at its real size.
+func TestSizeBytesCountsRows(t *testing.T) {
+	g := testgraph.Lattice(2000, 3)
+	ix := mustNew(t, g, 3)
+	held := func() int {
+		n := 0
+		for _, row := range ix.rows {
+			n += int(unsafe.Sizeof(row)) + cap(row)*int(unsafe.Sizeof(arc{}))
+		}
+		return n
+	}
+	if got, rows := ix.SizeBytes(), held(); got < rows {
+		t.Fatalf("built index: SizeBytes %d < %d bytes held by rows", got, rows)
+	}
+	before := ix.SizeBytes()
+	if _, err := ix.Mutate([]graph.Edge{{Src: 0, Dst: 1000}, {Src: 1000, Dst: 0}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := ix.SizeBytes(); after <= before {
+		t.Fatalf("SizeBytes %d after a growing batch, %d before", after, before)
 	}
 }

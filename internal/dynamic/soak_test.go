@@ -185,19 +185,37 @@ func TestMutationSoak(t *testing.T) {
 
 // TestConcurrentMutateAndQuery drives mutations and queries from many
 // goroutines at once; value correctness is covered by the soak, this run
-// exists to let -race inspect the locking.
+// exists to let -race inspect the locking — including the parallel row
+// repair, which one writer's wide batches take while readers wait.
 func TestConcurrentMutateAndQuery(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 0x33))
-	const n = 80
+	const n = 400
 	b := graph.NewBuilder(n)
 	for i := 0; i < 2*n; i++ {
 		b.AddEdge(graph.Vertex(rng.IntN(n)), graph.Vertex(rng.IntN(n)))
 	}
-	ix, err := New(b.Build(), Options{K: 3, Seed: 1})
+	ix, err := New(b.Build(), Options{K: 3, Seed: 1, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rand.New(rand.NewPCG(99, 0x45))
+		for i := 0; i < 20; i++ {
+			var add, remove []graph.Edge
+			for j := 0; j < 32; j++ {
+				e := graph.Edge{Src: graph.Vertex(r.IntN(n)), Dst: graph.Vertex(r.IntN(n))}
+				if j%4 == 0 {
+					remove = append(remove, e)
+				} else {
+					add = append(add, e)
+				}
+			}
+			ix.Mutate(add, remove)
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -226,6 +244,7 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			ix.ReachBatch(context.Background(), pairs, 0) //nolint:errcheck // background ctx never cancels
+			ix.SizeBytes()
 		}
 	}()
 	wg.Wait()
@@ -235,5 +254,8 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 	st := ix.Stats()
 	if st.MutationBatches == 0 {
 		t.Error("no mutations landed")
+	}
+	if len(ix.scratches) < 2 {
+		t.Error("no batch took the parallel repair path")
 	}
 }

@@ -117,6 +117,26 @@ func Star(n int, out bool) *graph.Graph {
 	return b.Build()
 }
 
+// Lattice returns a seeded directed Watts–Strogatz ring, the benchmark's
+// small-world shape: every vertex points at its two nearest neighbours on
+// each side, each head rewired to a uniform vertex with probability 0.05.
+// Neighbouring k-hop balls overlap heavily, so one changed edge touches
+// many cover rows.
+func Lattice(n int, seed uint64) *graph.Graph {
+	rng := rand.New(rand.NewPCG(seed, 0x77a7751))
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for _, d := range []int{1, 2, n - 1, n - 2} {
+			v := (u + d) % n
+			if rng.Float64() < 0.05 {
+				v = rng.IntN(n)
+			}
+			b.AddEdge(graph.Vertex(u), graph.Vertex(v))
+		}
+	}
+	return b.Build()
+}
+
 // ReachOracle precomputes all-pairs k-hop reachability by BFS from every
 // vertex; Dist[s][t] is the shortest path length or graph.InfDist. Intended
 // for graphs with at most a few thousand vertices.
