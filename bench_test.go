@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one group per table (plus
 // ablations). `go test -bench=.` runs everything on 1/10-scale datasets so
-// the suite finishes in minutes; cmd/kbench reproduces the tables at paper
-// scale with the full 1M-query workload.
+// the suite finishes in minutes; cmd/kbench prints the same paper tables at
+// paper scale with the full 1M-query workload.
 //
 //	BenchmarkTable2DatasetStats    — Table 2 statistics pipeline
 //	BenchmarkTable3Construction/*  — per-index construction

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kbench [-table all|2|3|...|9|batch|cache|latency|mutate[,more]] [-queries N]
+//	kbench [-table all|2|3|...|9[,more]] [-queries N]
 //	       [-scale S] [-datasets name1,name2] [-seed S]
 //
 // The paper runs 1,000,000 random queries per dataset (the default here).
@@ -24,13 +24,12 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "comma-separated tables to run (2..9, batch, cache, latency, mutate, neighbors) or 'all'")
+		table    = flag.String("table", "all", "comma-separated tables to run (2..9) or 'all'")
 		queries  = flag.Int("queries", 1_000_000, "query workload size")
 		scale    = flag.Int("scale", 1, "divide dataset sizes by this factor")
 		datasets = flag.String("datasets", "", "comma-separated dataset names (default: all 15)")
 		seed     = flag.Uint64("seed", 1, "random seed for covers and workloads")
 		list     = flag.Bool("list", false, "list dataset names and exit")
-		jsonPath = flag.String("json", "", "write the machine-readable benchmark report (reach, batch, cached, mutate, neighbors, latency) to this file instead of printing tables")
 	)
 	flag.Parse()
 	if *list {
@@ -51,23 +50,6 @@ func main() {
 		Out:      os.Stdout,
 	})
 	t0 := time.Now()
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kbench:", err)
-			os.Exit(1)
-		}
-		if err := r.RunJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "kbench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "kbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "kbench: wrote %s in %v\n", *jsonPath, time.Since(t0).Round(time.Millisecond))
-		return
-	}
 	if err := r.Run(strings.Split(*table, ",")); err != nil {
 		fmt.Fprintln(os.Stderr, "kbench:", err)
 		os.Exit(1)

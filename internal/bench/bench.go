@@ -5,11 +5,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"runtime"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -19,10 +17,8 @@ import (
 	"kreach/internal/baseline/ptree"
 	"kreach/internal/baseline/pwah"
 	"kreach/internal/baseline/threehop"
-	"kreach/internal/cache"
 	"kreach/internal/core"
 	"kreach/internal/cover"
-	"kreach/internal/dynamic"
 	"kreach/internal/gen"
 	"kreach/internal/graph"
 	"kreach/internal/scc"
@@ -46,7 +42,6 @@ type Runner struct {
 }
 
 type dataset struct {
-	spec gen.Spec
 	g    *graph.Graph
 	cond *scc.Condensation
 	st   graph.Stats
@@ -75,8 +70,7 @@ func (r *Runner) dataset(name string) (*dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown dataset %q", name)
 	}
-	spec = spec.Scaled(r.cfg.Scale)
-	d := &dataset{spec: spec, g: spec.Generate()}
+	d := &dataset{g: spec.Scaled(r.cfg.Scale).Generate()}
 	d.cond = scc.Condense(d.g)
 	rng := rand.New(rand.NewPCG(r.cfg.Seed, 0x57a75))
 	d.st = graph.ComputeStats(d.g, 800, rng)
@@ -406,269 +400,16 @@ func (r *Runner) Table9() error {
 	return w.Flush()
 }
 
-// TableBatch prints ReachBatch throughput (thousand queries per second) at
-// worker counts 1, 2, 4, …, GOMAXPROCS against the sequential single-query
-// loop, on the n-reach index. It is not a paper table — it measures the
-// serving-layer hot path that kreachd's /v1/batch endpoint rides.
-func (r *Runner) TableBatch() error {
-	fmt.Fprintf(r.cfg.Out, "Batch: ReachBatch throughput for %d queries (kq/s)\n", r.cfg.Queries)
-	var pars []int
-	for p := 1; p <= runtime.GOMAXPROCS(0); p *= 2 {
-		pars = append(pars, p)
-	}
-	w := r.tab()
-	fmt.Fprint(w, "\tseq")
-	for _, p := range pars {
-		fmt.Fprintf(w, "\tbatch-%d", p)
-	}
-	fmt.Fprintln(w, "\t")
-	for _, name := range r.cfg.Datasets {
-		d, err := r.dataset(name)
-		if err != nil {
-			return err
-		}
-		ix, err := core.Build(d.g, core.Options{
-			K:        core.Unbounded,
-			Strategy: cover.DegreePrioritized,
-			Seed:     r.cfg.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		pairs := make([]core.Pair, d.q.Len())
-		for i := range pairs {
-			pairs[i] = core.Pair{S: d.q.S[i], T: d.q.T[i]}
-		}
-		kqps := func(elapsed time.Duration) string {
-			return fmt.Sprintf("%.0f", float64(d.q.Len())/elapsed.Seconds()/1000)
-		}
-		fmt.Fprintf(w, "%s", name)
-		scratch := core.NewQueryScratch()
-		t0 := time.Now()
-		for i := 0; i < d.q.Len(); i++ {
-			ix.Reach(d.q.S[i], d.q.T[i], scratch)
-		}
-		fmt.Fprintf(w, "\t%s", kqps(time.Since(t0)))
-		for _, p := range pars {
-			t0 = time.Now()
-			if _, err := ix.ReachBatch(context.Background(), pairs, p); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\t%s", kqps(time.Since(t0)))
-		}
-		fmt.Fprintln(w, "\t")
-	}
-	return w.Flush()
-}
-
-// TableCache prints the serve-time result-cache economics on each dataset:
-// steady-state hit rate under the Section 4.3 celebrity-biased workload
-// (bias 0.9, top 64 vertices) vs the uniform workload of Section 6.2, and
-// cached vs uncached query throughput on the celebrity workload. The index
-// is the (3,8)-reach variant — the small-index/slow-query corner the cache
-// is built for (plain-index celebrity queries ride the Case 1 fast path and
-// need no cache). Not a paper table: it measures the kreachd caching layer.
-func (r *Runner) TableCache() error {
-	fmt.Fprintf(r.cfg.Out, "Cache: (3,8)-reach result cache, %d queries (celebrity bias 0.9, top 64)\n", r.cfg.Queries)
-	w := r.tab()
-	fmt.Fprintln(w, "\tceleb hit%\tuniform hit%\tuncached kq/s\tcached kq/s\tspeedup\t")
-	type cacheKey struct{ s, t graph.Vertex }
-	for _, name := range r.cfg.Datasets {
-		d, err := r.dataset(name)
-		if err != nil {
-			return err
-		}
-		hk, err := core.BuildHK(d.g, core.HKOptions{H: 3, K: 8})
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
-		}
-		celeb := workload.CelebrityBiased(d.g, r.cfg.Queries, 64, 0.9, r.cfg.Seed+13)
-		scratch := core.NewHKQueryScratch(hk)
-
-		// Uncached baseline on the celebrity workload.
-		t0 := time.Now()
-		for i := 0; i < celeb.Len(); i++ {
-			hk.Reach(celeb.S[i], celeb.T[i], scratch)
-		}
-		uncached := time.Since(t0)
-
-		// Cached: warm pass fills the cache, timed pass measures the
-		// steady state a long-running server converges to. The hit rate is
-		// the timed pass's alone (a stats delta), not diluted by the warm
-		// pass's compulsory misses. Capacity (8192) comfortably holds the
-		// 64² hot celebrity pairs but is far below the uniform workload's
-		// distinct-pair count, so the steady state shows LRU retention
-		// under churn: hot pairs stay resident, the tail evicts itself.
-		run := func(q workload.Queries) (float64, time.Duration) {
-			c := cache.New[cacheKey, bool](cache.Config{Capacity: 1 << 13})
-			probe := func(s, t graph.Vertex) (bool, error) { return hk.Reach(s, t, scratch), nil }
-			for i := 0; i < q.Len(); i++ {
-				s, t := q.S[i], q.T[i]
-				c.Do(cacheKey{s, t}, func() (bool, error) { return probe(s, t) })
-			}
-			warm := c.Stats()
-			t0 := time.Now()
-			for i := 0; i < q.Len(); i++ {
-				s, t := q.S[i], q.T[i]
-				c.Do(cacheKey{s, t}, func() (bool, error) { return probe(s, t) })
-			}
-			elapsed := time.Since(t0)
-			st := c.Stats()
-			hits := st.Hits - warm.Hits
-			total := hits + st.Misses - warm.Misses
-			if total == 0 {
-				return 0, elapsed
-			}
-			return 100 * float64(hits) / float64(total), elapsed
-		}
-		celebHit, cached := run(celeb)
-		uniformHit, _ := run(workload.Uniform(d.g.NumVertices(), r.cfg.Queries, r.cfg.Seed+17))
-
-		kqps := func(el time.Duration) float64 {
-			return float64(celeb.Len()) / el.Seconds() / 1000
-		}
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.0f\t%.0f\t%.1fx\t\n",
-			name, celebHit, uniformHit,
-			kqps(uncached), kqps(cached), uncached.Seconds()/cached.Seconds())
-	}
-	return w.Flush()
-}
-
-// TableMutate drives a mixed read/write workload against the dynamic
-// (mutable) k-reach index: an interleaved stream of queries, edge
-// insertions and edge deletions (workload.DefaultMutationMix, ~90% reads),
-// with every 64th query cross-checked against the stream's own k-bounded
-// BFS oracle on the mutated edge set. After the stream drains, the overlay
-// is compacted and a sample of post-compaction answers re-verified. The
-// "oracle err" column must read 0; it is the live correctness proof of the
-// incremental maintenance. Not a paper table — the paper's index is
-// static; this measures the PR's write path.
-func (r *Runner) TableMutate() error {
-	fmt.Fprintf(r.cfg.Out, "Mutate: dynamic index under mixed read/write, %d ops (90/5/5 query/add/remove)\n", r.cfg.Queries)
-	w := r.tab()
-	fmt.Fprintln(w, "\tk\tkops/s\tadds\trms\tpromoted\trows recomp\tcompact ms\toracle errs\t")
-	for _, name := range r.cfg.Datasets {
-		d, err := r.dataset(name)
-		if err != nil {
-			return err
-		}
-		k := max(d.st.MedianPath, 2)
-		ix, err := dynamic.New(d.g, dynamic.Options{
-			K:        k,
-			Strategy: cover.DegreePrioritized,
-			Seed:     r.cfg.Seed,
-			// The harness compacts explicitly at the end; disable the
-			// ratio trigger so the measured stream is pure overlay.
-			CompactRatio: 1e18,
-		})
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", name, err)
-		}
-		stream := workload.NewMutationStream(d.g, r.cfg.Seed+29, workload.DefaultMutationMix)
-		sc := dynamic.NewQueryScratch()
-		var adds, removes, queries, mismatches int
-		t0 := time.Now()
-		for i := 0; i < r.cfg.Queries; i++ {
-			op := stream.Next()
-			switch op.Kind {
-			case workload.OpQuery:
-				got := ix.Reach(op.U, op.V, sc)
-				queries++
-				if queries%64 == 0 && got != stream.Reach(op.U, op.V, k) {
-					mismatches++
-				}
-			case workload.OpAdd:
-				if _, err := ix.Mutate([]graph.Edge{{Src: op.U, Dst: op.V}}, nil); err != nil {
-					return fmt.Errorf("bench: %s: %w", name, err)
-				}
-				adds++
-			case workload.OpRemove:
-				if _, err := ix.Mutate(nil, []graph.Edge{{Src: op.U, Dst: op.V}}); err != nil {
-					return fmt.Errorf("bench: %s: %w", name, err)
-				}
-				removes++
-			}
-		}
-		elapsed := time.Since(t0)
-		t0 = time.Now()
-		compacted, err := ix.Compact(nil)
-		if err != nil {
-			return fmt.Errorf("bench: %s: compact: %w", name, err)
-		}
-		compactMS := time.Since(t0)
-		for i := 0; i < 2000; i++ {
-			op := stream.Next() // mix includes mutations; only verify queries
-			if op.Kind != workload.OpQuery {
-				// Keep the oracle and index in lockstep post-compaction too.
-				var e []graph.Edge
-				e = append(e, graph.Edge{Src: op.U, Dst: op.V})
-				if op.Kind == workload.OpAdd {
-					_, err = compacted.Mutate(e, nil)
-				} else {
-					_, err = compacted.Mutate(nil, e)
-				}
-				if err != nil {
-					return fmt.Errorf("bench: %s: post-compact mutate: %w", name, err)
-				}
-				continue
-			}
-			if compacted.Reach(op.U, op.V, sc) != stream.Reach(op.U, op.V, k) {
-				mismatches++
-			}
-		}
-		st := compacted.Stats()
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%d\t%d\t%d\t%d\t%s\t%d\t\n",
-			name, k,
-			float64(r.cfg.Queries)/elapsed.Seconds()/1000,
-			adds, removes, st.Promotions, st.RowsRecomputed,
-			ms(compactMS), mismatches)
-	}
-	return w.Flush()
-}
-
-// TableNeighbors drives the neighborhood-enumeration path: a
-// NeighborStream of k-hop ball queries (celebrity-biased sources, both
-// directions) answered by the plain index's Enumerate — cover sources ride
-// the accelerated cover-arc path — against the direct bounded-BFS
-// baseline, with every 16th ball cross-checked member-for-member (and
-// bucket-for-bucket) against the stream's own oracle. The "oracle errs"
-// column must read 0. Not a paper table: the paper's queries are pairwise;
-// this measures the set-query workload /v1/neighbors serves.
-func (r *Runner) TableNeighbors() error {
-	balls := max(r.cfg.Queries/100, 100)
-	fmt.Fprintf(r.cfg.Out, "Neighbors: k-hop ball enumeration, %d balls (celebrity bias 0.5, both directions)\n", balls)
-	w := r.tab()
-	fmt.Fprintln(w, "\tk\tavg |ball|\tindex kballs/s\tbfs kballs/s\tspeedup\toracle errs\t")
-	for _, name := range r.cfg.Datasets {
-		d, err := r.dataset(name)
-		if err != nil {
-			return err
-		}
-		// One measurement methodology for the text table and the JSON
-		// trajectory: neighborRow (report.go) owns it.
-		row, err := r.neighborRow(context.Background(), name, d, max(d.st.MedianPath, 2))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.2fx\t%d\t\n",
-			name, row.K, row.AvgBall, row.IndexKBalls, row.BFSKBalls, row.EnumSpeedup, row.OracleErrs)
-	}
-	return w.Flush()
-}
-
-// Run executes the requested tables ("2".."9", "batch", "cache", "latency",
-// "mutate", "neighbors" or "all") in order.
+// Run executes the requested tables ("2".."9" or "all") in order.
 func (r *Runner) Run(tables []string) error {
 	fns := map[string]func() error{
 		"2": r.Table2, "3": r.Table3, "4": r.Table4, "5": r.Table5,
 		"6": r.Table6, "7": r.Table7, "8": r.Table8, "9": r.Table9,
-		"batch": r.TableBatch, "cache": r.TableCache, "mutate": r.TableMutate,
-		"neighbors": r.TableNeighbors, "latency": r.TableLatency,
 	}
 	var order []string
 	for _, t := range tables {
 		if t == "all" {
-			order = []string{"2", "3", "4", "5", "6", "7", "8", "9", "batch", "cache", "latency", "mutate", "neighbors"}
+			order = []string{"2", "3", "4", "5", "6", "7", "8", "9"}
 			break
 		}
 		order = append(order, t)

@@ -298,7 +298,7 @@ func readAllFrames(data []byte) ([]wal.FeedFrame, error) {
 }
 
 // wireChunk builds a real chunk (snapshot + records + heartbeat) to attack.
-func wireChunk(t *testing.T) []byte {
+func wireChunk(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	base := testgraph.Path(6)

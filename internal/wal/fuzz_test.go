@@ -1,9 +1,12 @@
 package wal_test
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"kreach/internal/graph"
@@ -175,6 +178,85 @@ func requireSameRecords(t *testing.T, a, b []wal.Record) {
 			if a[i].Remove[j] != b[i].Remove[j] {
 				t.Fatalf("record %d remove[%d] changed: %v != %v", i, j, a[i].Remove[j], b[i].Remove[j])
 			}
+		}
+	}
+}
+
+// FuzzFeedDecode throws hostile bytes at the replication feed decoders a
+// follower runs on its primary's response body: FeedReader.Next frame by
+// frame, then DecodeRecords on each records frame and Heartbeat on each
+// heartbeat frame. The frame CRC stops the mutator short of the inner
+// decoders, so every input is also re-shipped as the records payload of an
+// honestly framed chunk, which puts the raw bytes in front of
+// DecodeRecords.
+//
+// Invariants enforced on every input:
+//
+//   - Every call returns a value or an error wrapping ErrBadFeed,
+//     ErrTornFeed or (Next only) io.EOF; nothing panics.
+//   - Next yields only the three documented frame kinds and at most one
+//     frame per frame header's worth of input.
+//   - Decoding allocates in proportion to the bytes that arrived, not to
+//     what a frame header claims, which keeps it far below
+//     maxFramePayload for any input the fuzzer can build.
+func FuzzFeedDecode(f *testing.F) {
+	wire := wireChunk(f)
+	f.Add(wire)
+	f.Add(wire[:len(wire)-5]) // torn inside the commit heartbeat
+	flipped := append([]byte(nil), wire...)
+	flipped[len(flipped)/2] ^= 0x10 // inside the snapshot or records frame
+	f.Add(flipped)
+	// A records frame header claiming 64 MiB, then nothing.
+	f.Add(append([]byte("KRF1"), wal.FrameRecords, 0, 0, 0, 4, 0, 0, 0, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			t.Skip("oversized input")
+		}
+		reframed := wal.FeedChunk{Records: data, LastEpoch: 1, ServedThrough: 1}.AppendWire(nil)
+		for _, stream := range [][]byte{data, reframed} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			drainFeed(t, stream)
+			runtime.ReadMemStats(&after)
+			// A payload buffer starts at 64 KiB and at most doubles past the
+			// bytes delivered; decoded edges take at most 4× their encoding.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(stream)); got > limit {
+				t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(stream), got, limit)
+			}
+		}
+	})
+}
+
+// drainFeed decodes stream to its end, checking every result's error class.
+func drainFeed(t *testing.T, stream []byte) {
+	fr := wal.NewFeedReader(bytes.NewReader(stream))
+	for frames := 0; ; frames++ {
+		if frames > len(stream)/9 {
+			t.Fatalf("%d frames from %d bytes", frames, len(stream))
+		}
+		frame, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			if !errors.Is(err, wal.ErrBadFeed) && !errors.Is(err, wal.ErrTornFeed) {
+				t.Fatalf("undocumented Next error: %v", err)
+			}
+			return
+		}
+		switch frame.Kind {
+		case wal.FrameSnapshot:
+		case wal.FrameRecords:
+			if _, err := wal.DecodeRecords(frame.Payload); err != nil && !errors.Is(err, wal.ErrBadFeed) {
+				t.Fatalf("undocumented DecodeRecords error: %v", err)
+			}
+		case wal.FrameHeartbeat:
+			if _, _, err := frame.Heartbeat(); err != nil && !errors.Is(err, wal.ErrBadFeed) {
+				t.Fatalf("undocumented Heartbeat error: %v", err)
+			}
+		default:
+			t.Fatalf("Next returned unknown frame kind %d", frame.Kind)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 )
@@ -202,8 +203,8 @@ func (fr *FeedReader) Next() (FeedFrame, error) {
 	if size > maxFramePayload {
 		return FeedFrame{}, fmt.Errorf("%w: implausible frame length %d", ErrBadFeed, size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	payload, err := readPayload(fr.r, int(size))
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return FeedFrame{}, fmt.Errorf("%w: truncated frame payload", ErrTornFeed)
 		}
@@ -213,6 +214,28 @@ func (fr *FeedReader) Next() (FeedFrame, error) {
 		return FeedFrame{}, fmt.Errorf("%w: frame checksum mismatch", ErrBadFeed)
 	}
 	return FeedFrame{Kind: kind, Payload: payload}, nil
+}
+
+// payloadStep is the first allocation for a frame payload; it doubles as
+// bytes actually arrive.
+const payloadStep = 64 << 10
+
+// readPayload reads exactly size bytes from r, growing the buffer as they
+// arrive instead of trusting the header up front: a stream that claims a
+// large frame and then ends costs what it carried, not what it promised.
+func readPayload(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, 0, min(size, payloadStep))
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(size-len(buf), cap(buf)))
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(size, cap(buf))])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // DecodeRecords decodes a records-frame payload into its records. The

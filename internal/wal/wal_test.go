@@ -22,7 +22,7 @@ func edge(s, t int) graph.Edge {
 }
 
 // openRecover opens a store over dir and recovers an index from base.
-func openRecover(t *testing.T, dir string, base *graph.Graph, opts wal.Options) (*wal.Store, *dynamic.Index, wal.RecoveryStats) {
+func openRecover(t testing.TB, dir string, base *graph.Graph, opts wal.Options) (*wal.Store, *dynamic.Index, wal.RecoveryStats) {
 	t.Helper()
 	st, err := wal.Open(dir, opts)
 	if err != nil {
