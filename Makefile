@@ -85,10 +85,13 @@ repl-smoke:
 # fuzz-smoke runs each native fuzz target for $(FUZZTIME) — corrupt
 # KRI1/KRH1/KRG1 streams, hostile edge lists, torn/corrupt KRW1
 # write-ahead logs and KRF1 replication feeds must error (or recover a
-# valid prefix), never crash.
+# valid prefix), never crash; /v1/batch request and reply bodies must
+# decode exactly as encoding/json decodes them.
 # (Go allows one -fuzz pattern per package invocation.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -run='^$$' .
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/graph
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
+	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
+	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server

@@ -29,8 +29,8 @@
 // shutdown deadline — a rolling restart behind kreach-router is
 // zero-error.
 //
-// Query results are cached in a sharded LRU keyed by (epoch, s, t, k);
-// -cache sizes it (negative disables) and -cacheshards overrides the shard
+// /v1/reach results are cached in a sharded LRU keyed by (epoch, s, t, k)
+// (/v1/batch goes straight to the index); -cache sizes it (negative disables) and -cacheshards overrides the shard
 // count. POST /v1/datasets/{name}/reload re-reads a dataset's files and
 // atomically swaps the new snapshot in: in-flight queries finish against
 // the old snapshot, and the epoch bump makes its cache entries

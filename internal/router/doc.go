@@ -22,7 +22,12 @@
 //     with jittered backoff; a leg past its latency budget is hedged
 //     against the next candidate and the first answer wins. Whatever
 //     cannot be answered after retries is reported as a typed partial
-//     error — never silently dropped.
+//     error — never silently dropped. The client body, the leg bodies,
+//     the backend replies and the merged reply all go through
+//     internal/server's batch codec (batchwire.go): no reflection on the
+//     hop, and no second definition of the wire format. Bodies past the
+//     cap are refused with 413 on every path, never truncated and
+//     forwarded.
 //
 //   - Health-checked replica sets. An active checker drives each replica
 //     through healthy/degraded/ejected off /readyz + /v1/stats scrapes;

@@ -20,11 +20,11 @@ import (
 // in order. Only transport errors and upstream 5xx fail over — a 4xx is
 // the client's answer.
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.maxBody))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	var buf bytes.Buffer
+	if !rt.readBody(w, r, &buf) {
 		return
 	}
+	body := buf.Bytes()
 	cands := rt.candidates()
 	if len(cands) == 0 {
 		writeErrorCode(w, http.StatusServiceUnavailable, CodeNoReplicas, "no routable replicas")
@@ -86,14 +86,12 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, rep *Repli
 // primary journals them. A dead primary is a typed 502, not a silent
 // redirect that would fork the dataset.
 func (rt *Router) handlePrimary(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.maxBody))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	var buf bytes.Buffer
+	if !rt.readBody(w, r, &buf) {
 		return
 	}
 	rep := rt.primary
-	path := r.URL.Path
-	done, err := rt.forward(r.Context(), w, rep, path, body)
+	done, err := rt.forward(r.Context(), w, rep, r.URL.Path, buf.Bytes())
 	if !done && r.Context().Err() == nil {
 		writeErrorCode(w, http.StatusBadGateway, CodePrimaryDown, "primary %s: %v", rep.ID, err)
 	}

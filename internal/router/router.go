@@ -1,7 +1,9 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -253,6 +255,24 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, routerError{Error: fmt.Sprintf(format, args...), Code: code})
+}
+
+// readBody reads the client's body into buf under the body cap. A body past
+// the cap is refused whole with a 413 bad_request — never truncated and
+// forwarded — and any other read error is a 400 bad_request.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	err := server.ReadBody(w, r, buf, rt.maxBody)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErrorCode(w, http.StatusRequestEntityTooLarge, CodeBadRequest,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	default:
+		return true
+	}
+	return false
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,16 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) (int, []byte)
 	return w.Code, w.Body.Bytes()
 }
 
+// routedReply is the router's merged /v1/batch response.
+type routedReply struct {
+	Graph      string   `json:"graph"`
+	Count      int      `json:"count"`
+	Results    []bool   `json:"results"`
+	Verdicts   []string `json:"verdicts"`
+	EffectiveK []int    `json:"effective_k"`
+	Legs       int      `json:"legs"`
+}
+
 func randPairs(n, vertices int, seed int64) [][2]int {
 	rng := rand.New(rand.NewSource(seed))
 	pairs := make([][2]int, n)
@@ -128,7 +139,7 @@ func TestRouterBatchMatchesBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct backendBatch
+	var direct server.BatchReply
 	if err := json.NewDecoder(resp.Body).Decode(&direct); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +149,7 @@ func TestRouterBatchMatchesBackend(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("router batch: status %d: %s", code, raw)
 	}
-	var routed routerBatch
+	var routed routedReply
 	if err := json.Unmarshal(raw, &routed); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +264,7 @@ func TestRouterPlacement(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", code, raw)
 	}
-	var routed routerBatch
+	var routed routedReply
 	mustUnmarshal(t, raw, &routed)
 	after := -before
 	for _, b := range backends {
@@ -278,7 +289,7 @@ func TestRouterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct backendBatch
+	var direct server.BatchReply
 	if err := json.NewDecoder(resp.Body).Decode(&direct); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +301,7 @@ func TestRouterFailover(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch with one dead replica: status %d: %s", code, raw)
 	}
-	var routed routerBatch
+	var routed routedReply
 	mustUnmarshal(t, raw, &routed)
 	for i := range pairs {
 		if routed.Results[i] != direct.Results[i] {
@@ -391,7 +402,7 @@ func TestRouterEpochFenceRedispatch(t *testing.T) {
 	if got := rt.metrics.fences.Value(); got == 0 {
 		t.Fatal("fence did not record the mixed-epoch gather")
 	}
-	var routed routerBatch
+	var routed routedReply
 	mustUnmarshal(t, raw, &routed)
 	if len(routed.Results) != 2 {
 		t.Fatalf("results %d, want 2", len(routed.Results))
@@ -427,20 +438,24 @@ func newStubBackend(t *testing.T, epochOf func(call int64) uint64) *httptest.Ser
 	var calls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := io.ReadAll(r.Body)
+		var req server.BatchRequest
+		if err == nil {
+			err = server.DecodeBatchRequest(body, &req)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		n := calls.Add(1)
-		resp := backendBatch{
+		resp := server.BatchReply{
 			Graph:   req.Graph,
 			Epoch:   epochOf(n),
 			Count:   len(req.Pairs),
 			Results: make([]bool, len(req.Pairs)),
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		w.Write(server.AppendBatchReply(nil, &resp))
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -579,6 +594,108 @@ func TestRouterBadRequestPassThrough(t *testing.T) {
 	direct.Body.Close()
 	if w.Code != http.StatusBadRequest || w.Code != direct.StatusCode || !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("malformed reach through router: %d %q, backend says %d %q", w.Code, w.Body.Bytes(), direct.StatusCode, want)
+	}
+	// A pair that is not exactly two ids is refused at the router, as the
+	// backend would refuse it, instead of being answered as (s, 0) or (s, t).
+	// So is an unknown key, which the backend's decoder rejects too.
+	for _, body := range []string{
+		`{"graph":"g","pairs":[[5]]}`,
+		`{"graph":"g","pairs":[[1,2,3]]}`,
+		`{"graph":"g","pairs":[null]}`,
+		`{"graph":"g","pairs":[[1,2]],"limit":5}`,
+	} {
+		code, raw := postJSON(t, rt, "/v1/batch", json.RawMessage(body))
+		var e routerError
+		mustUnmarshal(t, raw, &e)
+		if code != http.StatusBadRequest || e.Code != CodeBadRequest {
+			t.Fatalf("%s through router: status %d code %q, want 400 %q", body, code, e.Code, CodeBadRequest)
+		}
+	}
+}
+
+// TestRouterRejectsOversizedBodies: a body past the cap is refused whole
+// with a 413 bad_request on every forwarding path — never truncated and
+// sent on to a replica.
+func TestRouterRejectsOversizedBodies(t *testing.T) {
+	rt, backends, _ := startTier(t, 1, Config{MaxBatch: 4})
+	big := strings.Repeat(" ", int(rt.maxBody))
+	for _, path := range []string{"/v1/reach", "/v1/datasets/g/edges", "/v1/batch"} {
+		before := backends[0].queries.Load()
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"graph":"g"`+big+`}`))
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, req)
+		var e routerError
+		mustUnmarshal(t, w.Body.Bytes(), &e)
+		if w.Code != http.StatusRequestEntityTooLarge || e.Code != CodeBadRequest {
+			t.Fatalf("oversized %s: status %d code %q, want 413 %q", path, w.Code, e.Code, CodeBadRequest)
+		}
+		if n := backends[0].queries.Load() - before; n != 0 {
+			t.Fatalf("oversized %s reached a backend %d times", path, n)
+		}
+	}
+}
+
+// stubTransport answers every /v1/batch leg in-process with all-false
+// results, reusing its buffers, so the allocations it adds do not depend
+// on the leg's size.
+type stubTransport struct {
+	req   server.BatchRequest
+	body  bytes.Buffer
+	reply server.BatchReply
+	out   []byte
+}
+
+func (s *stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	s.body.Reset()
+	s.body.Grow(int(r.ContentLength) + bytes.MinRead)
+	if _, err := s.body.ReadFrom(r.Body); err != nil {
+		return nil, err
+	}
+	r.Body.Close()
+	if err := server.DecodeBatchRequest(s.body.Bytes(), &s.req); err != nil {
+		return nil, err
+	}
+	s.reply = server.BatchReply{Graph: s.req.Graph, Epoch: 1, Count: len(s.req.Pairs), Results: slices.Grow(s.reply.Results[:0], len(s.req.Pairs))[:len(s.req.Pairs)]}
+	s.out = server.AppendBatchReply(s.out[:0], &s.reply)
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{"Content-Type": {"application/json"}},
+		Body:          io.NopCloser(bytes.NewReader(s.out)),
+		ContentLength: int64(len(s.out)),
+		Request:       r,
+	}, nil
+}
+
+// TestRouterBatchAllocsIndependentOfSize pins the router's /v1/batch
+// allocation budget: a one-leg batch of 4096 pairs allocates as many
+// objects as one of 64.
+func TestRouterBatchAllocsIndependentOfSize(t *testing.T) {
+	rt, err := New(Config{Replicas: []string{"http://stub"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.replicas[0].http = &http.Client{Transport: &stubTransport{}}
+	allocs := func(n int) float64 {
+		body := mustJSON(t, map[string]any{"graph": "g", "pairs": randPairs(n, 1000, int64(n))})
+		// The fewest objects over repeated requests: the steady state, with
+		// pooled scratch warm. An average would also count the pool misses
+		// the race detector injects by dropping Puts.
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				w := httptest.NewRecorder()
+				rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+				}
+			}))
+		}
+		return least
+	}
+	small, large := allocs(64), allocs(4096)
+	t.Logf("objects per request: %.1f at 64 pairs, %.1f at 4096", small, large)
+	if large > small+3 {
+		t.Fatalf("4096 pairs allocate %.1f objects, 64 pairs %.1f: allocations grow with the batch", large, small)
 	}
 }
 

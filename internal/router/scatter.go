@@ -3,12 +3,14 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"time"
+
+	"kreach"
+	"kreach/internal/server"
 )
 
 // Scatter-gather for /v1/batch: cut the pairs into contiguous legs of at
@@ -16,48 +18,19 @@ import (
 // gather with the per-replica epoch fence, reassemble in request order.
 // The contract is total accounting — every pair position is either
 // answered or named in a typed failed_pairs list; nothing silently drops.
-
-// batchRequest mirrors the backend body (internal/server handlers).
-type batchRequest struct {
-	Graph string   `json:"graph"`
-	Pairs [][2]int `json:"pairs"`
-	K     *int     `json:"k"`
-}
-
-// backendBatch mirrors the backend /v1/batch response; Epoch is the index
-// generation every answer in the leg was computed under (single-epoch by
-// construction: the backend resolves one RCU snapshot per request).
-type backendBatch struct {
-	Graph      string   `json:"graph"`
-	Epoch      uint64   `json:"epoch"`
-	Count      int      `json:"count"`
-	Results    []bool   `json:"results"`
-	Verdicts   []string `json:"verdicts"`
-	EffectiveK []int    `json:"effective_k"`
-}
-
-// routerBatch is the merged client response: the backend shape plus the
-// leg count, and no top-level epoch — a merged answer spans replicas whose
-// epochs are process-local and not comparable.
-type routerBatch struct {
-	Graph      string   `json:"graph"`
-	Count      int      `json:"count"`
-	Results    []bool   `json:"results"`
-	Verdicts   []string `json:"verdicts,omitempty"`
-	EffectiveK []int    `json:"effective_k,omitempty"`
-	Legs       int      `json:"legs"`
-}
+// Bodies in both directions go through internal/server's batch codec, so
+// the wire format is defined in one place.
 
 // leg is one contiguous chunk of a batch: the request positions
 // [off, off+len(pairs)), the replica that ultimately answered, and the
 // backend response.
 type leg struct {
-	off   int      // position of pairs[0] in the client request
-	pairs [][2]int // a window of the request's pairs, not a copy
+	off   int           // position of pairs[0] in the client request
+	pairs []kreach.Pair // a window of the request's pairs, not a copy
 	cands []*Replica
 
 	rep      *Replica
-	resp     *backendBatch
+	resp     *server.BatchReply
 	err      error
 	retried  bool
 	terminal *terminalError
@@ -74,8 +47,13 @@ type terminalError struct {
 func (t *terminalError) Error() string { return fmt.Sprintf("upstream status %d", t.status) }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, rt.maxBody)).Decode(&req); err != nil {
+	sc := server.GetBatchScratch()
+	defer server.PutBatchScratch(sc)
+	if !rt.readBody(w, r, &sc.Body) {
+		return
+	}
+	req := &sc.Req
+	if err := server.DecodeBatchRequest(sc.Body.Bytes(), req); err != nil {
 		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "invalid request body: %v", err)
 		return
 	}
@@ -84,7 +62,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusOK, routerBatch{Graph: req.Graph, Count: 0, Results: []bool{}})
+		sc.Out = server.AppendRoutedBatchReply(sc.Out[:0], &server.BatchReply{Graph: req.Graph, Results: []bool{}}, 0)
+		server.WriteBody(w, http.StatusOK, sc.Out)
 		return
 	}
 	if len(req.Pairs) > rt.cfg.MaxBatch {
@@ -134,11 +113,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := routerBatch{
+	resp := server.BatchReply{
 		Graph:   req.Graph,
 		Count:   len(req.Pairs),
 		Results: make([]bool, len(req.Pairs)),
-		Legs:    len(legs),
 	}
 	var failed []int
 	for _, lg := range legs {
@@ -150,7 +128,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		copy(resp.Results[lg.off:end], lg.resp.Results)
-		if lg.resp.Verdicts != nil {
+		if len(lg.resp.Verdicts) > 0 {
 			if resp.Verdicts == nil {
 				resp.Verdicts = make([]string, len(req.Pairs))
 				resp.EffectiveK = make([]int, len(req.Pairs))
@@ -168,7 +146,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.Out = server.AppendRoutedBatchReply(sc.Out[:0], &resp, len(legs))
+	server.WriteBody(w, http.StatusOK, sc.Out)
 }
 
 // partition cuts the pairs into contiguous legs of at most LegPairs, in
@@ -176,7 +155,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // starts at candidate j mod n, so a batch within LegPairs is one leg on
 // the least-loaded replica and a larger one spreads round-robin from
 // there. Returns nil when no replica is routable.
-func (rt *Router) partition(pairs [][2]int) []*leg {
+func (rt *Router) partition(pairs []kreach.Pair) []*leg {
 	cands := rt.candidates()
 	n := len(cands)
 	if n == 0 {
@@ -211,11 +190,9 @@ func (rt *Router) dispatchAll(ctx context.Context, dataset string, k *int, legs 
 // attempt hedged against the next candidate past the latency budget. The
 // first successful answer wins; a backend 4xx stops the walk immediately.
 func (rt *Router) dispatchLeg(ctx context.Context, dataset string, k *int, lg *leg) {
-	body, err := json.Marshal(batchRequest{Graph: dataset, Pairs: lg.pairs, K: k})
-	if err != nil {
-		lg.err = err
-		return
-	}
+	// Sized for ids up to six digits; longer ones grow it once. The body is
+	// not pooled: a cancelled hedge may still be sending it.
+	body := server.AppendBatchRequest(make([]byte, 0, 64+len(dataset)+16*len(lg.pairs)), dataset, lg.pairs, k)
 	attempts := min(len(lg.cands), rt.cfg.Retries+1)
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
@@ -235,7 +212,7 @@ func (rt *Router) dispatchLeg(ctx context.Context, dataset string, k *int, lg *l
 		if i+1 < len(lg.cands) {
 			hedge = lg.cands[i+1]
 		}
-		resp, rep, err := rt.legHedged(ctx, lg.cands[i], hedge, dataset, body)
+		resp, rep, err := rt.legHedged(ctx, lg.cands[i], hedge, dataset, body, len(lg.pairs))
 		if err == nil {
 			lg.rep, lg.resp = rep, resp
 			if lg.retried {
@@ -262,13 +239,13 @@ func (rt *Router) dispatchLeg(ctx context.Context, dataset string, k *int, lg *l
 // legHedged runs one attempt against primary; if it has not answered
 // within HedgeAfter and a hedge candidate exists, the same leg fires
 // against the hedge and the first success wins (the loser is cancelled).
-func (rt *Router) legHedged(ctx context.Context, primary, hedge *Replica, dataset string, body []byte) (*backendBatch, *Replica, error) {
+func (rt *Router) legHedged(ctx context.Context, primary, hedge *Replica, dataset string, body []byte, pairs int) (*server.BatchReply, *Replica, error) {
 	if hedge == nil || rt.cfg.HedgeAfter < 0 {
-		resp, err := rt.legAttempt(ctx, primary, dataset, body)
+		resp, err := rt.legAttempt(ctx, primary, dataset, body, pairs)
 		return resp, primary, err
 	}
 	type result struct {
-		resp *backendBatch
+		resp *server.BatchReply
 		rep  *Replica
 		err  error
 	}
@@ -277,7 +254,7 @@ func (rt *Router) legHedged(ctx context.Context, primary, hedge *Replica, datase
 	ch := make(chan result, 2)
 	launch := func(rep *Replica) {
 		go func() {
-			resp, err := rt.legAttempt(ctx, rep, dataset, body)
+			resp, err := rt.legAttempt(ctx, rep, dataset, body, pairs)
 			ch <- result{resp, rep, err}
 		}()
 	}
@@ -325,7 +302,7 @@ func (rt *Router) legHedged(ctx context.Context, primary, hedge *Replica, datase
 
 // legAttempt sends one leg to one replica and folds the outcome into the
 // replica's health and epoch state.
-func (rt *Router) legAttempt(ctx context.Context, rep *Replica, dataset string, body []byte) (*backendBatch, error) {
+func (rt *Router) legAttempt(ctx context.Context, rep *Replica, dataset string, body []byte, pairs int) (*server.BatchReply, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.Base+"/v1/batch", bytes.NewReader(body))
@@ -351,20 +328,34 @@ func (rt *Router) legAttempt(ctx context.Context, rep *Replica, dataset string, 
 		rep.noteFailure(rt.cfg.EjectAfter, err)
 		return nil, err
 	}
-	var b backendBatch
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+	b, err := decodeLegReply(resp.Body, pairs)
+	if err != nil {
 		err = fmt.Errorf("router: %s /v1/batch: %w", rep.ID, err)
-		rep.noteFailure(rt.cfg.EjectAfter, err)
-		return nil, err
-	}
-	if b.Count != len(b.Results) {
-		err := fmt.Errorf("router: %s /v1/batch: count %d != results %d", rep.ID, b.Count, len(b.Results))
 		rep.noteFailure(rt.cfg.EjectAfter, err)
 		return nil, err
 	}
 	rep.noteSuccess()
 	rep.observeEpoch(dataset, b.Epoch)
-	return &b, nil
+	return b, nil
+}
+
+// decodeLegReply reads and decodes a backend's answer to a leg of the given
+// number of pairs, which it must answer in full.
+func decodeLegReply(body io.Reader, pairs int) (*server.BatchReply, error) {
+	sc := server.GetBatchScratch()
+	defer server.PutBatchScratch(sc)
+	sc.Body.Reset()
+	if _, err := sc.Body.ReadFrom(body); err != nil {
+		return nil, err
+	}
+	b := &server.BatchReply{Results: make([]bool, 0, pairs)}
+	if err := server.DecodeBatchReply(sc.Body.Bytes(), b); err != nil {
+		return nil, err
+	}
+	if b.Count != len(b.Results) || b.Count != pairs {
+		return nil, fmt.Errorf("count %d, results %d, for a leg of %d pairs", b.Count, len(b.Results), pairs)
+	}
+	return b, nil
 }
 
 // fenceViolations returns the stale legs of every replica that answered

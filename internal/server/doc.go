@@ -1,6 +1,7 @@
 // Package server implements the kreachd query-serving layer: an HTTP/JSON
-// API over a registry of named graph+index datasets, with a serve-time
-// result cache and hot-swappable dataset snapshots.
+// API over a registry of named graph+index datasets, with a single-query
+// result cache, a reflection-free batch codec and hot-swappable dataset
+// snapshots.
 //
 // # Endpoints
 //
@@ -33,17 +34,26 @@
 // Handlers propagate the request context into ReachK and the ReachBatch
 // worker pool. A client that disconnects mid-batch cancels the remaining
 // pairs: workers stop between pairs, the partial answers are discarded
-// (never cached, never written), and the goroutines are reclaimed instead
+// (never written), and the goroutines are reclaimed instead
 // of burning through an abandoned batch.
+//
+// # The batch path
+//
+// /v1/batch is the throughput API: decode → validate → ReachBatch →
+// encode, with no reflection and no cache. batchwire.go holds its codec —
+// a hand-written decoder held by fuzzing to encoding/json's contract, and
+// append-style encoders byte-identical to encoding/json's — which
+// kreach-router shares for its legs and merged replies, so the wire format
+// is defined once. Buffers come from one BatchScratch pool, which the
+// router draws from too: a request allocates the same handful of objects
+// at 64 pairs as at 4096.
 //
 // # Caching
 //
-// Query results are cached in a sharded LRU (kreach/internal/cache) keyed
-// by (epoch, s, t, k). /v1/reach resolves through singleflight Do — a
-// stampede on one hot pair performs a single index probe — while /v1/batch
-// looks pairs up individually and sends only the misses through the
-// ReachBatch worker pool. Hit/miss/evict/collapse counters are surfaced in
-// /v1/stats.
+// /v1/reach results are cached in a sharded LRU (kreach/internal/cache)
+// keyed by (epoch, s, t, k) and resolved through singleflight Do — a
+// stampede on one hot pair performs a single index probe. Hit/miss/evict/
+// collapse counters are surfaced in /v1/stats.
 //
 // # Snapshot swapping
 //

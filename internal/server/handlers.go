@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"kreach"
@@ -190,101 +193,53 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchRequest is the /v1/batch body; Pairs holds [s, t] arrays.
-type batchRequest struct {
-	Graph string   `json:"graph"`
-	Pairs [][2]int `json:"pairs"`
-	K     *int     `json:"k"`
+// BatchScratch is the reusable memory of one /v1/batch request: body,
+// decoded pairs, reply columns and encoded reply. Pooled, so a request
+// allocates the same handful of objects whatever its pair count.
+// kreach-router's batch handler draws from the same pool.
+type BatchScratch struct {
+	Body  bytes.Buffer
+	Req   BatchRequest
+	Reply BatchReply
+	Out   []byte
 }
 
-// batchResponse is positionally aligned with the request's pairs. Results
-// is reachable-or-not for every pair; Verdicts and EffectiveK are present
-// only for per-query-k datasets (EffectiveK is 0 except for yes-within).
-// Epoch is the index generation every answer in this response came from —
-// the handler resolves one snapshot per request, so a batch can never mix
-// generations, and the epoch tells scatter-gather callers (kreach-router)
-// which generation that was, so THEY can refuse to merge legs this replica
-// answered across a reload.
-type batchResponse struct {
-	Graph      string   `json:"graph"`
-	Epoch      uint64   `json:"epoch"`
-	Count      int      `json:"count"`
-	Results    []bool   `json:"results"`
-	Verdicts   []string `json:"verdicts,omitempty"`
-	EffectiveK []int    `json:"effective_k,omitempty"`
+var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
+
+// maxPooledBatchBytes caps the buffers a pooled scratch keeps, so one huge
+// batch does not pin its memory in the pool.
+const maxPooledBatchBytes = 1 << 22
+
+// GetBatchScratch takes a scratch from the pool. Its contents are whatever
+// the last user left: reset what you use.
+func GetBatchScratch() *BatchScratch { return batchScratchPool.Get().(*BatchScratch) }
+
+// PutBatchScratch returns sc to the pool, unless a huge batch grew one of
+// its buffers past the retention cap.
+func PutBatchScratch(sc *BatchScratch) {
+	if sc.Body.Cap() > maxPooledBatchBytes || cap(sc.Out) > maxPooledBatchBytes ||
+		cap(sc.Req.Pairs) > maxPooledBatchBytes/16 {
+		return
+	}
+	batchScratchPool.Put(sc)
 }
 
-// answerBatch resolves a batch against snapshot d: cached pairs are served
-// from the cache, the misses go through the Reacher's ReachBatch worker
-// pool in one go, and fresh answers are written back. Every answer comes
-// from d (directly or via d's epoch-tagged cache entries), so one response
-// never mixes snapshots even if a reload lands mid-request. The request
-// context rides into the worker pool: a client that disconnects mid-batch
-// cancels the remaining pairs, and the partial answers are discarded, never
-// cached.
-//
-// Unlike /v1/reach, misses here are NOT singleflight-collapsed (neither
-// across concurrent batches nor within one batch): funneling every miss
-// through Cache.Do would serialize it onto per-key channels and forfeit
-// ReachBatch's worker-pool parallelism, a bad trade for the large,
-// mostly-distinct pair sets batches carry. Duplicate hot keys may be
-// probed more than once; the results are identical and the later Put wins.
-func (s *Server) answerBatch(ctx context.Context, d *Dataset, pairs []kreach.Pair, reqK *int) ([]cachedAnswer, error) {
-	opts := kreach.BatchOptions{K: requestK(reqK), Parallelism: s.cfg.Parallelism}
-	if s.cache == nil {
-		// No cache: skip the miss bookkeeping entirely.
-		res, err := d.Reacher.ReachBatch(ctx, pairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		answers := make([]cachedAnswer, len(res))
-		for i, v := range res {
-			answers[i] = toAnswer(v.Verdict, v.EffectiveK)
-		}
-		return answers, nil
-	}
-	// Epoch and normalized k are constant across the batch; hoist the key
-	// prefix so the per-pair loops only fill in the endpoints.
-	key := queryKey{epoch: d.Epoch()}
-	if d.PerQueryK() {
-		key.k = int32(cacheK(d, reqK))
-	}
-	answers := make([]cachedAnswer, len(pairs))
-	missIdx := make([]int, 0, len(pairs))
-	for i, p := range pairs {
-		key.s, key.t = int32(p.S), int32(p.T)
-		if ans, ok := s.cache.Get(key); ok {
-			answers[i] = ans
-		} else {
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(missIdx) == 0 {
-		return answers, nil
-	}
-	miss := make([]kreach.Pair, len(missIdx))
-	for j, i := range missIdx {
-		miss[j] = pairs[i]
-	}
-	res, err := d.Reacher.ReachBatch(ctx, miss, opts)
-	if err != nil {
-		// Cancelled mid-batch (or bad k): the result slice is partial, so
-		// nothing of it may be served or cached.
-		return nil, err
-	}
-	for j, v := range res {
-		answers[missIdx[j]] = toAnswer(v.Verdict, v.EffectiveK)
-	}
-	for _, i := range missIdx {
-		key.s, key.t = int32(pairs[i].S), int32(pairs[i].T)
-		s.cache.Put(key, answers[i])
-	}
-	return answers, nil
-}
-
+// handleBatch is decode → validate → ReachBatch → encode. Every answer
+// comes from the one snapshot d, so a response never mixes generations
+// even if a reload lands mid-request. The request context rides into the
+// worker pool: a client that disconnects mid-batch cancels the remaining
+// pairs, and the partial answers are discarded. The result cache is not
+// consulted: a per-pair lookup costs several times the probe it saves.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decodeBody(w, r, &req) {
+	sc := GetBatchScratch()
+	defer PutBatchScratch(sc)
+	if err := ReadBody(w, r, &sc.Body, s.maxBody); err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	req := &sc.Req
+	if err := DecodeBatchRequest(sc.Body.Bytes(), req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	d, err := s.reg.Lookup(req.Graph)
@@ -297,47 +252,48 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d pairs exceeds limit %d", len(req.Pairs), s.cfg.MaxBatch)
 		return
 	}
-	pairs := make([]kreach.Pair, len(req.Pairs))
 	for i, p := range req.Pairs {
-		if err := checkVertex(d, "source", p[0]); err != nil {
+		if err := checkVertex(d, "source", p.S); err != nil {
 			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
 			return
 		}
-		if err := checkVertex(d, "target", p[1]); err != nil {
+		if err := checkVertex(d, "target", p.T); err != nil {
 			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
 			return
 		}
-		pairs[i] = kreach.Pair{S: p[0], T: p[1]}
 	}
 	if err := d.CheckK(req.K); err != nil {
 		writeError(w, http.StatusBadRequest, "graph %q: %v", d.Name, err)
 		return
 	}
 	rt := track(r.Context())
-	rt.dataset, rt.k, rt.pairs = d.Name, req.K, len(pairs)
+	rt.dataset, rt.k, rt.pairs = d.Name, req.K, len(req.Pairs)
 	if rt.workers = s.cfg.Parallelism; rt.workers <= 0 {
 		rt.workers = runtime.GOMAXPROCS(0)
 	}
-	answers, err := s.answerBatch(r.Context(), d, pairs, req.K)
+	answers, err := d.Reacher.ReachBatch(r.Context(), req.Pairs,
+		kreach.BatchOptions{K: requestK(req.K), Parallelism: s.cfg.Parallelism})
 	if err != nil {
+		// Cancelled mid-batch (or bad k): the answers are partial.
 		writeAnswerError(w, r, d, err)
 		return
 	}
-	resp := batchResponse{Graph: d.Name, Epoch: d.Epoch(), Count: len(pairs), Results: make([]bool, len(answers))}
+	reply := &sc.Reply
+	reply.Graph, reply.Epoch, reply.Count = d.Name, d.Epoch(), len(answers)
+	reply.Results = slices.Grow(reply.Results[:0], len(answers))[:len(answers)]
 	for i, a := range answers {
-		resp.Results[i] = a.reachable()
+		reply.Results[i] = a.Verdict != kreach.No
 	}
+	reply.Verdicts, reply.EffectiveK = reply.Verdicts[:0], reply.EffectiveK[:0]
 	if d.PerQueryK() {
-		resp.Verdicts = make([]string, len(answers))
-		resp.EffectiveK = make([]int, len(answers))
-		for i, a := range answers {
-			resp.Verdicts[i] = a.verdict.String()
-			if a.verdict == kreach.YesWithin {
-				resp.EffectiveK[i] = a.effectiveK
-			}
+		for _, a := range answers {
+			ans := toAnswer(a.Verdict, a.EffectiveK)
+			reply.Verdicts = append(reply.Verdicts, ans.verdict.String())
+			reply.EffectiveK = append(reply.EffectiveK, ans.effectiveK)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.Out = AppendBatchReply(sc.Out[:0], reply)
+	WriteBody(w, http.StatusOK, sc.Out)
 }
 
 // reloadResponse answers POST /v1/datasets/{name}/reload.

@@ -1,8 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"slices"
 
 	"kreach"
 )
@@ -122,10 +123,14 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	// Page by ascending vertex id: a total order that re-pastes into the
 	// exact ball regardless of page size, and survives re-enumeration.
 	members := ball.Neighbors
-	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
+	byID := func(a kreach.Neighbor, id int) int { return cmp.Compare(a.ID, id) }
+	slices.SortFunc(members, func(a, b kreach.Neighbor) int { return byID(a, b.ID) })
 	if req.Cursor != nil {
-		after := *req.Cursor
-		members = members[sort.Search(len(members), func(i int) bool { return members[i].ID > after }):]
+		at, found := slices.BinarySearchFunc(members, *req.Cursor, byID)
+		if found { // ids are distinct: resume just past the cursor's own id
+			at++
+		}
+		members = members[at:]
 	}
 	resp := neighborsResponse{
 		Graph:     d.Name,

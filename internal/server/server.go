@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,9 +364,9 @@ type Config struct {
 	// MaxBatch caps the pairs accepted by one /v1/batch request
 	// (0 = DefaultMaxBatch).
 	MaxBatch int
-	// CacheEntries sizes the result cache (total entries; rounded so each
-	// shard is a power of two). 0 means cache.DefaultCapacity; negative
-	// disables caching entirely.
+	// CacheEntries sizes the /v1/reach result cache (total entries;
+	// rounded so each shard is a power of two). 0 means
+	// cache.DefaultCapacity; negative disables caching entirely.
 	CacheEntries int
 	// CacheShards is the cache shard count (0 = derived from GOMAXPROCS).
 	CacheShards int
@@ -503,18 +505,44 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// WriteBody writes an already encoded JSON body. kreach-router writes its
+// batch replies through it too.
+func WriteBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// ReadBody reads r's body into buf, replacing its contents. Past limit
+// bytes it stops with an *http.MaxBytesError, and the server closes the
+// connection after the response. kreach-router reads its bodies through
+// it too. buf grows only as bytes arrive: the client's Content-Length is
+// never trusted to size it.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, limit int64) error {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return err
+}
+
+// writeBodyError answers a request whose body could not be read or decoded.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeBodyError(w, err)
 		return false
 	}
 	return true

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -285,6 +288,9 @@ func TestBatchErrors(t *testing.T) {
 		{"too large", map[string]any{"pairs": [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}}, http.StatusRequestEntityTooLarge},
 		{"out of range pair", map[string]any{"pairs": [][2]int{{0, n}}}, http.StatusBadRequest},
 		{"unknown graph", map[string]any{"graph": "nope", "pairs": [][2]int{{0, 1}}}, http.StatusNotFound},
+		{"one-id pair", json.RawMessage(`{"pairs":[[5]]}`), http.StatusBadRequest},
+		{"three-id pair", json.RawMessage(`{"pairs":[[1,2,3]]}`), http.StatusBadRequest},
+		{"null pair", json.RawMessage(`{"pairs":[null]}`), http.StatusBadRequest},
 	} {
 		status, body := post(t, ts.URL+"/v1/batch", tc.body)
 		if status != tc.status {
@@ -410,5 +416,76 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	if _, err := server.NewRegistry().Lookup(""); err == nil {
 		t.Error("default lookup on empty registry succeeded")
+	}
+}
+
+// plainServer is an in-process server with one k=4 dataset named "plain".
+func plainServer(t *testing.T, cfg server.Config) (*server.Server, *kreach.Graph) {
+	t.Helper()
+	g, _ := genGraph(t, 7)
+	plain, err := kreach.BuildIndex(g, kreach.IndexOptions{K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	if err := reg.Add(&server.Dataset{Name: "plain", Graph: g, Reacher: plain}); err != nil {
+		t.Fatal(err)
+	}
+	return server.New(reg, cfg), g
+}
+
+// TestBatchAllocsIndependentOfSize pins the /v1/batch allocation budget:
+// decode, validation, ReachBatch and encode allocate the same number of
+// objects for 64 pairs as for 4096 — buffers grow in bytes, never in count.
+func TestBatchAllocsIndependentOfSize(t *testing.T) {
+	srv, g := plainServer(t, server.Config{Parallelism: 1})
+	allocs := func(n int) float64 {
+		pairs := make([]kreach.Pair, n)
+		for i := range pairs {
+			pairs[i] = kreach.Pair{S: i % g.NumVertices(), T: (i * 7) % g.NumVertices()}
+		}
+		body := server.AppendBatchRequest(nil, "plain", pairs, nil)
+		// The fewest objects over repeated requests: the steady state, with
+		// pooled scratch warm. An average would also count the pool misses
+		// the race detector injects by dropping Puts.
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}))
+		}
+		return least
+	}
+	small, large := allocs(64), allocs(4096)
+	t.Logf("objects per request: %.1f at 64 pairs, %.1f at 4096", small, large)
+	if large > small+3 {
+		t.Fatalf("4096 pairs allocate %.1f objects, 64 pairs %.1f: allocations grow with the batch", large, small)
+	}
+}
+
+// TestBatchIgnoresClaimedContentLength: a request whose Content-Length
+// claims a body near the cap but which sends a few bytes costs a few bytes.
+// The claim is the client's word, so it must not size the read buffer.
+func TestBatchIgnoresClaimedContentLength(t *testing.T) {
+	srv, _ := plainServer(t, server.Config{})
+	const claim, requests = 32 << 20, 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range requests {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`{"graph":"plain","pairs":[[0,1]]}`))
+		req.ContentLength = claim
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > claim/4 {
+		t.Fatalf("%d requests claiming %d bytes each allocated %d bytes", requests, claim, grown)
 	}
 }
