@@ -85,8 +85,8 @@ repl-smoke:
 # fuzz-smoke runs each native fuzz target for $(FUZZTIME) — corrupt
 # KRI1/KRH1/KRG1 streams, hostile edge lists, torn/corrupt KRW1
 # write-ahead logs and KRF1 replication feeds must error (or recover a
-# valid prefix), never crash; /v1/batch request and reply bodies must
-# decode exactly as encoding/json decodes them.
+# valid prefix), never crash; /v1/batch request bodies must decode, and
+# replies encode, exactly as encoding/json does.
 # (Go allows one -fuzz pattern per package invocation.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -run='^$$' .

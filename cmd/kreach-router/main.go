@@ -13,12 +13,11 @@
 // partitioning), so any replica can answer any query; the router sends
 // each one to the routable replica with the fewest requests in flight.
 //
-// Endpoints mirror kreachd's query surface: /v1/reach and /v1/neighbors
-// proxy to that replica with failover, /v1/batch scatter-gathers in
-// -leg-pairs chunks (parallel legs, retries with jittered backoff, hedged
-// dispatch, per-replica epoch fencing — see kreach/internal/router), and
-// mutations (/v1/datasets/{name}/edges, .../compact) forward to -primary
-// only.
+// Endpoints mirror kreachd's query surface: /v1/reach, /v1/batch and
+// /v1/neighbors forward unparsed to that replica, failing over to the
+// next on a transport error or 5xx (up to -retries more), and return its
+// reply byte for byte; mutations (/v1/datasets/{name}/edges,
+// .../compact) forward to -primary only.
 // POST /v1/datasets/{name}/reload orchestrates a rolling reload: each
 // replica in turn is drained at the router, reloaded, and readmitted, so
 // clients see zero errors and no mixed-epoch answers.
@@ -53,11 +52,8 @@ func main() {
 	var (
 		listen        = flag.String("listen", ":7330", "address to serve HTTP on")
 		primary       = flag.String("primary", "", "replica URL receiving mutations (default: the first -replica)")
-		maxBatch      = flag.Int("maxbatch", server.DefaultMaxBatch, "maximum pairs per /v1/batch request")
-		legPairs      = flag.Int("leg-pairs", router.DefaultLegPairs, "maximum pairs per scatter leg to one replica")
-		retries       = flag.Int("retries", router.DefaultRetries, "extra replicas tried after a failed leg (negative disables)")
-		retryBackoff  = flag.Duration("retry-backoff", router.DefaultRetryBackoff, "base of the jittered exponential backoff between leg attempts")
-		hedgeAfter    = flag.Duration("hedge-after", router.DefaultHedgeAfter, "per-leg latency budget before hedging against the next replica (negative disables)")
+		maxBatch      = flag.Int("maxbatch", server.DefaultMaxBatch, "sizes the request body cap as the replicas' -maxbatch does")
+		retries       = flag.Int("retries", router.DefaultRetries, "extra replicas tried after a failed request (negative disables)")
 		probeInterval = flag.Duration("probe-interval", router.DefaultProbeInterval, "active health-check period")
 		probeTimeout  = flag.Duration("probe-timeout", router.DefaultProbeTimeout, "health-check round-trip timeout")
 		ejectAfter    = flag.Int("eject-after", router.DefaultEjectAfter, "consecutive failures that fully eject a replica")
@@ -86,10 +82,7 @@ func main() {
 		Replicas:      replicas,
 		Primary:       *primary,
 		MaxBatch:      *maxBatch,
-		LegPairs:      *legPairs,
 		Retries:       *retries,
-		RetryBackoff:  *retryBackoff,
-		HedgeAfter:    *hedgeAfter,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		EjectAfter:    *ejectAfter,

@@ -127,11 +127,7 @@ func TestRouterSmoke(t *testing.T) {
 		cmds = append(cmds, cmd)
 		bases = append(bases, base)
 	}
-	routerArgs := []string{
-		"-probe-interval", "100ms",
-		"-retry-backoff", "2ms",
-		"-leg-pairs", "8",
-	}
+	routerArgs := []string{"-probe-interval", "100ms"}
 	for _, b := range bases {
 		routerArgs = append(routerArgs, "-replica", b)
 	}
@@ -324,7 +320,6 @@ func TestRouterSmoke(t *testing.T) {
 	mresp.Body.Close()
 	for _, name := range []string{
 		"kreach_router_request_duration_seconds",
-		"kreach_router_legs_total",
 		"kreach_router_retries_total",
 		"kreach_router_replica_up",
 		"kreach_router_probes_total",

@@ -255,7 +255,7 @@ func TestReplSmoke(t *testing.T) {
 	_, routerBase := launchDaemon(t, "kreach-router", routerBin, "127.0.0.1:0",
 		"-replica", primaryBase, "-replica", durBase, "-replica", memBase,
 		"-primary", primaryBase,
-		"-probe-interval", "50ms", "-retry-backoff", "2ms",
+		"-probe-interval", "50ms",
 		"-max-lag-epochs", "2")
 	waitReady(t, "kreach-router", routerBase, 30*time.Second)
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Active health checking: every ProbeInterval each replica is scraped —
-// GET /readyz for the routable verdict, GET /v1/stats for identity and
-// per-dataset epochs (the fence's reference view). Probe failures feed
+// GET /readyz for the routable verdict, GET /v1/stats for identity,
+// per-dataset epochs and follower lag. Probe failures feed
 // the same consecutive-failure counter the request path uses, so the two
 // signals compose: a request-path failure demotes instantly, and the
 // prober both confirms the outage and notices the recovery.

@@ -13,10 +13,6 @@ import (
 // asserts a live scrape carries all of them.
 func MetricCatalog() []string {
 	return []string{
-		"kreach_router_fence_rejections_total",
-		"kreach_router_hedges_total",
-		"kreach_router_legs_total",
-		"kreach_router_partial_failures_total",
 		"kreach_router_probes_total",
 		"kreach_router_replica_inflight",
 		"kreach_router_replica_lag_epochs",
@@ -37,11 +33,7 @@ type routerMetrics struct {
 	reg      *obs.Registry
 	requests *obs.HistogramVec // endpoint, outcome
 	inFlight *obs.Gauge
-	legs     *obs.CounterVec // outcome: ok/retried_ok/failed
 	retries  *obs.Counter
-	hedges   *obs.Counter
-	fences   *obs.Counter
-	partials *obs.Counter
 	probes   *obs.CounterVec // outcome: ok/error
 }
 
@@ -54,17 +46,8 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 			"endpoint", "outcome"),
 		inFlight: r.Gauge("kreach_router_requests_in_flight",
 			"Client requests currently being served by the router."),
-		legs: r.CounterVec("kreach_router_legs_total",
-			"Scatter-gather legs dispatched, by outcome (ok/retried_ok/failed).",
-			"outcome"),
 		retries: r.Counter("kreach_router_retries_total",
-			"Leg dispatch attempts beyond the first (failover retries)."),
-		hedges: r.Counter("kreach_router_hedges_total",
-			"Hedged leg dispatches (next candidate fired past the latency budget)."),
-		fences: r.Counter("kreach_router_fence_rejections_total",
-			"Batch legs rejected by the per-replica epoch fence."),
-		partials: r.Counter("kreach_router_partial_failures_total",
-			"Batches answered with a typed partial failure after retries."),
+			"Forwarding attempts beyond the first (failover retries)."),
 		probes: r.CounterVec("kreach_router_probes_total",
 			"Active health probes, by outcome (ok/error).",
 			"outcome"),
@@ -86,7 +69,7 @@ func (rt *Router) collectReplicas(e *obs.Emitter) {
 		}
 		e.Gauge("kreach_router_replica_up", "1 when the replica is routable (healthy, ready, not draining).",
 			labels, up)
-		e.Gauge("kreach_router_replica_inflight", "Requests/legs currently outstanding against the replica.",
+		e.Gauge("kreach_router_replica_inflight", "Requests currently outstanding against the replica.",
 			labels, float64(rep.Inflight()))
 		lagE, lagS := rep.lagView()
 		e.Gauge("kreach_router_replica_lag_epochs",

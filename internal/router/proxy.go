@@ -8,37 +8,43 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"kreach/internal/server"
 )
 
-// Pass-through proxying for the single-query endpoints and mutations.
-// /v1/reach and /v1/neighbors go to the least-loaded routable replica,
-// unparsed: every replica serves every dataset, so the body is the
-// backend's to validate. Mutations go to the primary only: they are not
-// idempotent and the other replicas don't journal them.
+// Pass-through proxying. /v1/reach, /v1/batch and /v1/neighbors go to the
+// least-loaded routable replica, unparsed: every replica serves every
+// dataset, so one replica answers the whole request from one snapshot and
+// the body is its to validate. Mutations go to the primary only: they are
+// not idempotent and the other replicas don't journal them.
 
-// handleRead forwards a /v1/reach or /v1/neighbors body to candidates()
-// in order. Only transport errors and upstream 5xx fail over — a 4xx is
-// the client's answer.
+// handleRead forwards a read to candidates() in order. Only transport
+// errors (a short reply included) and upstream 5xx fail over — a 4xx is
+// the client's answer. The reply goes to the client byte for byte.
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if !rt.readBody(w, r, &buf) {
+	sc := server.GetBatchScratch()
+	defer server.PutBatchScratch(sc)
+	if !rt.readBody(w, r, &sc.Body) {
 		return
 	}
-	body := buf.Bytes()
 	cands := rt.candidates()
 	if len(cands) == 0 {
 		writeErrorCode(w, http.StatusServiceUnavailable, CodeNoReplicas, "no routable replicas")
 		return
 	}
-	attempts := min(len(cands), rt.cfg.Retries+1)
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i, rep := range cands[:min(len(cands), rt.cfg.Retries+1)] {
 		if i > 0 {
 			rt.metrics.retries.Inc()
 		}
-		done, err := rt.forward(r.Context(), w, cands[i], r.URL.Path, body)
-		if done {
+		status, err := rt.forward(r.Context(), rep, r.URL.Path, sc)
+		if err == nil && status < 500 {
+			server.WriteBody(w, status, sc.Out)
 			return
+		}
+		if err == nil {
+			err = fmt.Errorf("router: %s %s: status %d", rep.ID, r.URL.Path, status)
+			rep.noteFailure(rt.cfg.EjectAfter, err)
 		}
 		lastErr = err
 		if r.Context().Err() != nil {
@@ -48,51 +54,58 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	writeErrorCode(w, http.StatusBadGateway, CodeUpstreamError, "all candidates failed: %v", lastErr)
 }
 
-// forward sends body to one replica and, unless the outcome calls for
-// failover (transport error or upstream 5xx), streams the upstream
-// response to the client and reports done.
-func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, rep *Replica, path string, body []byte) (done bool, err error) {
+// forward posts the body in sc.Body to one replica and reads its whole
+// reply into sc.Out before anything reaches the client. An error means no
+// complete reply arrived — the replica is unreachable or died mid-reply —
+// and the replica is marked failed; any complete reply below 500 marks it
+// healthy. The transport gets a copy of the body, not the pooled bytes: it
+// may still be writing a body after the reply has arrived (a replica that
+// answers before reading all of it), and by then sc may be back in the pool.
+func (rt *Router) forward(ctx context.Context, rep *Replica, path string, sc *server.BatchScratch) (status int, err error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.Base+path, bytes.NewReader(body))
+	body := bytes.NewReader(bytes.Clone(sc.Body.Bytes()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.Base+path, body)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rep.http.Do(req)
+	if err == nil {
+		reply := bytes.NewBuffer(sc.Out[:0])
+		_, err = reply.ReadFrom(resp.Body)
+		resp.Body.Close()
+		sc.Out = reply.Bytes()
+	}
 	if err != nil {
 		if ctx.Err() == nil {
 			rep.noteFailure(rt.cfg.EjectAfter, err)
 		}
-		return false, err
+		return 0, err
 	}
-	defer drainClose(resp)
-	if resp.StatusCode >= 500 {
-		err := fmt.Errorf("router: %s %s: status %d", rep.ID, path, resp.StatusCode)
-		rep.noteFailure(rt.cfg.EjectAfter, err)
-		return false, err
+	if resp.StatusCode < 500 {
+		rep.noteSuccess()
 	}
-	rep.noteSuccess()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return true, nil
+	return resp.StatusCode, nil
 }
 
 // handlePrimary forwards a mutation (edges append, compact) to the primary
 // replica, with no failover: mutations are not idempotent, and only the
-// primary journals them. A dead primary is a typed 502, not a silent
-// redirect that would fork the dataset.
+// primary journals them. Any reply the primary gives, its own 5xx
+// included, passes through verbatim; only an unreachable primary is a
+// typed 502, not a silent redirect that would fork the dataset.
 func (rt *Router) handlePrimary(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if !rt.readBody(w, r, &buf) {
+	sc := server.GetBatchScratch()
+	defer server.PutBatchScratch(sc)
+	if !rt.readBody(w, r, &sc.Body) {
 		return
 	}
 	rep := rt.primary
-	done, err := rt.forward(r.Context(), w, rep, r.URL.Path, buf.Bytes())
-	if !done && r.Context().Err() == nil {
+	status, err := rt.forward(r.Context(), rep, r.URL.Path, sc)
+	switch {
+	case err == nil:
+		server.WriteBody(w, status, sc.Out)
+	case r.Context().Err() == nil:
 		writeErrorCode(w, http.StatusBadGateway, CodePrimaryDown, "primary %s: %v", rep.ID, err)
 	}
 }
@@ -118,11 +131,11 @@ type replicaReload struct {
 
 // handleRollingReload orchestrates POST /v1/datasets/{name}/reload across
 // the replica set, one replica at a time: drain it at the router (it
-// leaves candidates()), wait for its in-flight legs to finish, run the
+// leaves candidates()), wait for its in-flight requests to finish, run the
 // backend reload, observe the new epoch, undrain.
 // Queries keep flowing throughout — at most one replica is out of rotation
-// at any moment, and because a drained replica finishes its in-flight work
-// before reloading, the epoch fence never trips on this path.
+// at any moment, and each one is answered whole by one replica from one
+// snapshot.
 func (rt *Router) handleRollingReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	report := make([]replicaReload, 0, len(rt.replicas))
@@ -220,8 +233,8 @@ type replicaStats struct {
 	LastProbe  string            `json:"last_probe,omitempty"`
 }
 
-// handleStats serves the router's own view: uptime, leg config and the
-// live per-replica health/load/epoch table placement and the fence read.
+// handleStats serves the router's own view: uptime, the primary and the
+// live per-replica health/load/epoch table placement reads.
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	reps := make([]replicaStats, 0, len(rt.replicas))
 	for _, rep := range rt.replicas {
@@ -249,8 +262,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"router": map[string]any{
 			"uptime_seconds": time.Since(rt.started).Seconds(),
 			"primary":        rt.primary.ID,
-			"leg_pairs":      rt.cfg.LegPairs,
-			"hedge_after_ms": float64(rt.cfg.HedgeAfter) / float64(time.Millisecond),
 			"routable":       rt.routableCount(),
 		},
 		"replicas": reps,

@@ -11,7 +11,7 @@ import (
 
 // ReplicaState is the health classification the router maintains per
 // replica. Transitions are driven by both the active prober and the
-// request path (a failed leg demotes immediately — a SIGKILLed replica
+// request path (a failed request demotes immediately — a SIGKILLed replica
 // must stop receiving traffic at the next request, not the next probe).
 type ReplicaState int32
 
@@ -41,14 +41,14 @@ func (s ReplicaState) String() string {
 
 // Replica is the router's view of one kreachd backend: transport, health
 // state, in-flight load (the placement signal), and the per-dataset
-// epochs the fence validates against. All fields are safe for concurrent
-// use; the mutable identity/epoch section hides behind mu.
+// epochs /v1/stats and the rolling reload report. All fields are safe for
+// concurrent use; the mutable identity/epoch section hides behind mu.
 type Replica struct {
 	ID   string // host:port
 	Base string // http://host:port
 	http *http.Client
 
-	inflight atomic.Int64 // requests/legs currently against this replica
+	inflight atomic.Int64 // requests currently against this replica
 	draining atomic.Bool  // router-side drain (rolling reload): no new placements
 	state    atomic.Int32 // ReplicaState
 	fails    atomic.Int32 // consecutive failures (probe or request path)
@@ -77,7 +77,7 @@ func newReplica(base string, client *http.Client) (*Replica, error) {
 	r := &Replica{ID: id, Base: base, http: client, epochs: make(map[string]uint64)}
 	// Optimistic start: routable until a probe or request says otherwise,
 	// so the router serves from the first request without waiting a probe
-	// interval (a dead replica costs one retried leg, not an outage).
+	// interval (a dead replica costs one retried request, not an outage).
 	r.ready.Store(true)
 	return r, nil
 }
@@ -112,7 +112,7 @@ func (r *Replica) lagView() (epochs uint64, seconds float64) {
 	return r.lagEpochs, r.lagSeconds
 }
 
-// Inflight is the number of requests/legs currently outstanding.
+// Inflight is the number of requests currently outstanding.
 func (r *Replica) Inflight() int64 { return r.inflight.Load() }
 
 // noteSuccess resets the failure streak and restores StateHealthy. It
@@ -148,11 +148,11 @@ func (r *Replica) Epoch(dataset string) (uint64, bool) {
 	return e, ok
 }
 
-// observeEpoch folds an epoch observation (from a probe, a reload
-// response, or a batch leg) into the replica's view. Epochs are
-// process-local generation counters and strictly increase across
-// reloads/mutations, so newest-wins is the correct merge even when a
-// slow probe result lands after a fresher leg observation.
+// observeEpoch folds an epoch observation (from a probe or a reload
+// response) into the replica's view. Epochs are process-local generation
+// counters and strictly increase across reloads/mutations, so newest-wins
+// is the correct merge even when a slow probe result lands after a
+// fresher reload observation.
 func (r *Replica) observeEpoch(dataset string, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

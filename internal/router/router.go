@@ -23,22 +23,13 @@ type Config struct {
 	// idempotent, and follower replicas reject local writes anyway — they
 	// catch up from the primary's WAL feed (kreachd -follow).
 	Primary string
-	// MaxBatch caps the pairs accepted by one /v1/batch request
-	// (0 = server.DefaultMaxBatch).
+	// MaxBatch sizes the request body cap as kreachd's -maxbatch does:
+	// 4096 + 64·MaxBatch bytes (0 = server.DefaultMaxBatch). Counting the
+	// pairs is the replica's job.
 	MaxBatch int
-	// LegPairs caps the pairs sent to one replica in one leg; a larger
-	// batch splits into contiguous legs (0 = DefaultLegPairs).
-	LegPairs int
-	// Retries is the extra dispatch attempts a failed leg gets on
-	// successive candidates (0 = DefaultRetries; negative disables).
+	// Retries is the extra attempts a failed request gets on successive
+	// candidates (0 = DefaultRetries; negative disables).
 	Retries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between a leg's attempts (0 = DefaultRetryBackoff).
-	RetryBackoff time.Duration
-	// HedgeAfter is the per-leg latency budget past which the leg is
-	// hedged against the next candidate (0 = DefaultHedgeAfter; negative
-	// disables hedging).
-	HedgeAfter time.Duration
 	// ProbeInterval is the active health-check period
 	// (0 = DefaultProbeInterval).
 	ProbeInterval time.Duration
@@ -48,7 +39,7 @@ type Config struct {
 	// replica (0 = DefaultEjectAfter).
 	EjectAfter int
 	// DrainTimeout bounds how long a rolling reload waits for a drained
-	// replica's in-flight legs to finish (0 = DefaultDrainTimeout).
+	// replica's in-flight requests to finish (0 = DefaultDrainTimeout).
 	DrainTimeout time.Duration
 	// MaxLagEpochs demotes a follower replica whose worst per-dataset
 	// replication lag exceeds this many epochs (0 disables).
@@ -62,10 +53,7 @@ type Config struct {
 
 // Tuning defaults; every zero Config field resolves to one of these.
 const (
-	DefaultLegPairs      = 4096
 	DefaultRetries       = 3
-	DefaultRetryBackoff  = 10 * time.Millisecond
-	DefaultHedgeAfter    = 50 * time.Millisecond
 	DefaultProbeInterval = 500 * time.Millisecond
 	DefaultProbeTimeout  = 2 * time.Second
 	DefaultEjectAfter    = 3
@@ -96,19 +84,10 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = server.DefaultMaxBatch
 	}
-	if cfg.LegPairs <= 0 {
-		cfg.LegPairs = DefaultLegPairs
-	}
 	if cfg.Retries == 0 {
 		cfg.Retries = DefaultRetries
 	} else if cfg.Retries < 0 {
 		cfg.Retries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = DefaultHedgeAfter
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
@@ -132,7 +111,7 @@ func New(cfg Config) (*Router, error) {
 		rt.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConnsPerHost: 64, // scatter legs reuse connections per replica
+		MaxIdleConnsPerHost: 64, // concurrent requests reuse connections per replica
 		IdleConnTimeout:     90 * time.Second,
 	}}
 	byID := make(map[string]*Replica, len(cfg.Replicas))
@@ -163,7 +142,7 @@ func New(cfg Config) (*Router, error) {
 	rt.maxBody = 4096 + 64*int64(cfg.MaxBatch)
 
 	rt.mux.HandleFunc("POST /v1/reach", rt.instrument("reach", rt.handleRead))
-	rt.mux.HandleFunc("POST /v1/batch", rt.instrument("batch", rt.handleBatch))
+	rt.mux.HandleFunc("POST /v1/batch", rt.instrument("batch", rt.handleRead))
 	rt.mux.HandleFunc("POST /v1/neighbors", rt.instrument("neighbors", rt.handleRead))
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/edges", rt.instrument("edges", rt.handlePrimary))
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/compact", rt.instrument("compact", rt.handlePrimary))
@@ -183,7 +162,7 @@ func (rt *Router) Replicas() []*Replica { return append([]*Replica(nil), rt.repl
 
 // candidates is the router's whole placement policy: the routable
 // replicas in ascending in-flight order. Element 0 is the target, the
-// rest are the failover/hedge order. Equally loaded replicas are ordered
+// rest are the failover order. Equally loaded replicas are ordered
 // by a rotation an atomic counter advances on every call, so an idle tier
 // spreads requests evenly instead of pinning the first replica.
 func (rt *Router) candidates() []*Replica {
@@ -229,22 +208,16 @@ func (rt *Router) routableCount() int {
 // so clients and tests can tell an unanswerable request from a wrong one
 // without parsing prose.
 const (
-	CodeNoReplicas     = "no_replicas"     // no routable replica
-	CodePartialFailure = "partial_failure" // some legs failed after retries
-	CodeMixedEpoch     = "mixed_epoch"     // fence: one replica answered across a reload
-	CodePrimaryDown    = "primary_down"    // mutation target unreachable
-	CodeUpstreamError  = "upstream_error"  // all candidates failed a pass-through
-	CodeBadRequest     = "bad_request"     // request invalid at the router
+	CodeNoReplicas    = "no_replicas"    // no routable replica
+	CodePrimaryDown   = "primary_down"   // mutation target unreachable
+	CodeUpstreamError = "upstream_error" // all candidates failed a pass-through
+	CodeBadRequest    = "bad_request"    // client body unreadable or over the cap
 )
 
-// routerError is the router's error body. FailedPairs lists the request
-// positions a partial batch failure could not answer — the contract is
-// that no pair ever silently drops: it is either answered correctly or
-// named here.
+// routerError is the router's error body.
 type routerError struct {
-	Error       string `json:"error"`
-	Code        string `json:"code"`
-	FailedPairs []int  `json:"failed_pairs,omitempty"`
+	Error string `json:"error"`
+	Code  string `json:"code"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -55,13 +56,13 @@ type backend struct {
 	queries atomic.Int64
 }
 
-func startBackend(t *testing.T, g *kreach.Graph) *backend {
+func startBackend(t *testing.T, g *kreach.Graph, cfg server.Config) *backend {
 	t.Helper()
 	reg := server.NewRegistry()
 	if err := reg.Add(testDataset(t, g, "g")); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(reg, server.Config{})
+	srv := server.New(reg, cfg)
 	srv.MarkReady()
 	b := &backend{}
 	b.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -74,13 +75,14 @@ func startBackend(t *testing.T, g *kreach.Graph) *backend {
 	return b
 }
 
-// startTier runs n backends plus a router over them, all in-process.
+// startTier runs n backends plus a router over them, all in-process. The
+// backends run with the router's MaxBatch, as a deployment would.
 func startTier(t *testing.T, n int, cfg Config) (*Router, []*backend, *kreach.Graph) {
 	t.Helper()
 	g := testGraph(t)
 	backends := make([]*backend, n)
 	for i := range backends {
-		backends[i] = startBackend(t, g)
+		backends[i] = startBackend(t, g, server.Config{MaxBatch: cfg.MaxBatch})
 		cfg.Replicas = append(cfg.Replicas, backends[i].URL)
 	}
 	rt, err := New(cfg)
@@ -94,27 +96,32 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) (int, []byte)
 	t.Helper()
 	var buf []byte
 	if body != nil {
-		var err error
-		buf, err = json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf = mustJSON(t, body)
 	}
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(buf))
+	return postRaw(h, path, buf)
+}
+
+func postRaw(h http.Handler, path string, body []byte) (int, []byte) {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w.Code, w.Body.Bytes()
 }
 
-// routedReply is the router's merged /v1/batch response.
-type routedReply struct {
-	Graph      string   `json:"graph"`
-	Count      int      `json:"count"`
-	Results    []bool   `json:"results"`
-	Verdicts   []string `json:"verdicts"`
-	EffectiveK []int    `json:"effective_k"`
-	Legs       int      `json:"legs"`
+// postDirect posts body straight to a backend, bypassing the router.
+func postDirect(t *testing.T, base, path string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 func randPairs(n, vertices int, seed int64) [][2]int {
@@ -126,43 +133,32 @@ func randPairs(n, vertices int, seed int64) [][2]int {
 	return pairs
 }
 
-// TestRouterBatchMatchesBackend: a batch through the router must return
-// exactly what a single backend returns — scatter, gather and reassembly
-// are invisible to the client.
+// TestRouterBatchMatchesBackend: the router forwards a batch whole to one
+// replica and returns that replica's reply byte for byte, epoch included,
+// at the cost of exactly one backend request.
 func TestRouterBatchMatchesBackend(t *testing.T) {
-	rt, backends, g := startTier(t, 3, Config{LegPairs: 16})
-	pairs := randPairs(200, g.NumVertices(), 1)
-	body := map[string]any{"graph": "g", "pairs": pairs}
+	rt, backends, g := startTier(t, 1, Config{})
+	body := mustJSON(t, map[string]any{"graph": "g", "pairs": randPairs(200, g.NumVertices(), 1)})
+	_, want := postDirect(t, backends[0].URL, "/v1/batch", body)
+	if code, got := postRaw(rt, "/v1/batch", body); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("router batch: status %d\n got %s\nwant %s", code, got, want)
+	}
 
-	resp, err := http.Post(backends[0].URL+"/v1/batch", "application/json",
-		bytes.NewReader(mustJSON(t, body)))
-	if err != nil {
-		t.Fatal(err)
+	rt, backends, g = startTier(t, 3, Config{})
+	queries := func() (n int64) {
+		for _, b := range backends {
+			n += b.queries.Load()
+		}
+		return n
 	}
-	var direct server.BatchReply
-	if err := json.NewDecoder(resp.Body).Decode(&direct); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	code, raw := postJSON(t, rt, "/v1/batch", body)
-	if code != http.StatusOK {
-		t.Fatalf("router batch: status %d: %s", code, raw)
-	}
-	var routed routedReply
-	if err := json.Unmarshal(raw, &routed); err != nil {
-		t.Fatal(err)
-	}
-	if routed.Count != len(pairs) || len(routed.Results) != len(pairs) {
-		t.Fatalf("router batch: count %d, results %d, want %d", routed.Count, len(routed.Results), len(pairs))
-	}
-	if routed.Legs < 2 {
-		t.Fatalf("expected the batch to scatter into multiple legs, got %d", routed.Legs)
-	}
-	for i := range pairs {
-		if routed.Results[i] != direct.Results[i] {
-			t.Fatalf("pair %d (%v): router says %v, backend says %v",
-				i, pairs[i], routed.Results[i], direct.Results[i])
+	for i := range 6 {
+		before := queries()
+		code, raw := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "g", "pairs": randPairs(5000, g.NumVertices(), int64(i))})
+		if code != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, code, raw)
+		}
+		if n := queries() - before; n != 1 {
+			t.Fatalf("batch %d cost %d backend requests, want 1", i, n)
 		}
 	}
 }
@@ -196,7 +192,7 @@ func TestRouterReachMatchesBackend(t *testing.T) {
 // three-replica tier and then sends sequential queries, so the other two
 // stay tied at zero in flight.
 func TestRouterPlacement(t *testing.T) {
-	rt, backends, g := startTier(t, 3, Config{})
+	rt, backends, _ := startTier(t, 3, Config{})
 	cases := []struct {
 		name    string
 		perturb func(rep *Replica) (undo func())
@@ -255,63 +251,37 @@ func TestRouterPlacement(t *testing.T) {
 		})
 	}
 
-	// A batch within LegPairs is one leg: one request to one replica.
-	var before int64
-	for _, b := range backends {
-		before += b.queries.Load()
-	}
-	code, raw := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "g", "pairs": randPairs(50, g.NumVertices(), 3)})
-	if code != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", code, raw)
-	}
-	var routed routedReply
-	mustUnmarshal(t, raw, &routed)
-	after := -before
-	for _, b := range backends {
-		after += b.queries.Load()
-	}
-	if routed.Legs != 1 || after != 1 {
-		t.Fatalf("50-pair batch: legs %d, backend requests %d, want 1 and 1", routed.Legs, after)
-	}
 }
 
 // TestRouterFailover: SIGKILL-equivalent (closed backend) mid-tier — every
-// batch still answers completely and correctly via retries, and the dead
+// batch still answers completely and correctly via failover, and the dead
 // replica is demoted out of rotation.
 func TestRouterFailover(t *testing.T) {
-	rt, backends, g := startTier(t, 3, Config{LegPairs: 8, RetryBackoff: time.Millisecond})
-	pairs := randPairs(120, g.NumVertices(), 2)
-	body := map[string]any{"graph": "g", "pairs": pairs}
-
-	// Oracle from a live backend first.
-	resp, err := http.Post(backends[0].URL+"/v1/batch", "application/json",
-		bytes.NewReader(mustJSON(t, body)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, backends, g := startTier(t, 3, Config{})
+	body := mustJSON(t, map[string]any{"graph": "g", "pairs": randPairs(120, g.NumVertices(), 2)})
 	var direct server.BatchReply
-	if err := json.NewDecoder(resp.Body).Decode(&direct); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	_, raw := postDirect(t, backends[0].URL, "/v1/batch", body)
+	mustUnmarshal(t, raw, &direct)
 
 	backends[1].Close() // hard kill: connections refused from here on
 
-	code, raw := postJSON(t, rt, "/v1/batch", body)
-	if code != http.StatusOK {
-		t.Fatalf("batch with one dead replica: status %d: %s", code, raw)
-	}
-	var routed routedReply
-	mustUnmarshal(t, raw, &routed)
-	for i := range pairs {
-		if routed.Results[i] != direct.Results[i] {
-			t.Fatalf("pair %d: wrong answer after failover", i)
+	// Equal loads rotate the target, so one of three batches tries the dead
+	// replica first.
+	for i := range 3 {
+		code, raw := postRaw(rt, "/v1/batch", body)
+		if code != http.StatusOK {
+			t.Fatalf("batch %d with one dead replica: status %d: %s", i, code, raw)
+		}
+		var routed server.BatchReply
+		mustUnmarshal(t, raw, &routed)
+		if !slices.Equal(routed.Results, direct.Results) {
+			t.Fatalf("batch %d: wrong answers after failover", i)
 		}
 	}
 	// The request path demoted the dead replica without waiting for a probe.
 	dead := rt.replicas[1]
 	if dead.State() == StateHealthy {
-		t.Fatalf("dead replica still %s after failed legs", dead.State())
+		t.Fatalf("dead replica still %s after a failed request", dead.State())
 	}
 	if dead.Routable() {
 		t.Fatal("dead replica still routable")
@@ -321,7 +291,7 @@ func TestRouterFailover(t *testing.T) {
 // TestRouterAllDead: with every replica unroutable the router answers a
 // typed 503, not a hang or a wrong answer.
 func TestRouterAllDead(t *testing.T) {
-	rt, backends, _ := startTier(t, 2, Config{RetryBackoff: time.Millisecond})
+	rt, backends, _ := startTier(t, 2, Config{})
 	for _, b := range backends {
 		b.Close()
 	}
@@ -381,92 +351,11 @@ func TestRouterProbeObservesState(t *testing.T) {
 	}
 }
 
-// TestRouterEpochFenceRedispatch: a replica that reloads mid-gather
-// answers legs under two epochs; the fence catches it and the re-dispatch
-// converges on the new epoch — the client sees one clean answer.
-func TestRouterEpochFenceRedispatch(t *testing.T) {
-	stub := newStubBackend(t, func(n int64) uint64 {
-		if n == 1 {
-			return 7 // first leg answered under the old index generation
-		}
-		return 8
-	})
-	rt, err := New(Config{Replicas: []string{stub.URL}, LegPairs: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, raw := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "g", "pairs": [][2]int{{1, 2}, {3, 4}}})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, raw)
-	}
-	if got := rt.metrics.fences.Value(); got == 0 {
-		t.Fatal("fence did not record the mixed-epoch gather")
-	}
-	var routed routedReply
-	mustUnmarshal(t, raw, &routed)
-	if len(routed.Results) != 2 {
-		t.Fatalf("results %d, want 2", len(routed.Results))
-	}
-}
-
-// TestRouterEpochFenceRejects: a replica that keeps flapping between
-// epochs cannot be merged; the router answers a typed 502 rather than a
-// response mixing index generations.
-func TestRouterEpochFenceRejects(t *testing.T) {
-	stub := newStubBackend(t, func(n int64) uint64 {
-		return uint64(n) // a fresh epoch every call: the gather can never converge
-	})
-	rt, err := New(Config{Replicas: []string{stub.URL}, LegPairs: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, raw := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "g", "pairs": [][2]int{{1, 2}, {3, 4}}})
-	if code != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502: %s", code, raw)
-	}
-	var e routerError
-	mustUnmarshal(t, raw, &e)
-	if e.Code != CodeMixedEpoch {
-		t.Fatalf("code %q, want %q", e.Code, CodeMixedEpoch)
-	}
-}
-
-// newStubBackend fakes the /v1/batch surface with a controllable epoch per
-// call — the only way to force a mid-gather reload deterministically.
-func newStubBackend(t *testing.T, epochOf func(call int64) uint64) *httptest.Server {
-	t.Helper()
-	var calls atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		var req server.BatchRequest
-		if err == nil {
-			err = server.DecodeBatchRequest(body, &req)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n := calls.Add(1)
-		resp := server.BatchReply{
-			Graph:   req.Graph,
-			Epoch:   epochOf(n),
-			Count:   len(req.Pairs),
-			Results: make([]bool, len(req.Pairs)),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(server.AppendBatchReply(nil, &resp))
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 // TestRouterRollingReload: reload every replica through the router while
 // client load flows; zero non-2xx answers, and every replica ends on a
 // fresh epoch.
 func TestRouterRollingReload(t *testing.T) {
-	rt, _, g := startTier(t, 3, Config{LegPairs: 8, RetryBackoff: time.Millisecond, DrainTimeout: 5 * time.Second})
+	rt, _, g := startTier(t, 3, Config{DrainTimeout: 5 * time.Second})
 	rt.ProbeAll(context.Background())
 	oldEpochs := make(map[string]uint64)
 	for _, rep := range rt.replicas {
@@ -569,47 +458,138 @@ func TestRouterStats(t *testing.T) {
 	}
 }
 
-// TestRouterBadRequestPassThrough: a backend 4xx (unknown dataset) is the
-// client's answer — it must pass through, not be retried into a 502.
+// TestRouterBadRequestPassThrough: the router parses no body, so every
+// verdict on one is the backend's, and a backend 4xx is the client's
+// answer — it passes through byte for byte, not retried into a 502.
 func TestRouterBadRequestPassThrough(t *testing.T) {
-	rt, backends, _ := startTier(t, 2, Config{})
-	code, _ := postJSON(t, rt, "/v1/batch", map[string]any{"graph": "nope", "pairs": [][2]int{{1, 2}}})
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown dataset through router: status %d, want 404", code)
+	rt, backends, _ := startTier(t, 1, Config{MaxBatch: 4})
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"unknown dataset reach", "/v1/reach", `{"graph":"nope","s":1,"t":2}`, http.StatusNotFound},
+		{"unknown dataset batch", "/v1/batch", `{"graph":"nope","pairs":[[1,2]]}`, http.StatusNotFound},
+		{"malformed reach", "/v1/reach", `{"graph":`, http.StatusBadRequest},
+		{"one-id pair", "/v1/batch", `{"graph":"g","pairs":[[5]]}`, http.StatusBadRequest},
+		{"three-id pair", "/v1/batch", `{"graph":"g","pairs":[[1,2,3]]}`, http.StatusBadRequest},
+		{"null pair", "/v1/batch", `{"graph":"g","pairs":[null]}`, http.StatusBadRequest},
+		{"unknown key", "/v1/batch", `{"graph":"g","pairs":[[1,2]],"limit":5}`, http.StatusBadRequest},
+		{"over maxbatch", "/v1/batch", `{"graph":"g","pairs":[[1,2],[1,2],[1,2],[1,2],[1,2]]}`, http.StatusRequestEntityTooLarge},
+		// No graph: kreachd answers from its first dataset, and so does the router.
+		{"missing graph", "/v1/batch", `{"pairs":[[1,2]]}`, http.StatusOK},
+	} {
+		code, got := postRaw(rt, tc.path, []byte(tc.body))
+		wantCode, want := postDirect(t, backends[0].URL, tc.path, []byte(tc.body))
+		if code != tc.status || code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%s through router: %d %q; backend says %d %q, want status %d",
+				tc.name, code, got, wantCode, want, tc.status)
+		}
 	}
-	code, _ = postJSON(t, rt, "/v1/reach", map[string]any{"graph": "nope", "s": 1, "t": 2})
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown dataset reach through router: status %d, want 404", code)
-	}
-	// The router does not parse single-query bodies: malformed JSON is the
-	// backend's to reject, and its 400 passes through like any other 4xx.
-	req := httptest.NewRequest(http.MethodPost, "/v1/reach", strings.NewReader(`{"graph":`))
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	direct, err := http.Post(backends[0].URL+"/v1/reach", "application/json", strings.NewReader(`{"graph":`))
+}
+
+// truncatingReplica fronts a healthy backend and dies mid-reply: it fetches
+// the backend's answer, declares its full length, sends the first half and
+// closes the connection. hits counts the requests it took.
+func truncatingReplica(t *testing.T, backend string) (stub *httptest.Server, hits *atomic.Int64) {
+	t.Helper()
+	hits = new(atomic.Int64)
+	stub = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		resp, err := http.Post(backend+r.URL.Path, "application/json", r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		conn, out, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(out, "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+			resp.StatusCode, http.StatusText(resp.StatusCode), len(reply))
+		out.Write(reply[:len(reply)/2])
+		out.Flush()
+	}))
+	t.Cleanup(stub.Close)
+	return stub, hits
+}
+
+// TestRouterFailsOverTruncatedReply: a replica that dies mid-reply is a
+// failed attempt like any other. Each read endpoint tries it first, fails
+// over, and answers 200 with the healthy backend's complete reply — never
+// the truncated one.
+func TestRouterFailsOverTruncatedReply(t *testing.T) {
+	g := testGraph(t)
+	healthy := startBackend(t, g, server.Config{})
+	stub, hits := truncatingReplica(t, healthy.URL)
+	rt, err := New(Config{Replicas: []string{stub.URL, healthy.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := io.ReadAll(direct.Body)
-	direct.Body.Close()
-	if w.Code != http.StatusBadRequest || w.Code != direct.StatusCode || !bytes.Equal(w.Body.Bytes(), want) {
-		t.Fatalf("malformed reach through router: %d %q, backend says %d %q", w.Code, w.Body.Bytes(), direct.StatusCode, want)
-	}
-	// A pair that is not exactly two ids is refused at the router, as the
-	// backend would refuse it, instead of being answered as (s, 0) or (s, t).
-	// So is an unknown key, which the backend's decoder rejects too.
-	for _, body := range []string{
-		`{"graph":"g","pairs":[[5]]}`,
-		`{"graph":"g","pairs":[[1,2,3]]}`,
-		`{"graph":"g","pairs":[null]}`,
-		`{"graph":"g","pairs":[[1,2]],"limit":5}`,
+	cut, whole := rt.replicas[0], rt.replicas[1]
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/reach", map[string]any{"graph": "g", "s": 5, "t": 9}},
+		{"/v1/neighbors", map[string]any{"graph": "g", "source": 5}},
+		{"/v1/batch", map[string]any{"graph": "g", "pairs": randPairs(500, g.NumVertices(), 4)}},
 	} {
-		code, raw := postJSON(t, rt, "/v1/batch", json.RawMessage(body))
-		var e routerError
-		mustUnmarshal(t, raw, &e)
-		if code != http.StatusBadRequest || e.Code != CodeBadRequest {
-			t.Fatalf("%s through router: status %d code %q, want 400 %q", body, code, e.Code, CodeBadRequest)
-		}
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			cut.noteSuccess() // readmit it after the previous row
+			whole.inflight.Add(1)
+			defer whole.inflight.Add(-1) // until then the truncating replica is the target
+			body := mustJSON(t, tc.body)
+			before := hits.Load()
+			code, got := postRaw(rt, tc.path, body)
+			_, want := postDirect(t, healthy.URL, tc.path, body)
+			if hits.Load() == before {
+				t.Fatal("the truncating replica was not tried")
+			}
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("status %d\n got %s\nwant %s", code, got, want)
+			}
+			if cut.Routable() {
+				t.Fatal("a replica that died mid-reply is still routable")
+			}
+		})
+	}
+}
+
+// TestRouterPrimaryErrorPassThrough: a primary that answers a mutation with
+// its own 5xx is alive and has said what went wrong. Its reply passes
+// through verbatim and it stays routable; only an unreachable primary is
+// primary_down.
+func TestRouterPrimaryErrorPassThrough(t *testing.T) {
+	const wedged = `{"error":"graph \"g\": wal: store wedged"}` + "\n"
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(w, wedged)
+	}))
+	defer stub.Close()
+	rt, err := New(Config{Replicas: []string{stub.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := map[string]any{"add": [][2]int{{1, 2}}}
+	code, raw := postJSON(t, rt, "/v1/datasets/g/edges", edges)
+	if code != http.StatusServiceUnavailable || string(raw) != wedged {
+		t.Fatalf("primary's own 503 through router: %d %q, want 503 %q", code, raw, wedged)
+	}
+	if rep := rt.replicas[0]; !rep.Routable() {
+		t.Fatalf("primary demoted to %s by its own 5xx", rep.State())
+	}
+
+	stub.Close()
+	code, raw = postJSON(t, rt, "/v1/datasets/g/edges", edges)
+	var e routerError
+	mustUnmarshal(t, raw, &e)
+	if code != http.StatusBadGateway || e.Code != CodePrimaryDown {
+		t.Fatalf("unreachable primary: %d %q, want 502 %q", code, e.Code, CodePrimaryDown)
 	}
 }
 
@@ -635,9 +615,9 @@ func TestRouterRejectsOversizedBodies(t *testing.T) {
 	}
 }
 
-// stubTransport answers every /v1/batch leg in-process with all-false
+// stubTransport answers every /v1/batch request in-process with all-false
 // results, reusing its buffers, so the allocations it adds do not depend
-// on the leg's size.
+// on the batch's size.
 type stubTransport struct {
 	req   server.BatchRequest
 	body  bytes.Buffer
@@ -667,8 +647,8 @@ func (s *stubTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestRouterBatchAllocsIndependentOfSize pins the router's /v1/batch
-// allocation budget: a one-leg batch of 4096 pairs allocates as many
-// objects as one of 64.
+// allocation budget: a batch of 4096 pairs allocates as many objects as
+// one of 64.
 func TestRouterBatchAllocsIndependentOfSize(t *testing.T) {
 	rt, err := New(Config{Replicas: []string{"http://stub"}})
 	if err != nil {

@@ -11,25 +11,24 @@ import (
 	"kreach"
 )
 
-// The /v1/batch wire codec, shared by kreachd and kreach-router: a
-// hand-written decoder for the request and reply bodies and append-style
-// encoders for both, so the throughput endpoint spends its time in the
-// index, not in reflection.
+// The /v1/batch wire codec: a hand-written decoder for the request body and
+// an append-style encoder for the reply, so the throughput endpoint spends
+// its time in the index, not in reflection.
 //
-// The decoders are drop-in replacements for encoding/json, not a dialect
-// of their own. DecodeBatchRequest accepts exactly what json.NewDecoder +
+// The decoder is a drop-in replacement for encoding/json, not a dialect of
+// its own. DecodeBatchRequest accepts exactly what json.NewDecoder +
 // DisallowUnknownFields + Decode into {Graph string; Pairs [][]int; K *int}
 // accepts, and yields the same values, with one extra rule: every pair has
-// exactly two ids. DecodeBatchReply matches json.Unmarshal into BatchReply.
-// The matching covers the corners too: keys in any order and any letter
-// case (Unicode simple folding), the last duplicate key winning, null as
-// "leave unchanged" for scalars and "reset" for slices and pointers,
-// integers only (no fractions, exponents or int64 overflow), and a null
-// element of a re-decoded slice keeping the value an earlier duplicate put
-// there. FuzzBatchRequest and FuzzBatchReply hold them to that reference.
+// exactly two ids. The matching covers the corners too: keys in any order
+// and any letter case (Unicode simple folding), the last duplicate key
+// winning, null as "leave unchanged" for scalars and "reset" for slices and
+// pointers, integers only (no fractions, exponents or int64 overflow), and
+// a null element of a re-decoded slice keeping the value an earlier
+// duplicate put there. FuzzBatchRequest holds it to that reference.
 //
-// The encoders' output is byte-identical to json.NewEncoder(w).Encode of
-// the equivalent struct, HTML escaping and trailing newline included.
+// The encoder's output is byte-identical to json.NewEncoder(w).Encode of
+// BatchReply, HTML escaping and trailing newline included; FuzzBatchReply
+// holds it to that.
 
 // BatchRequest is a decoded /v1/batch body. K is nil when the body has no
 // (or a null) "k".
@@ -46,9 +45,8 @@ type BatchRequest struct {
 // EffectiveK are present only for per-query-k datasets (EffectiveK is 0
 // except for yes-within). Epoch is the index generation every answer came
 // from: the handler resolves one snapshot per request, so a batch never
-// mixes generations, and scatter-gather callers (kreach-router) use it to
-// refuse merging legs one replica answered across a reload. The tags name
-// the wire fields; AppendBatchReply writes what encoding/json would.
+// mixes generations. The tags name the wire fields; AppendBatchReply
+// writes what encoding/json would.
 type BatchReply struct {
 	Graph      string   `json:"graph"`
 	Epoch      uint64   `json:"epoch"`
@@ -57,10 +55,6 @@ type BatchReply struct {
 	Verdicts   []string `json:"verdicts,omitempty"`
 	EffectiveK []int    `json:"effective_k,omitempty"`
 }
-
-// maxWireDepth is encoding/json's nesting limit, which the reply decoder's
-// skipping of unknown values honours.
-const maxWireDepth = 10000
 
 // wireError reports where and why a body was refused.
 type wireError struct {
@@ -187,15 +181,6 @@ func (w *wire) int() (int, bool) {
 	return 0, w.fail("integer overflows int64")
 }
 
-// uint reads a non-negative integer in uint64 range.
-func (w *wire) uint() (uint64, bool) {
-	neg, u, ok := w.digits()
-	if ok && neg {
-		return 0, w.fail("want an unsigned integer")
-	}
-	return u, ok
-}
-
 // str consumes a string and returns its unquoted bytes: a window of the
 // input when it needs no unquoting (the common case), else w.scratch. The
 // result is valid only until the next call.
@@ -314,94 +299,6 @@ func getu4(s []byte) rune {
 		r = r*16 + rune(c)
 	}
 	return r
-}
-
-// skip consumes one value of any shape, validating its syntax; depth is
-// the nesting level the value sits at.
-func (w *wire) skip(depth int) bool {
-	switch c := w.peek(); c {
-	case '{', '[':
-		if depth+1 > maxWireDepth {
-			return w.fail("exceeded max depth")
-		}
-		w.i++
-		close := byte(']')
-		if c == '{' {
-			close = '}'
-		}
-		if w.eat(close) {
-			return true
-		}
-		for {
-			if c == '{' {
-				if _, ok := w.str(); !ok || !w.expect(':') {
-					return false
-				}
-			}
-			if !w.skip(depth + 1) {
-				return false
-			}
-			if !w.more(close) {
-				return w.err == nil
-			}
-		}
-	case '"':
-		_, ok := w.str()
-		return ok
-	case 't':
-		return w.literal("true")
-	case 'f':
-		return w.literal("false")
-	case 'n':
-		return w.literal("null")
-	case 0:
-		return w.fail("unexpected end of body")
-	}
-	return w.number()
-}
-
-// number consumes any JSON number.
-func (w *wire) number() bool {
-	b, i := w.b, w.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	default:
-		w.i = i
-		return w.fail("invalid value")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			w.i = i
-			return w.fail("invalid number")
-		}
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			w.i = i
-			return w.fail("invalid number")
-		}
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	}
-	w.i = i
-	return true
 }
 
 // null consumes a null if one is next (a malformed literal sets w.err).
@@ -539,161 +436,12 @@ func DecodeBatchRequest(data []byte, req *BatchRequest) error {
 	return nil
 }
 
-// DecodeBatchReply decodes a /v1/batch response into r, reusing its slices'
-// memory. Unknown fields are skipped; anything but whitespace after the
-// value is an error, as in json.Unmarshal.
-func DecodeBatchReply(data []byte, r *BatchReply) error {
-	results, verdicts, effK := r.Results[:0], r.Verdicts[:0], r.EffectiveK[:0]
-	*r = BatchReply{}
-	var nResults, nVerdicts, nEffK int
-	w := wire{b: data}
-	switch w.peek() {
-	case 'n':
-		w.literal("null")
-	case '{':
-		w.i++
-		for open := !w.eat('}'); open; open = w.more('}') {
-			key, ok := w.str()
-			if !ok || !w.expect(':') {
-				return w.err
-			}
-			switch {
-			case bytes.EqualFold(key, []byte("graph")):
-				if !w.null() {
-					if s, ok := w.str(); ok {
-						r.Graph = string(s)
-					}
-				}
-			case bytes.EqualFold(key, []byte("epoch")):
-				if !w.null() {
-					if v, ok := w.uint(); ok {
-						r.Epoch = v
-					}
-				}
-			case bytes.EqualFold(key, []byte("count")):
-				if !w.null() {
-					if v, ok := w.int(); ok {
-						r.Count = v
-					}
-				}
-			case bytes.EqualFold(key, []byte("results")):
-				results, nResults = array(&w, results, func(_ int, v *bool) {
-					switch w.peek() {
-					case 't':
-						*v = w.literal("true")
-					case 'f':
-						*v = !w.literal("false")
-					case 'n':
-						w.literal("null")
-					default:
-						w.fail("want a boolean")
-					}
-				})
-			case bytes.EqualFold(key, []byte("verdicts")):
-				verdicts, nVerdicts = array(&w, verdicts, func(_ int, v *string) {
-					if !w.null() {
-						if s, ok := w.str(); ok {
-							*v = verdictName(s)
-						}
-					}
-				})
-			case bytes.EqualFold(key, []byte("effective_k")):
-				effK, nEffK = array(&w, effK, func(_ int, v *int) {
-					if !w.null() {
-						if k, ok := w.int(); ok {
-							*v = k
-						}
-					}
-				})
-			default:
-				w.skip(1)
-			}
-			if w.err != nil {
-				return w.err
-			}
-		}
-	default:
-		w.fail("want a JSON object")
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.peek(); w.i < len(w.b) {
-		w.fail("invalid character after top-level value")
-		return w.err
-	}
-	r.Results, r.Verdicts, r.EffectiveK = results[:nResults], verdicts[:nVerdicts], effK[:nEffK]
-	return nil
-}
-
-// verdictName returns the verdict string for b without allocating when it
-// is one the daemon writes.
-func verdictName(b []byte) string {
-	switch string(b) {
-	case "yes":
-		return "yes"
-	case "no":
-		return "no"
-	case "yes-within":
-		return "yes-within"
-	}
-	return string(b)
-}
-
-// AppendBatchRequest appends the /v1/batch body for pairs, as json.Marshal
-// writes it ("k" is null when k is nil).
-func AppendBatchRequest(dst []byte, graph string, pairs []kreach.Pair, k *int) []byte {
-	dst = append(dst, `{"graph":`...)
-	dst = appendString(dst, graph)
-	dst = append(dst, `,"pairs":`...)
-	if pairs == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, p := range pairs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '[')
-			dst = strconv.AppendInt(dst, int64(p.S), 10)
-			dst = append(dst, ',')
-			dst = strconv.AppendInt(dst, int64(p.T), 10)
-			dst = append(dst, ']')
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"k":`...)
-	if k == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = strconv.AppendInt(dst, int64(*k), 10)
-	}
-	return append(dst, '}')
-}
-
 // AppendBatchReply appends kreachd's /v1/batch response for r.
 func AppendBatchReply(dst []byte, r *BatchReply) []byte {
-	dst = appendReplyFields(dst, r, true)
-	return append(dst, "}\n"...)
-}
-
-// AppendRoutedBatchReply appends kreach-router's merged /v1/batch response
-// for r: no epoch (the legs' epochs are process-local to their replicas)
-// and the leg count last.
-func AppendRoutedBatchReply(dst []byte, r *BatchReply, legs int) []byte {
-	dst = appendReplyFields(dst, r, false)
-	dst = append(dst, `,"legs":`...)
-	dst = strconv.AppendInt(dst, int64(legs), 10)
-	return append(dst, "}\n"...)
-}
-
-func appendReplyFields(dst []byte, r *BatchReply, epoch bool) []byte {
 	dst = append(dst, `{"graph":`...)
 	dst = appendString(dst, r.Graph)
-	if epoch {
-		dst = append(dst, `,"epoch":`...)
-		dst = strconv.AppendUint(dst, r.Epoch, 10)
-	}
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, r.Epoch, 10)
 	dst = append(dst, `,"count":`...)
 	dst = strconv.AppendInt(dst, int64(r.Count), 10)
 	dst = append(dst, `,"results":`...)
@@ -724,7 +472,7 @@ func appendReplyFields(dst []byte, r *BatchReply, epoch bool) []byte {
 		}
 		dst = closeList(dst, len(r.EffectiveK))
 	}
-	return dst
+	return append(dst, "}\n"...)
 }
 
 // closeList ends a list whose n elements were each written with a trailing

@@ -41,12 +41,13 @@
 //
 // /v1/batch is the throughput API: decode → validate → ReachBatch →
 // encode, with no reflection and no cache. batchwire.go holds its codec —
-// a hand-written decoder held by fuzzing to encoding/json's contract, and
-// append-style encoders byte-identical to encoding/json's — which
-// kreach-router shares for its legs and merged replies, so the wire format
-// is defined once. Buffers come from one BatchScratch pool, which the
-// router draws from too: a request allocates the same handful of objects
-// at 64 pairs as at 4096.
+// a hand-written request decoder held by fuzzing to encoding/json's
+// contract, and an append-style reply encoder byte-identical to
+// encoding/json's. kreach-router never parses a batch: it forwards the
+// body to one replica and returns that replica's reply byte for byte.
+// Buffers come from one BatchScratch pool, which the router draws from
+// too: a request allocates the same handful of objects at 64 pairs as at
+// 4096.
 //
 // # Caching
 //

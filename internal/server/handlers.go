@@ -196,7 +196,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 // BatchScratch is the reusable memory of one /v1/batch request: body,
 // decoded pairs, reply columns and encoded reply. Pooled, so a request
 // allocates the same handful of objects whatever its pair count.
-// kreach-router's batch handler draws from the same pool.
+// kreach-router reads each client body and replica reply into one too.
 type BatchScratch struct {
 	Body  bytes.Buffer
 	Req   BatchRequest

@@ -505,8 +505,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// WriteBody writes an already encoded JSON body. kreach-router writes its
-// batch replies through it too.
+// WriteBody writes an already encoded JSON body. kreach-router writes the
+// replies it forwards through it too.
 func WriteBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")

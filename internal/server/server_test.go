@@ -440,11 +440,14 @@ func plainServer(t *testing.T, cfg server.Config) (*server.Server, *kreach.Graph
 func TestBatchAllocsIndependentOfSize(t *testing.T) {
 	srv, g := plainServer(t, server.Config{Parallelism: 1})
 	allocs := func(n int) float64 {
-		pairs := make([]kreach.Pair, n)
+		pairs := make([][2]int, n)
 		for i := range pairs {
-			pairs[i] = kreach.Pair{S: i % g.NumVertices(), T: (i * 7) % g.NumVertices()}
+			pairs[i] = [2]int{i % g.NumVertices(), (i * 7) % g.NumVertices()}
 		}
-		body := server.AppendBatchRequest(nil, "plain", pairs, nil)
+		body, err := json.Marshal(map[string]any{"graph": "plain", "pairs": pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The fewest objects over repeated requests: the steady state, with
 		// pooled scratch warm. An average would also count the pool misses
 		// the race detector injects by dropping Puts.
