@@ -51,7 +51,9 @@ bench-tables:
 # benchmark — the root per-table suite (BenchmarkTable2…9 and
 # BenchmarkAblation*), the word-parallel kernel micro-benchmarks, core's
 # BenchmarkBuild, the per-stage split of index construction (cover order,
-# row BFS, finalize, load), and dynamic's BenchmarkMutate, the local
+# row BFS, finalize, load), core's BenchmarkReachBatch, ns/pair of scalar
+# Reach in a loop against the staged batch kernel on one and on all workers
+# over a 300 k-vertex lattice, and dynamic's BenchmarkMutate, the local
 # reproduction of dynamic.mutate_us_per_edge (batch, collect, repair) — so
 # bench-only code cannot rot without failing the build.
 bench-smoke:
@@ -86,7 +88,8 @@ repl-smoke:
 # KRI1/KRH1/KRG1 streams, hostile edge lists, torn/corrupt KRW1
 # write-ahead logs and KRF1 replication feeds must error (or recover a
 # valid prefix), never crash; /v1/batch request bodies must decode, and
-# replies encode, exactly as encoding/json does.
+# replies encode, exactly as encoding/json does; the staged ReachBatch
+# kernel must answer byte-built graphs and pair lists as scalar Reach does.
 # (Go allows one -fuzz pattern per package invocation.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -run='^$$' .
@@ -95,3 +98,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
 	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
 	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
+	$(GO) test -fuzz=FuzzReachBatch -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core

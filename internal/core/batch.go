@@ -36,7 +36,8 @@ const batchChunk = 256
 // cancelStride is how many pairs a worker answers between ctx.Done() polls.
 // A non-blocking channel receive costs a few nanoseconds; striding it keeps
 // the per-query overhead negligible while still bounding cancellation
-// latency to a few dozen microseconds of query work.
+// latency to a few dozen microseconds of query work. It is also the staged
+// kernel's sub-range (stage.go), which sizes that kernel's per-pair queues.
 const cancelStride = 64
 
 // batchWorkers resolves a parallelism request like Options.Parallelism:
@@ -228,15 +229,17 @@ func BatchEval[S any](ctx context.Context, n, parallelism int, newScratch func()
 
 // ReachBatch answers every pair with the index, using `parallelism` workers
 // (0 = GOMAXPROCS, 1 = sequential). Results are positionally aligned with
-// pairs. If ctx is cancelled mid-batch the pool stops between pairs and
-// returns the partially filled slice together with ctx.Err(); entries not
-// yet evaluated hold the zero value. Safe for concurrent use, including
-// concurrently with Reach.
+// pairs. Each worker runs the staged kernel of stage.go, which answers the
+// same as Reach pair for pair. If ctx is cancelled mid-batch the pool stops
+// between sub-ranges of cancelStride pairs and returns the partially filled
+// slice together with ctx.Err(); entries not yet evaluated hold the zero
+// value. Safe for concurrent use, including concurrently with Reach.
 func (ix *Index) ReachBatch(ctx context.Context, pairs []Pair, parallelism int) ([]bool, error) {
 	out := make([]bool, len(pairs))
 	err := BatchEval(ctx, len(pairs), parallelism, NewQueryScratch, func(lo, hi int, sc *QueryScratch) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.Reach(pairs[i].S, pairs[i].T, sc)
+		for s := lo; s < hi; s += cancelStride {
+			e := min(s+cancelStride, hi)
+			ix.reachStaged(pairs[s:e], out[s:e], sc)
 		}
 	})
 	return out, err

@@ -1,0 +1,79 @@
+package core_test
+
+import (
+	"context"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"kreach/internal/core"
+	"kreach/internal/cover"
+	"kreach/internal/graph"
+	"kreach/internal/testgraph"
+)
+
+// BenchmarkReachBatch is the local reproduction of the in-process batch
+// rows of the benchmark: a 300 k-vertex lattice at k = 4 over a random-edge
+// cover, whose index overflows L2, queried with the benchmark's pair mix
+// (every second target the end of a 1..k+1-step walk from its source, the
+// rest uniform). reach-loop answers the pairs with scalar Reach one after
+// another; batch/p=1 and batch/p=max run ReachBatch on one worker and on
+// GOMAXPROCS. Each reports ns/pair.
+func BenchmarkReachBatch(b *testing.B) {
+	const k = 4
+	g := testgraph.Lattice(300_000, 1)
+	ix, err := core.Build(g, core.Options{K: k, Strategy: cover.RandomEdge, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := benchPairs(g, k, 1<<18, 7)
+	perPair := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pairs)), "ns/pair")
+	}
+	b.Run("reach-loop", func(b *testing.B) {
+		sc := core.NewQueryScratch()
+		out := make([]bool, len(pairs))
+		for b.Loop() {
+			for i, p := range pairs {
+				out[i] = ix.Reach(p.S, p.T, sc)
+			}
+		}
+		perPair(b)
+	})
+	for _, w := range []struct {
+		name string
+		par  int
+	}{{"batch/p=1", 1}, {"batch/p=max", runtime.GOMAXPROCS(0)}} {
+		b.Run(w.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := ix.ReachBatch(context.Background(), pairs, w.par); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perPair(b)
+		})
+	}
+}
+
+// benchPairs draws the benchmark's pair mix on g.
+func benchPairs(g *graph.Graph, k, count int, seed uint64) []core.Pair {
+	rng := rand.New(rand.NewPCG(seed, 0xba7c4))
+	n := g.NumVertices()
+	pairs := make([]core.Pair, count)
+	for i := range pairs {
+		s := graph.Vertex(rng.IntN(n))
+		t := graph.Vertex(rng.IntN(n))
+		if i%2 == 1 {
+			t = s
+			for steps := 1 + rng.IntN(k+1); steps > 0; steps-- {
+				row := g.OutNeighbors(t)
+				if len(row) == 0 {
+					break
+				}
+				t = row[rng.IntN(len(row))]
+			}
+		}
+		pairs[i] = core.Pair{S: s, T: t}
+	}
+	return pairs
+}

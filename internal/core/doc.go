@@ -21,6 +21,9 @@
 //   - batch.go — ReachBatch worker pools: the shared batch path that
 //     answers many pairs at once with per-worker scratch, used by the
 //     public library, kreachd's /v1/batch and the bench harness.
+//   - stage.go — the plain index's batch kernel: Cases 1–3 of up to 64
+//     pairs become index-arc probes, resolved 32 at a time in lockstep so
+//     their cache misses overlap; Case 4 falls back to scalar Reach.
 //   - serial.go, hkserial.go — binary index serialization ("KRI1"/"KRH1"
 //     magics, CRC-checked varint payloads); SniffIndexMagic dispatches
 //     auto-detecting loaders.

@@ -385,18 +385,18 @@ func (ix *Index) arcWeight(u, v int32) (uint8, bool) {
 		w := ix.denseRow(slot).Get(int(v))
 		return w, w != bitvec.LaneAbsent
 	}
-	adj := ix.outAdj[ix.outHead[u]:ix.outHead[u+1]]
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(adj) && adj[lo] == v {
-		return ix.weights.Get(int(ix.outHead[u]) + lo), true
+	base := ix.outHead[u]
+	if p := searchInt32(ix.outAdj[base:ix.outHead[u+1]], v); p >= 0 {
+		return ix.weights.Get(int(base) + p), true
 	}
 	return 0, false
+}
+
+// hasArc reports whether the index edge (u,v) exists without decoding its
+// weight, which is all Case 1 asks.
+func (ix *Index) hasArc(u, v int32) bool {
+	if slot := ix.denseID[u]; slot >= 0 {
+		return ix.denseRow(slot).Get(int(v)) != bitvec.LaneAbsent
+	}
+	return searchInt32(ix.outAdj[ix.outHead[u]:ix.outHead[u+1]], v) >= 0
 }

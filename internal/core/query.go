@@ -77,9 +77,12 @@ func (ix *Index) Classify(s, t graph.Vertex) QueryCase {
 // raises the bits of inNei(t)'s cover ids, intersects rows against it, and
 // lowers exactly those bits before returning, so the all-clear invariant
 // holds between queries (and across indexes of different cover sizes).
+// ReachBatch keeps its staged kernel's fixed-size queues here too, so a
+// worker's allocations do not grow with the batch.
 type QueryScratch struct {
-	in   []int32  // cover ids of inNei(t), deduplicated (Case 4)
-	mask []uint64 // cover-id bitmap; all-zero between queries
+	in    []int32  // cover ids of inNei(t), deduplicated (Case 4)
+	mask  []uint64 // cover-id bitmap; all-zero between queries
+	stage stageScratch
 }
 
 // NewQueryScratch returns scratch space for queries against any index.
@@ -99,9 +102,8 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 	cs, ct := ix.coverID[s], ix.coverID[t]
 	switch {
 	case cs >= 0 && ct >= 0:
-		// Case 1: a single index edge lookup.
-		_, ok := ix.arcWeight(cs, ct)
-		return ok
+		// Case 1: a single index edge lookup; any weight bucket answers yes.
+		return ix.hasArc(cs, ct)
 
 	case cs >= 0:
 		// Case 2: every in-neighbor of t is in the cover; s reaches t within
