@@ -4,8 +4,8 @@ package kreach_test
 // the same queries on the same (scaled-down) synthetic datasets, so the
 // k-reach index, all four classic-reachability baselines, the distance
 // index, the (h,k)-reach variant and the multi-k ladder must agree with the
-// BFS ground truth and hence with each other. This exercises the full
-// pipeline the kbench harness uses: gen → scc → cover → indexes.
+// BFS ground truth and hence with each other, on the same generated
+// stand-ins the paper scorecard (paper_test.go) times.
 
 import (
 	"bytes"
@@ -33,23 +33,7 @@ func integrationGraph(t *testing.T, name string) *graph.Graph {
 	if !ok {
 		t.Fatalf("unknown dataset %q", name)
 	}
-	const scale = 40
-	spec.N /= scale
-	spec.M /= scale
-	spec.SCCExtra /= scale
-	if spec.Hubs > 0 {
-		spec.Hubs = max(spec.Hubs/scale, 4)
-	}
-	if spec.DegMax > spec.N/2 {
-		spec.DegMax = spec.N / 2
-	} else if spec.DegMax > 0 {
-		spec.DegMax = max(spec.DegMax/scale, 8)
-	}
-	if spec.Window > 0 {
-		spec.Window = max(spec.Window/scale, 10)
-	}
-	spec.BackEdges /= scale
-	return spec.Generate()
+	return spec.Scaled(40).Generate()
 }
 
 func TestAllSystemsAgreeOnDatasets(t *testing.T) {

@@ -10,8 +10,8 @@
 //     GreedyVertex, no constant-factor guarantee;
 //   - the (h+1)-approximate minimum h-hop vertex cover of Section 5.1.1 —
 //     hhop.go, HHopCover, the foundation of the (h,k)-reach index;
-//   - exact branch-and-bound solvers for small graphs — exact.go, used as
-//     test oracles for the approximation guarantees.
+//   - exact branch-and-bound solvers for small graphs — exact_test.go,
+//     test-only oracles for the approximation guarantees.
 //
 // Edge direction is ignored when computing covers, exactly as the paper
 // observes at the end of Section 4.1.1. The Set type gives O(1) membership

@@ -4,9 +4,9 @@ import (
 	"kreach/internal/graph"
 )
 
-// Exact solvers, used only as oracles in tests and in the approximation-
-// ratio experiments. Exponential time: keep inputs tiny (n ≲ 30 for
-// ExactVertexCover, n ≲ 14 for ExactHHopCover).
+// Exact solvers, the oracles of cover_test.go's approximation-ratio tests.
+// Exponential time: keep inputs tiny (n ≲ 30 for ExactVertexCover, n ≲ 14
+// for ExactHHopCover).
 
 // ExactVertexCover returns the size of a minimum vertex cover of g, by
 // branch and bound on uncovered edges: for any uncovered edge (u,v), at
