@@ -35,9 +35,11 @@ scorecard:
 # BenchmarkBuild, the per-stage split of index construction (cover order,
 # row BFS, finalize, load), core's BenchmarkReachBatch, ns/pair of scalar
 # Reach in a loop against the staged batch kernel on one and on all workers
-# over a 300 k-vertex lattice, and dynamic's BenchmarkMutate, the local
-# reproduction of dynamic.mutate_us_per_edge (batch, collect, repair) — so
-# bench-only code cannot rot without failing the build.
+# over a 300 k-vertex lattice, core's BenchmarkEnumerate, ns per ball vertex
+# of the cover-source walk and the BFS fallback on the lattice and a
+# hub-heavy stand-in, and dynamic's BenchmarkMutate, the local reproduction
+# of dynamic.mutate_us_per_edge (batch, collect, repair) — so bench-only
+# code cannot rot without failing the build.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitvec ./internal/core ./internal/dynamic
 

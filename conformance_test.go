@@ -45,7 +45,7 @@ func checkPairs(t *testing.T, label string, r kreach.Reacher, g *graph.Graph, k 
 	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(seed, 0xc0f))
-	sc := graph.NewBFSScratch(g.NumVertices())
+	sc := new(graph.BFS)
 	n := g.NumVertices()
 	for i := 0; i < 200; i++ {
 		s, d := rng.IntN(n), rng.IntN(n)

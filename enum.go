@@ -70,6 +70,10 @@ type Ball struct {
 	K int
 	// Total is the full ball size before Limit truncation.
 	Total int
+	// Epoch is the index epoch the ball was enumerated at (Reacher.Epoch).
+	// A dynamic index reads it under the same lock as the traversal, so the
+	// ball is exactly the k-hop ball of the edge set at Epoch.
+	Epoch uint64
 	// Neighbors lists the members (at most Limit when set).
 	Neighbors []Neighbor
 }
@@ -103,8 +107,8 @@ func (o EnumOptions) core(dir graph.Direction) core.EnumOptions {
 }
 
 // ball converts core neighbors into the public result shape.
-func ball(source, effK int, res []core.Neighbor, total int) *Ball {
-	b := &Ball{Source: source, K: effK, Total: total, Neighbors: make([]Neighbor, len(res))}
+func ball(source, effK int, epoch uint64, res []core.Neighbor, total int) *Ball {
+	b := &Ball{Source: source, K: effK, Total: total, Epoch: epoch, Neighbors: make([]Neighbor, len(res))}
 	for i, nb := range res {
 		b.Neighbors[i] = Neighbor{ID: int(nb.V), Bucket: nb.Bucket}
 	}
@@ -137,7 +141,7 @@ func (ix *Index) enumerate(ctx context.Context, v, k int, opts EnumOptions, dir 
 		return nil, err
 	}
 	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, res, total)
+	b := ball(v, effK, ix.Epoch(), res, total)
 	core.PutEnumScratch(sc)
 	return b, nil
 }
@@ -168,7 +172,7 @@ func (ix *HKIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions, di
 		return nil, err
 	}
 	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, res, total)
+	b := ball(v, effK, ix.Epoch(), res, total)
 	core.PutEnumScratch(sc)
 	return b, nil
 }
@@ -198,7 +202,7 @@ func (ix *MultiIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions,
 		return nil, err
 	}
 	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, res, total)
+	b := ball(v, effK, ix.Epoch(), res, total)
 	core.PutEnumScratch(sc)
 	return b, nil
 }
@@ -206,8 +210,7 @@ func (ix *MultiIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions,
 // ReachFrom implements NeighborEnumerator against the live edge set (the
 // index's own k only; see DynamicIndex.ReachK). The whole ball is
 // enumerated under the index's read lock, so it is a consistent snapshot
-// of one epoch: bracket the call with Epoch() reads to detect whether a
-// mutation batch landed around it.
+// of one epoch, which Ball.Epoch names.
 func (ix *DynamicIndex) ReachFrom(ctx context.Context, s, k int, opts EnumOptions) (*Ball, error) {
 	return ix.enumerate(ctx, s, k, opts, graph.Forward)
 }
@@ -224,13 +227,13 @@ func (ix *DynamicIndex) enumerate(ctx context.Context, v, k int, opts EnumOption
 		return nil, err
 	}
 	sc := core.GetEnumScratch()
-	res, total, err := ix.d.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
+	res, total, epoch, err := ix.d.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
 	if err != nil {
 		core.PutEnumScratch(sc)
 		return nil, err
 	}
 	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, res, total)
+	b := ball(v, effK, epoch, res, total)
 	core.PutEnumScratch(sc)
 	return b, nil
 }

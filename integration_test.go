@@ -43,7 +43,7 @@ func TestAllSystemsAgreeOnDatasets(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := integrationGraph(t, name)
 			n := g.NumVertices()
-			scratch := graph.NewBFSScratch(n)
+			scratch := new(graph.BFS)
 
 			nreach, err := core.Build(g, core.Options{
 				K: core.Unbounded, Strategy: cover.DegreePrioritized, Seed: 1,
@@ -87,7 +87,7 @@ func TestKHopSystemsAgreeOnDatasets(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				g := integrationGraph(t, name)
 				n := g.NumVertices()
-				scratch := graph.NewBFSScratch(n)
+				scratch := new(graph.BFS)
 
 				ix, err := core.Build(g, core.Options{K: k, Seed: 2})
 				if err != nil {
@@ -101,7 +101,7 @@ func TestKHopSystemsAgreeOnDatasets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					hkScratch = core.NewHKQueryScratch(hk)
+					hkScratch = core.NewHKQueryScratch()
 				}
 				multi, err := core.BuildMulti(g, core.AllKs(8), core.Options{Seed: 2})
 				if err != nil {

@@ -250,7 +250,7 @@ func (ix *Index) ReachBatch(ctx context.Context, pairs []Pair, parallelism int) 
 // semantics as in Index.ReachBatch.
 func (ix *HKIndex) ReachBatch(ctx context.Context, pairs []Pair, parallelism int) ([]bool, error) {
 	out := make([]bool, len(pairs))
-	err := BatchEval(ctx, len(pairs), parallelism, func() *HKQueryScratch { return NewHKQueryScratch(ix) },
+	err := BatchEval(ctx, len(pairs), parallelism, NewHKQueryScratch,
 		func(lo, hi int, sc *HKQueryScratch) {
 			for i := lo; i < hi; i++ {
 				out[i] = ix.Reach(pairs[i].S, pairs[i].T, sc)

@@ -69,7 +69,7 @@ func TestHKReachBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := allPairs(g.NumVertices())
-	scratch := core.NewHKQueryScratch(ix)
+	scratch := core.NewHKQueryScratch()
 	want := make([]bool, len(pairs))
 	for i, p := range pairs {
 		want[i] = ix.Reach(p.S, p.T, scratch)

@@ -8,13 +8,18 @@
 //
 //   - kreach.go — Index construction (Algorithm 1): vertex cover, CSR
 //     index graph with 2-bit bucketed weights, derived query-time layouts.
-//   - rows.go — BuildRows, the per-cover-vertex k-hop BFS of Algorithm 1,
-//     shared by the plain, (h,k) and dynamic builds.
+//   - rows.go — BuildRows and its per-row body AppendRow, the
+//     per-cover-vertex k-hop BFS of Algorithm 1, shared by the plain, (h,k)
+//     and dynamic builds and by the dynamic index's row repair.
 //   - query.go — Index queries (Algorithm 2): the four cover-membership
 //     cases, each at most one adjacency-list intersection. QueryCase and
 //     Classify expose the case split for the Table 8 experiment.
 //   - hk.go — HKIndex, the (h,k)-reach variant: smaller index over an
 //     h-hop cover, queries expand h-hop neighborhoods (Algorithm 3).
+//   - enum.go — k-hop neighborhood enumeration: BFSFallback, the
+//     graph.BFS ball every index kind falls back on (labelling each level
+//     as it is expanded), and the plain index's cover walk, one pass over a
+//     per-direction view of the index rows, bitplanes and fringe CSR.
 //   - multi.go — MultiIndex, the Section 4.4 ladder: one rung per k plus
 //     an unbounded rung, exact on rungs and one-sided (YesWithin) between
 //     power-of-two rungs.

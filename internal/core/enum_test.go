@@ -14,18 +14,16 @@ import (
 // oracleBall computes the k-hop ball around src by direct BFS: the ground
 // truth Enumerate must match, with buckets derived from exact distances.
 func oracleBall(g *graph.Graph, src graph.Vertex, k int, dir graph.Direction) map[graph.Vertex]DistBucket {
-	sc := graph.NewBFSScratch(g.NumVertices())
-	graph.KHopBFS(g, src, k, dir, sc)
 	out := make(map[graph.Vertex]DistBucket)
-	for _, v := range sc.Visited() {
-		if v == src {
-			continue
+	for v, d := range graph.BFSDistances(g, src, dir) {
+		if d <= 0 || (k >= 0 && int(d) > k) {
+			continue // unreachable, the source itself, or beyond the bound
 		}
 		b := BucketWithin
-		if k >= 0 && int(sc.Dist(v)) == k {
+		if int(d) == k {
 			b = BucketFrontier
 		}
-		out[v] = b
+		out[graph.Vertex(v)] = b
 	}
 	return out
 }
@@ -215,7 +213,7 @@ func TestEnumerateCancelled(t *testing.T) {
 }
 
 // TestEnumerateScratchReuse runs many enumerations through one scratch in
-// random order, ensuring epoch-stamped visitation never leaks state.
+// random order, ensuring the visited bitmap never leaks state.
 func TestEnumerateScratchReuse(t *testing.T) {
 	g := testgraph.Random(30, 90, 13)
 	ix, err := Build(g, Options{K: 2, Seed: 4})

@@ -141,29 +141,29 @@ func (ix *HKIndex) arcWeight(u, v int32) uint {
 }
 
 // HKQueryScratch carries the per-goroutine BFS state used to expand the
-// ≤h-hop neighborhoods of the query endpoints.
+// ≤h-hop neighborhoods of the query endpoints. It sizes itself on first use,
+// so one scratch serves any (h,k) index.
 type HKQueryScratch struct {
-	fwd, bwd *graph.BFSScratch
-	bwdKeys  []uint64 // cover id<<32 | backward hop count, for sorting
-	bwdIDs   []int32  // sorted cover ids seen by the backward expansion
-	bwdDist  []int32  // backward hop count per entry of bwdIDs
+	bfs     graph.BFS
+	bwdKeys []uint64 // cover id<<32 | backward hop count, for sorting
+	bwdIDs  []int32  // sorted cover ids seen by the backward expansion
+	bwdDist []int32  // backward hop count per entry of bwdIDs
 }
 
-// NewHKQueryScratch returns scratch space for queries against ix.
-func NewHKQueryScratch(ix *HKIndex) *HKQueryScratch {
-	n := ix.g.NumVertices()
-	return &HKQueryScratch{fwd: graph.NewBFSScratch(n), bwd: graph.NewBFSScratch(n)}
-}
+// NewHKQueryScratch returns scratch space for queries against any (h,k)
+// index.
+func NewHKQueryScratch() *HKQueryScratch { return &HKQueryScratch{} }
 
-// Reach reports whether s →k t using Algorithm 3. scratch must come from
-// NewHKQueryScratch (nil allocates).
+// Reach reports whether s →k t using Algorithm 3. scratch may be shared
+// across calls from one goroutine; pass nil to allocate internally.
 func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 	if s == t {
 		return true
 	}
 	if scratch == nil {
-		scratch = NewHKQueryScratch(ix)
+		scratch = NewHKQueryScratch()
 	}
+	b := &scratch.bfs
 	cs, ct := ix.coverID[s], ix.coverID[t]
 	maxBudget := 2 * ix.h // stored weight w means dist ≤ k-2h+w; check w ≤ 2h-i-j
 
@@ -176,42 +176,34 @@ func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 		// Case 2: expand inNei_j(t) for j = 1..h; accept if s itself appears
 		// (a direct ≤h-hop path) or some cover vertex v at backward hop j
 		// has dist(s,v) ≤ k-j.
-		graph.KHopBFS(ix.g, t, ix.h, graph.Backward, scratch.bwd)
-		for _, v := range scratch.bwd.Visited() {
-			if v == t {
-				continue
-			}
-			if v == s {
-				return true // s →j t with j ≤ h < k
-			}
-			cv := ix.coverID[v]
-			if cv < 0 {
-				continue
-			}
-			j := int(scratch.bwd.Dist(v))
-			if w := ix.arcWeight(cs, cv); w != notFound && int(w) <= maxBudget-j {
-				return true
+		b.Run(ix.g, nil, t, ix.h, graph.Backward)
+		for j := 1; j <= b.Depth(); j++ {
+			for _, v := range b.Level(j) {
+				if v == s {
+					return true // s →j t with j ≤ h < k
+				}
+				if cv := ix.coverID[v]; cv >= 0 {
+					if w := ix.arcWeight(cs, cv); w != notFound && int(w) <= maxBudget-j {
+						return true
+					}
+				}
 			}
 		}
 		return false
 
 	case ct >= 0:
 		// Case 3: mirror image via outNei_i(s).
-		graph.KHopBFS(ix.g, s, ix.h, graph.Forward, scratch.fwd)
-		for _, u := range scratch.fwd.Visited() {
-			if u == s {
-				continue
-			}
-			if u == t {
-				return true
-			}
-			cu := ix.coverID[u]
-			if cu < 0 {
-				continue
-			}
-			i := int(scratch.fwd.Dist(u))
-			if w := ix.arcWeight(cu, ct); w != notFound && int(w) <= maxBudget-i {
-				return true
+		b.Run(ix.g, nil, s, ix.h, graph.Forward)
+		for i := 1; i <= b.Depth(); i++ {
+			for _, u := range b.Level(i) {
+				if u == t {
+					return true
+				}
+				if cu := ix.coverID[u]; cu >= 0 {
+					if w := ix.arcWeight(cu, ct); w != notFound && int(w) <= maxBudget-i {
+						return true
+					}
+				}
 			}
 		}
 		return false
@@ -221,16 +213,20 @@ func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 		// otherwise look for cover vertices u (forward hop i) and v
 		// (backward hop j) with dist(u,v) ≤ k-i-j, including u = v
 		// (dist 0, i+j ≤ 2h < k).
-		graph.KHopBFS(ix.g, t, ix.h, graph.Backward, scratch.bwd)
-		if scratch.bwd.Dist(s) >= 0 {
+		b.Run(ix.g, nil, t, ix.h, graph.Backward)
+		if b.Seen(s) {
 			return true // direct path of length ≤ h
 		}
 		// Cover vertices behind t, sorted by cover id: packed id<<32 | hops so
 		// the sort is over plain integers, then split for the merges below.
+		// The backward levels are consumed here, freeing the BFS for the
+		// forward expansion.
 		keys := scratch.bwdKeys[:0]
-		for _, v := range scratch.bwd.Visited() {
-			if cv := ix.coverID[v]; cv >= 0 && v != t {
-				keys = append(keys, uint64(cv)<<32|uint64(scratch.bwd.Dist(v)))
+		for j := 1; j <= b.Depth(); j++ {
+			for _, v := range b.Level(j) {
+				if cv := ix.coverID[v]; cv >= 0 {
+					keys = append(keys, uint64(cv)<<32|uint64(j))
+				}
 			}
 		}
 		scratch.bwdKeys = keys
@@ -248,43 +244,44 @@ func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 		}
 		scratch.bwdIDs, scratch.bwdDist = ids, dists
 
-		graph.KHopBFS(ix.g, s, ix.h, graph.Forward, scratch.fwd)
-		for _, u := range scratch.fwd.Visited() {
-			cu := ix.coverID[u]
-			if cu < 0 || u == s {
-				continue
-			}
-			i := int(scratch.fwd.Dist(u))
-			// u = v case: s →i u →j t with i+j ≤ 2h < k.
-			if pos := searchInt32(ids, cu); pos >= 0 {
-				return true
-			}
-			adj := ix.outAdj[ix.outHead[cu]:ix.outHead[cu+1]]
-			base := int(ix.outHead[cu])
-			if len(ids)*8 < len(adj) {
-				// Binary-probe the long adjacency for each backward id.
-				for bi, v := range ids {
-					if p := searchInt32(adj, v); p >= 0 &&
-						int(ix.weights.get(base+p)) <= maxBudget-i-int(dists[bi]) {
-						return true
-					}
+		b.Run(ix.g, nil, s, ix.h, graph.Forward)
+		for i := 1; i <= b.Depth(); i++ {
+			for _, u := range b.Level(i) {
+				cu := ix.coverID[u]
+				if cu < 0 {
+					continue
 				}
-				continue
-			}
-			ai, bi := 0, 0
-			for ai < len(adj) && bi < len(ids) {
-				switch {
-				case adj[ai] < ids[bi]:
-					ai++
-				case adj[ai] > ids[bi]:
-					bi++
-				default:
-					j := int(dists[bi])
-					if int(ix.weights.get(base+ai)) <= maxBudget-i-j {
-						return true
+				// u = v case: s →i u →j t with i+j ≤ 2h < k.
+				if pos := searchInt32(ids, cu); pos >= 0 {
+					return true
+				}
+				adj := ix.outAdj[ix.outHead[cu]:ix.outHead[cu+1]]
+				base := int(ix.outHead[cu])
+				if len(ids)*8 < len(adj) {
+					// Binary-probe the long adjacency for each backward id.
+					for bi, v := range ids {
+						if p := searchInt32(adj, v); p >= 0 &&
+							int(ix.weights.get(base+p)) <= maxBudget-i-int(dists[bi]) {
+							return true
+						}
 					}
-					ai++
-					bi++
+					continue
+				}
+				ai, bi := 0, 0
+				for ai < len(adj) && bi < len(ids) {
+					switch {
+					case adj[ai] < ids[bi]:
+						ai++
+					case adj[ai] > ids[bi]:
+						bi++
+					default:
+						j := int(dists[bi])
+						if int(ix.weights.get(base+ai)) <= maxBudget-i-j {
+							return true
+						}
+						ai++
+						bi++
+					}
 				}
 			}
 		}

@@ -55,7 +55,7 @@ func TestPaperExample4Queries(t *testing.T) {
 		{testgraph.A, testgraph.I, true, core.Case4},  // ω(d,g)=2 ≤ 5-2-1
 		{testgraph.A, testgraph.J, false, core.Case4}, // ω(d,g)=2 > 5-2-2
 	}
-	scratch := core.NewHKQueryScratch(ix)
+	scratch := core.NewHKQueryScratch()
 	for _, c := range cases {
 		if got := ix.Reach(c.s, c.t, scratch); got != c.want {
 			t.Errorf("Reach(%s,%s) = %v, want %v",
@@ -87,7 +87,7 @@ func TestHKValidation(t *testing.T) {
 func checkHKOracle(t *testing.T, g *graph.Graph, ix *core.HKIndex, label string) {
 	t.Helper()
 	oracle := testgraph.NewReachOracle(g)
-	scratch := core.NewHKQueryScratch(ix)
+	scratch := core.NewHKQueryScratch()
 	n := g.NumVertices()
 	for s := 0; s < n; s++ {
 		for tt := 0; tt < n; tt++ {

@@ -28,8 +28,8 @@ func TestHKBinaryRoundTrip(t *testing.T) {
 			back.NumIndexEdges() != ix.NumIndexEdges() {
 			t.Fatalf("(%d,%d): round trip changed shape", hk.H, hk.K)
 		}
-		s1 := core.NewHKQueryScratch(ix)
-		s2 := core.NewHKQueryScratch(back)
+		s1 := core.NewHKQueryScratch()
+		s2 := core.NewHKQueryScratch()
 		for s := 0; s < 70; s++ {
 			for tt := 0; tt < 70; tt += 3 {
 				a := ix.Reach(graph.Vertex(s), graph.Vertex(tt), s1)

@@ -278,8 +278,7 @@ func (ix *Index) buildDenseRows(head, adj []int32, w bitvec.Packed2) (id []int32
 		if slot < 0 {
 			continue
 		}
-		off := int(slot) * ix.rowWords
-		row := bitvec.WeightRow{B0: b0[off : off+ix.rowWords], B1: b1[off : off+ix.rowWords]}
+		row := weightRow(b0, b1, ix.rowWords, slot)
 		base := int(head[u])
 		for p, v := range adj[base:head[u+1]] {
 			row.Set(int(v), w.Get(base+p))
@@ -318,16 +317,16 @@ func (ix *Index) buildTransposed() {
 	}
 }
 
-// denseRow returns the bitplane view of dense slot s.
-func (ix *Index) denseRow(s int32) bitvec.WeightRow {
-	off := int(s) * ix.rowWords
-	return bitvec.WeightRow{B0: ix.denseB0[off : off+ix.rowWords], B1: ix.denseB1[off : off+ix.rowWords]}
+// weightRow returns dense slot s of the bitplanes b0, b1, words words per
+// row.
+func weightRow(b0, b1 []uint64, words int, s int32) bitvec.WeightRow {
+	off := int(s) * words
+	return bitvec.WeightRow{B0: b0[off : off+words], B1: b1[off : off+words]}
 }
 
-// inDenseRow is denseRow over the transposed planes.
-func (ix *Index) inDenseRow(s int32) bitvec.WeightRow {
-	off := int(s) * ix.rowWords
-	return bitvec.WeightRow{B0: ix.inDenseB0[off : off+ix.rowWords], B1: ix.inDenseB1[off : off+ix.rowWords]}
+// denseRow returns the bitplane view of forward dense slot s.
+func (ix *Index) denseRow(s int32) bitvec.WeightRow {
+	return weightRow(ix.denseB0, ix.denseB1, ix.rowWords, s)
 }
 
 // bucketFor maps a BFS distance (1..k) to its 2-bit weight bucket. For the

@@ -11,8 +11,8 @@ import (
 
 // This file is Lines 4–8 of Algorithm 1, shared by every index that has
 // them: one k-hop BFS per cover vertex, keeping the cover vertices reached.
-// The plain, (h,k) and dynamic builds differ only in how a distance becomes
-// a stored weight.
+// The plain, (h,k) and dynamic builds, and the dynamic index's row repair,
+// differ only in how a distance becomes a stored weight.
 
 // arcWeightBits is the width of the weight field of a packed arc; the widest
 // weight any index stores is (h,k)-reach's 2h.
@@ -40,7 +40,7 @@ func (r Rows) Arcs() iter.Seq2[int32, uint16] {
 	return func(yield func(to int32, w uint16) bool) {
 		for _, keys := range r.chunks {
 			for _, key := range keys {
-				if !yield(int32(key>>arcWeightBits), uint16(key)) {
+				if !yield(UnpackArc(key)) {
 					return
 				}
 			}
@@ -48,12 +48,9 @@ func (r Rows) Arcs() iter.Seq2[int32, uint16] {
 	}
 }
 
-// BuildRows runs a k-hop forward BFS (k < 0: unbounded) from every vertex of
-// list — the cover, ascending, with coverID its inverse — on up to workers
-// goroutines, and records an arc for every other cover vertex reached,
-// weighted by weight(distance). Workers claim chunks of cover ids from a
-// shared cursor. Cover ids ascend with vertex ids and the target sits in the
-// high bits, so sorting a row's keys as plain integers puts it in CSR order.
+// BuildRows derives the row of every vertex of list — the cover, ascending,
+// with coverID its inverse — with AppendRow (k < 0: unbounded), on up to
+// workers goroutines that claim chunks of cover ids from a shared cursor.
 // The result does not depend on workers.
 func BuildRows[W uint8 | uint16](g *graph.Graph, list []graph.Vertex, coverID []int32, k, workers int, weight func(dist int32) W) Rows {
 	nc := len(list)
@@ -64,7 +61,7 @@ func BuildRows[W uint8 | uint16](g *graph.Graph, list []graph.Vertex, coverID []
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := graph.NewBFSScratch(g.NumVertices())
+			var b graph.BFS
 			sizeHint := 0
 			for {
 				c := int(cursor.Add(1)) - 1
@@ -73,16 +70,8 @@ func BuildRows[W uint8 | uint16](g *graph.Graph, list []graph.Vertex, coverID []
 				}
 				keys := make([]uint64, 0, sizeHint)
 				for ui := c * rowChunk; ui < min((c+1)*rowChunk, nc); ui++ {
-					graph.KHopBFS(g, list[ui], k, graph.Forward, scratch)
 					start := len(keys)
-					// Visited leads with the source: (u,u) at distance 0 is
-					// implicit at query time.
-					for _, v := range scratch.Visited()[1:] {
-						if ci := coverID[v]; ci >= 0 {
-							keys = append(keys, uint64(ci)<<arcWeightBits|uint64(weight(scratch.Dist(v))))
-						}
-					}
-					slices.Sort(keys[start:])
+					keys = AppendRow(keys, &b, g, nil, list[ui], coverID, k, weight)
 					rows.Head[ui+1] = int32(len(keys) - start)
 				}
 				rows.chunks[c] = keys
@@ -95,4 +84,33 @@ func BuildRows[W uint8 | uint16](g *graph.Graph, list []graph.Vertex, coverID []
 		rows.Head[ui+1] += rows.Head[ui]
 	}
 	return rows
+}
+
+// AppendRow appends the row of cover vertex u to keys: a k-hop forward BFS
+// from u over g with ov applied (nil: g alone), and an arc to every other
+// cover vertex reached, weighted by weight(distance) and packed as target
+// cover id << arcWeightBits | weight. The target sits in the high bits, so
+// sorting the keys as plain integers orders the row by target cover id, the
+// CSR order. It is the static build's row and the dynamic index's repair
+// alike.
+func AppendRow[W uint8 | uint16](keys []uint64, b *graph.BFS, g *graph.Graph, ov *graph.Overlay, u graph.Vertex, coverID []int32, k int, weight func(dist int32) W) []uint64 {
+	b.Run(g, ov, u, k, graph.Forward)
+	start := len(keys)
+	// Level 0 is u itself: (u,u) at distance 0 is implicit at query time.
+	for d := 1; d <= b.Depth(); d++ {
+		w := uint64(weight(int32(d)))
+		for _, v := range b.Level(d) {
+			if ci := coverID[v]; ci >= 0 {
+				keys = append(keys, uint64(ci)<<arcWeightBits|w)
+			}
+		}
+	}
+	slices.Sort(keys[start:])
+	return keys
+}
+
+// UnpackArc splits a key AppendRow packed into its target cover id and
+// weight.
+func UnpackArc(key uint64) (to int32, w uint16) {
+	return int32(key >> arcWeightBits), uint16(key)
 }

@@ -22,11 +22,12 @@ import (
 // All per-vertex delta lists are kept sorted; they are expected to stay
 // short between compactions, so inserts are simple O(len) shifts.
 //
-// Two dirty bitmaps (one bit per vertex, out- and in-side) mark every
-// vertex that carries a delta on that side. A clear bit means the vertex's
-// live adjacency is exactly its base CSR slice, so the BFS and query paths
-// read that slice directly instead of probing four maps; only the few
-// dirty vertices pay for the merge. A bit is set whenever AddEdge or
+// The deltas live in a graph.Overlay, the form the BFS engine expands
+// directly. Its two dirty bitmaps (one bit per vertex, out- and in-side)
+// mark every vertex that carries a delta on that side. A clear bit means
+// the vertex's live adjacency is exactly its base CSR slice, so the BFS and
+// query paths read that slice directly instead of probing four maps; only
+// the few dirty vertices pay for the merge. A bit is set whenever AddEdge or
 // RemoveEdge inserts a delta entry and cleared when the vertex's last
 // entry on that side leaves, so a sliding window of live insertions keeps
 // only the window's endpoints dirty.
@@ -34,30 +35,22 @@ import (
 // DeltaGraph itself is not synchronized; the owning Index serializes
 // writers and excludes them from readers.
 type DeltaGraph struct {
-	base   *graph.Graph
-	addOut map[graph.Vertex][]graph.Vertex
-	addIn  map[graph.Vertex][]graph.Vertex
-	remOut map[graph.Vertex][]graph.Vertex
-	remIn  map[graph.Vertex][]graph.Vertex
-
-	dirtyOut, dirtyIn []uint64 // bit v: v carries an out-/in-delta
+	base *graph.Graph
+	ov   graph.Overlay
 
 	added   int // live added-edge count
 	removed int // live removed-edge count
 }
 
+// The overlay's sides, as graph.Overlay indexes them.
+const (
+	outSide = graph.Forward
+	inSide  = graph.Backward
+)
+
 // NewDeltaGraph returns an overlay with no deltas over base.
 func NewDeltaGraph(base *graph.Graph) *DeltaGraph {
-	words := (base.NumVertices() + 63) / 64
-	return &DeltaGraph{
-		base:     base,
-		addOut:   make(map[graph.Vertex][]graph.Vertex),
-		addIn:    make(map[graph.Vertex][]graph.Vertex),
-		remOut:   make(map[graph.Vertex][]graph.Vertex),
-		remIn:    make(map[graph.Vertex][]graph.Vertex),
-		dirtyOut: make([]uint64, words),
-		dirtyIn:  make([]uint64, words),
-	}
+	return &DeltaGraph{base: base, ov: graph.NewOverlay(base.NumVertices())}
 }
 
 func isDirty(bits []uint64, v graph.Vertex) bool { return bits[v>>6]&(1<<(v&63)) != 0 }
@@ -66,21 +59,13 @@ func markDirty(bits []uint64, v graph.Vertex) { bits[v>>6] |= 1 << (v & 63) }
 
 func clearDirty(bits []uint64, v graph.Vertex) { bits[v>>6] &^= 1 << (v & 63) }
 
-// outDelta returns v's added and removed out-lists; both are nil, without
-// a map lookup, when v is clean.
-func (d *DeltaGraph) outDelta(v graph.Vertex) (add, rem []graph.Vertex) {
-	if !isDirty(d.dirtyOut, v) {
+// delta returns v's added and removed lists on side dir; both are nil,
+// without a map lookup, when v is clean.
+func (d *DeltaGraph) delta(dir graph.Direction, v graph.Vertex) (add, rem []graph.Vertex) {
+	if !isDirty(d.ov.Dirty[dir], v) {
 		return nil, nil
 	}
-	return d.addOut[v], d.remOut[v]
-}
-
-// inDelta is outDelta for the in-side.
-func (d *DeltaGraph) inDelta(v graph.Vertex) (add, rem []graph.Vertex) {
-	if !isDirty(d.dirtyIn, v) {
-		return nil, nil
-	}
-	return d.addIn[v], d.remIn[v]
+	return d.ov.Add[dir][v], d.ov.Rem[dir][v]
 }
 
 // Base returns the underlying immutable graph.
@@ -123,7 +108,7 @@ func sortedDelete(s []graph.Vertex, v graph.Vertex) []graph.Vertex {
 // HasEdge reports whether the directed edge (u, v) exists in the live
 // edge set.
 func (d *DeltaGraph) HasEdge(u, v graph.Vertex) bool {
-	add, rem := d.outDelta(u)
+	add, rem := d.delta(outSide, u)
 	if sortedContains(rem, v) {
 		return false
 	}
@@ -132,113 +117,89 @@ func (d *DeltaGraph) HasEdge(u, v graph.Vertex) bool {
 
 // OutDegree returns the live out-degree of v.
 func (d *DeltaGraph) OutDegree(v graph.Vertex) int {
-	add, rem := d.outDelta(v)
+	add, rem := d.delta(outSide, v)
 	return d.base.OutDegree(v) - len(rem) + len(add)
 }
 
 // InDegree returns the live in-degree of v.
 func (d *DeltaGraph) InDegree(v graph.Vertex) int {
-	add, rem := d.inDelta(v)
+	add, rem := d.delta(inSide, v)
 	return d.base.InDegree(v) - len(rem) + len(add)
 }
 
 // AddEdge inserts (u, v); it reports false if the edge already exists
 // (duplicate). Endpoints must be in range (the Index validates).
 func (d *DeltaGraph) AddEdge(u, v graph.Vertex) bool {
-	add, rem := d.outDelta(u)
+	add, rem := d.delta(outSide, u)
 	if sortedContains(rem, v) {
 		// Un-remove a base edge.
-		d.remOut[u] = sortedDelete(rem, v)
-		d.remIn[v] = sortedDelete(d.remIn[v], u)
-		d.settle(u, v)
+		d.unlist(&d.ov.Rem, u, v)
 		d.removed--
 		return true
 	}
 	if d.base.HasEdge(u, v) || sortedContains(add, v) {
 		return false
 	}
-	markDirty(d.dirtyOut, u)
-	markDirty(d.dirtyIn, v)
-	d.addOut[u] = sortedInsert(add, v)
-	d.addIn[v] = sortedInsert(d.addIn[v], u)
+	d.list(&d.ov.Add, u, v)
 	d.added++
 	return true
 }
 
 // RemoveEdge deletes (u, v); it reports false if the edge does not exist.
 func (d *DeltaGraph) RemoveEdge(u, v graph.Vertex) bool {
-	add, rem := d.outDelta(u)
+	add, rem := d.delta(outSide, u)
 	if sortedContains(add, v) {
 		// Un-add an overlay edge.
-		d.addOut[u] = sortedDelete(add, v)
-		d.addIn[v] = sortedDelete(d.addIn[v], u)
-		d.settle(u, v)
+		d.unlist(&d.ov.Add, u, v)
 		d.added--
 		return true
 	}
 	if !d.base.HasEdge(u, v) || sortedContains(rem, v) {
 		return false
 	}
-	markDirty(d.dirtyOut, u)
-	markDirty(d.dirtyIn, v)
-	d.remOut[u] = sortedInsert(rem, v)
-	d.remIn[v] = sortedInsert(d.remIn[v], u)
+	d.list(&d.ov.Rem, u, v)
 	d.removed++
 	return true
 }
 
-// settle runs after an entry of edge (u, v) leaves the delta lists: a side
-// whose two lists are now empty drops its map entries and its dirty bit,
-// so churn that cancels out — an edge added and later removed — leaves the
-// vertex on the map-free path again.
-func (d *DeltaGraph) settle(u, v graph.Vertex) {
-	if len(d.addOut[u]) == 0 && len(d.remOut[u]) == 0 {
-		delete(d.addOut, u)
-		delete(d.remOut, u)
-		clearDirty(d.dirtyOut, u)
-	}
-	if len(d.addIn[v]) == 0 && len(d.remIn[v]) == 0 {
-		delete(d.addIn, v)
-		delete(d.remIn, v)
-		clearDirty(d.dirtyIn, v)
+// list enters edge (u, v) into lists (the overlay's Add or Rem), on the
+// out-side of u and the in-side of v, and marks both dirty.
+func (d *DeltaGraph) list(lists *[2]map[graph.Vertex][]graph.Vertex, u, v graph.Vertex) {
+	for dir, end := range [2][2]graph.Vertex{outSide: {u, v}, inSide: {v, u}} {
+		markDirty(d.ov.Dirty[dir], end[0])
+		lists[dir][end[0]] = sortedInsert(lists[dir][end[0]], end[1])
 	}
 }
 
-// appendMerged merges a sorted base adjacency list with sorted added
-// entries, skipping sorted removed entries, appending onto buf.
-func appendMerged(buf, base, add, rem []graph.Vertex) []graph.Vertex {
-	i, j, r := 0, 0, 0
-	for i < len(base) {
-		v := base[i]
-		i++
-		for r < len(rem) && rem[r] < v {
-			r++
+// unlist takes edge (u, v) out of lists again. A side whose two lists are
+// then empty drops its map entries and its dirty bit, so churn that
+// cancels out — an edge added and later removed — leaves the vertex on the
+// map-free path again.
+func (d *DeltaGraph) unlist(lists *[2]map[graph.Vertex][]graph.Vertex, u, v graph.Vertex) {
+	for dir, end := range [2][2]graph.Vertex{outSide: {u, v}, inSide: {v, u}} {
+		x := end[0]
+		lists[dir][x] = sortedDelete(lists[dir][x], end[1])
+		if len(d.ov.Add[dir][x]) == 0 && len(d.ov.Rem[dir][x]) == 0 {
+			delete(d.ov.Add[dir], x)
+			delete(d.ov.Rem[dir], x)
+			clearDirty(d.ov.Dirty[dir], x)
 		}
-		if r < len(rem) && rem[r] == v {
-			continue
-		}
-		for j < len(add) && add[j] < v {
-			buf = append(buf, add[j])
-			j++
-		}
-		buf = append(buf, v)
 	}
-	return append(buf, add[j:]...)
 }
 
 // AppendOutNeighbors appends the sorted live out-neighbors of v onto buf
 // and returns the extended slice. The append-into-caller-buffer shape keeps
 // the query hot path allocation-free once scratch buffers have warmed up.
 func (d *DeltaGraph) AppendOutNeighbors(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
-	add, rem := d.outDelta(v)
-	return appendMerged(buf, d.base.OutNeighbors(v), add, rem)
+	add, rem := d.delta(outSide, v)
+	return graph.AppendLive(buf, d.base.OutNeighbors(v), add, rem)
 }
 
 // AppendInNeighbors appends the sorted live in-neighbors of v onto buf and
 // returns the extended slice.
 func (d *DeltaGraph) AppendInNeighbors(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
-	add, rem := d.inDelta(v)
-	return appendMerged(buf, d.base.InNeighbors(v), add, rem)
+	add, rem := d.delta(inSide, v)
+	return graph.AppendLive(buf, d.base.InNeighbors(v), add, rem)
 }
 
 // outNeighbors returns the sorted live out-neighbors of v without copying
@@ -246,7 +207,7 @@ func (d *DeltaGraph) AppendInNeighbors(v graph.Vertex, buf []graph.Vertex) []gra
 // must neither modify nor append to it. A dirty vertex's list is merged
 // into *buf, which never aliases the base.
 func (d *DeltaGraph) outNeighbors(v graph.Vertex, buf *[]graph.Vertex) []graph.Vertex {
-	if !isDirty(d.dirtyOut, v) {
+	if !isDirty(d.ov.Dirty[outSide], v) {
 		return d.base.OutNeighbors(v)
 	}
 	*buf = d.AppendOutNeighbors(v, (*buf)[:0])
@@ -255,41 +216,17 @@ func (d *DeltaGraph) outNeighbors(v graph.Vertex, buf *[]graph.Vertex) []graph.V
 
 // inNeighbors is outNeighbors for the in-side.
 func (d *DeltaGraph) inNeighbors(v graph.Vertex, buf *[]graph.Vertex) []graph.Vertex {
-	if !isDirty(d.dirtyIn, v) {
+	if !isDirty(d.ov.Dirty[inSide], v) {
 		return d.base.InNeighbors(v)
 	}
 	*buf = d.AppendInNeighbors(v, (*buf)[:0])
 	return *buf
 }
 
-// forEachOut visits every live out-neighbor of v (unordered: base entries
-// first, then added ones). Enumeration drives core.BallBFS with it.
-func (d *DeltaGraph) forEachOut(v graph.Vertex, fn func(w graph.Vertex)) {
-	add, rem := d.outDelta(v)
-	forEachLive(d.base.OutNeighbors(v), add, rem, fn)
-}
-
-// forEachIn visits every live in-neighbor of v (unordered).
-func (d *DeltaGraph) forEachIn(v graph.Vertex, fn func(w graph.Vertex)) {
-	add, rem := d.inDelta(v)
-	forEachLive(d.base.InNeighbors(v), add, rem, fn)
-}
-
-func forEachLive(base, add, rem []graph.Vertex, fn func(w graph.Vertex)) {
-	for _, w := range base {
-		if len(rem) == 0 || !sortedContains(rem, w) {
-			fn(w)
-		}
-	}
-	for _, w := range add {
-		fn(w)
-	}
-}
-
 // AddedEdges returns the live added-edge delta as an edge list.
 func (d *DeltaGraph) AddedEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, d.added)
-	for u, vs := range d.addOut {
+	for u, vs := range d.ov.Add[outSide] {
 		for _, v := range vs {
 			out = append(out, graph.Edge{Src: u, Dst: v})
 		}
@@ -300,7 +237,7 @@ func (d *DeltaGraph) AddedEdges() []graph.Edge {
 // RemovedEdges returns the live removed-edge delta as an edge list.
 func (d *DeltaGraph) RemovedEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, d.removed)
-	for u, vs := range d.remOut {
+	for u, vs := range d.ov.Rem[outSide] {
 		for _, v := range vs {
 			out = append(out, graph.Edge{Src: u, Dst: v})
 		}

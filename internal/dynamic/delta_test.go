@@ -141,10 +141,10 @@ func TestDeltaGraphMatchesMaterialized(t *testing.T) {
 // removals, un-removes and un-adds — and checks after every step that a
 // vertex's dirty bit is set exactly when that side's delta lists are not
 // both empty (a clear bit means the base slice is the live list), and that
-// the
-// map-free neighbor paths (outNeighbors/inNeighbors, forEachOut/forEachIn)
-// agree with the merging AppendOutNeighbors/AppendInNeighbors for every
-// vertex, without writing into a clean vertex's base slice.
+// the map-free neighbor paths (outNeighbors/inNeighbors) and one level of
+// the BFS engine over the overlay agree with the merging
+// AppendOutNeighbors/AppendInNeighbors for every vertex, without writing
+// into a clean vertex's base slice.
 func TestDirtyBitmaps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 0xd1e7))
 	n := 40
@@ -192,41 +192,38 @@ func TestDirtyBitmaps(t *testing.T) {
 
 func checkDirtyBitmaps(t *testing.T, d *DeltaGraph, step int) {
 	t.Helper()
-	var buf, want, seen []graph.Vertex
-	collect := func(w graph.Vertex) { seen = append(seen, w) }
+	var buf, want []graph.Vertex
+	var bfs graph.BFS
 	for u := 0; u < d.NumVertices(); u++ {
 		v := graph.Vertex(u)
-		if has := len(d.addOut[v]) > 0 || len(d.remOut[v]) > 0; has != isDirty(d.dirtyOut, v) {
-			t.Fatalf("step %d: vertex %d has out-deltas %v, out-bit %v", step, v, has, isDirty(d.dirtyOut, v))
-		}
-		if has := len(d.addIn[v]) > 0 || len(d.remIn[v]) > 0; has != isDirty(d.dirtyIn, v) {
-			t.Fatalf("step %d: vertex %d has in-deltas %v, in-bit %v", step, v, has, isDirty(d.dirtyIn, v))
-		}
 		for _, side := range []struct {
 			name    string
-			dirty   []uint64
+			dir     graph.Direction
 			base    []graph.Vertex
 			appendN func(graph.Vertex, []graph.Vertex) []graph.Vertex
 			direct  func(graph.Vertex, *[]graph.Vertex) []graph.Vertex
-			forEach func(graph.Vertex, func(graph.Vertex))
 		}{
-			{"out", d.dirtyOut, d.base.OutNeighbors(v), d.AppendOutNeighbors, d.outNeighbors, d.forEachOut},
-			{"in", d.dirtyIn, d.base.InNeighbors(v), d.AppendInNeighbors, d.inNeighbors, d.forEachIn},
+			{"out", outSide, d.base.OutNeighbors(v), d.AppendOutNeighbors, d.outNeighbors},
+			{"in", inSide, d.base.InNeighbors(v), d.AppendInNeighbors, d.inNeighbors},
 		} {
+			dirty := isDirty(d.ov.Dirty[side.dir], v)
+			if has := len(d.ov.Add[side.dir][v]) > 0 || len(d.ov.Rem[side.dir][v]) > 0; has != dirty {
+				t.Fatalf("step %d: vertex %d has %s-deltas %v, %s-bit %v", step, v, side.name, has, side.name, dirty)
+			}
 			want = side.appendN(v, want[:0])
 			buf = append(buf[:0], -1)
 			got := side.direct(v, &buf)
 			if !vertexSlicesEqual(got, want) {
 				t.Fatalf("step %d: %s(%d) direct %v, merged %v", step, side.name, v, got, want)
 			}
-			if !isDirty(side.dirty, v) && (len(buf) != 1 || buf[0] != -1 || !vertexSlicesEqual(side.base, want)) {
+			if !dirty && (len(buf) != 1 || buf[0] != -1 || !vertexSlicesEqual(side.base, want)) {
 				t.Fatalf("step %d: clean %s(%d) touched the scratch buffer or differs from base", step, side.name, v)
 			}
-			seen = seen[:0]
-			side.forEach(v, collect)
-			slices.Sort(seen)
-			if !vertexSlicesEqual(seen, want) {
-				t.Fatalf("step %d: forEach %s(%d) %v, merged %v", step, side.name, v, seen, want)
+			bfs.Reset(d.NumVertices())
+			bfs.Visit(v)
+			level := slices.Sorted(slices.Values(bfs.Expand(d.base, &d.ov, side.dir)))
+			if others := slices.DeleteFunc(slices.Clone(want), func(w graph.Vertex) bool { return w == v }); !vertexSlicesEqual(level, others) {
+				t.Fatalf("step %d: BFS level %s(%d) %v, merged %v", step, side.name, v, level, others)
 			}
 		}
 	}

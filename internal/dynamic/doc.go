@@ -14,9 +14,10 @@
 //
 //   - DeltaGraph: a per-vertex added/removed adjacency overlay on a base
 //     *graph.Graph, serving the adjacency surface Algorithm 2 needs
-//     (out/in neighbors, HasEdge, degrees) with deltas applied. Dirty
-//     bitmaps let every vertex without a delta read its base CSR slice
-//     directly.
+//     (out/in neighbors, HasEdge, degrees) with deltas applied. The deltas
+//     are a graph.Overlay, which the graph.BFS engine expands directly;
+//     its dirty bitmaps let every vertex without a delta read its base CSR
+//     slice.
 //   - Index: a mutable k-reach index over the overlay. Queries run the
 //     four cases of Algorithm 2 against live adjacency plus incrementally
 //     maintained cover-pair weight rows. Mutations promote uncovered
@@ -31,9 +32,10 @@
 // each other; mutation batches serialize on a mutation mutex and take the
 // write lock only for the apply + row-recompute step. Inside that step the
 // affected rows — collected by one multi-source backward BFS per phase —
-// are re-derived by up to Options.Parallelism workers, each with its own
-// BFS scratch and writing only the rows it claimed, so the lock is held for
-// less time without readers ever seeing a half-repaired batch. The index
+// are re-derived by core.AppendRow, the static build's own row derivation
+// run over the overlay, on up to Options.Parallelism workers, each with
+// its own graph.BFS and writing only the rows it claimed, so the lock is
+// held for less time without readers ever seeing a half-repaired batch. The index
 // epoch (a process-unique generation from internal/core) is re-issued
 // inside every mutation's write section, so epoch-keyed result caches can
 // never serve an answer older than the epoch they saw.

@@ -129,7 +129,7 @@ func TestEnumerateTracksMutations(t *testing.T) {
 		}
 		src := graph.Vertex(i % 40)
 		for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
-			got, _, err := ix.Enumerate(context.Background(), src, core.EnumOptions{Direction: dir}, sc)
+			got, _, _, err := ix.Enumerate(context.Background(), src, core.EnumOptions{Direction: dir}, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestEnumerateDuringMutationSoak(t *testing.T) {
 				src := graph.Vertex((i*7 + r) % 32)
 				dir := graph.Direction(i % 2)
 				e1 := ix.Epoch()
-				got, _, err := ix.Enumerate(context.Background(), src, core.EnumOptions{Direction: dir}, sc)
+				got, _, _, err := ix.Enumerate(context.Background(), src, core.EnumOptions{Direction: dir}, sc)
 				if err != nil {
 					t.Error(err)
 					return

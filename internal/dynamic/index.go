@@ -40,10 +40,6 @@ const (
 
 const notFound = uint8(0xFF)
 
-// bucketBits is how far recomputeRow shifts a cover id to pack its bucket
-// below it, as core.BuildRows does: sorting the packed words sorts by id.
-const bucketBits = 2
-
 // repairChunk is how many affected row ids a repair worker claims at a
 // time; a batch fans out to one worker per 2·repairChunk rows at most, so
 // small batches stay on the calling goroutine.
@@ -149,7 +145,7 @@ type Index struct {
 	// scratches holds one BFS state per repair worker, allocated on first
 	// use; scratches[0] also serves the collection phases. Guarded by mutMu
 	// and grown only under the write lock.
-	scratches []*overlayScratch
+	scratches []*rowScratch
 	affected  []int32 // collected row ids, reused across batches (mutMu)
 
 	journal Journal // durability hook, nil for in-memory indexes (mutMu)
@@ -170,7 +166,7 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 		k:         opts.K,
 		opts:      opts,
 		coverID:   make([]int32, n),
-		scratches: []*overlayScratch{newOverlayScratch(n)},
+		scratches: []*rowScratch{{}},
 	}
 	for i := range ix.coverID {
 		ix.coverID[i] = -1
@@ -497,14 +493,14 @@ func (ix *Index) mutateLocked(add, remove []graph.Edge, replayEpoch uint64) (Mut
 	// path a removal can weaken passes through that source within k-1 hops
 	// of its cover origin. One multi-source BFS visits exactly the union of
 	// the per-edge balls.
-	sc := ix.scratches[0]
-	sc.reset()
+	b := &ix.scratches[0].bfs
+	b.Reset(n)
 	for _, e := range removes {
 		if ix.dg.HasEdge(e.Src, e.Dst) {
-			sc.seed(e.Src, 0)
+			b.Visit(e.Src)
 		}
 	}
-	affected := ix.collectBackward(sc, ix.k-1, ix.affected[:0])
+	affected := ix.collectBackward(b, ix.k-1, ix.affected[:0])
 
 	ix.rw.Lock()
 	defer ix.rw.Unlock()
@@ -543,16 +539,17 @@ func (ix *Index) mutateLocked(add, remove []graph.Edge, replayEpoch uint64) (Mut
 	// route through the new edge's source, within k-1 hops; a freshly
 	// promoted cover vertex additionally needs arcs from every cover vertex
 	// that already reached it, within the full k hops. One BFS with the
-	// promoted vertices seeded at distance 0 and the sources at 1, bounded
-	// at k, visits exactly the union of both kinds of ball.
-	sc.reset()
+	// promoted vertices seeded at level 0 and the sources at level 1,
+	// bounded at k, visits exactly the union of both kinds of ball.
+	b.Reset(n)
 	for _, c := range promoted {
-		sc.seed(c, 0)
+		b.Visit(c)
 	}
+	b.Expand(ix.dg.base, &ix.dg.ov, graph.Backward)
 	for _, e := range applied {
-		sc.seed(e.Src, 1)
+		b.Visit(e.Src)
 	}
-	affected = ix.collectBackward(sc, ix.k, affected)
+	affected = ix.collectBackward(b, ix.k, affected)
 
 	// Phase D: re-derive every affected row, once, by forward bounded BFS.
 	slices.Sort(affected)
@@ -628,16 +625,16 @@ func (ix *Index) promote(c graph.Vertex) {
 	ix.rows = append(ix.rows, nil)
 }
 
-// collectBackward expands the seeds in sc into a maxHops-bounded backward
+// collectBackward expands the seeds in b into a maxHops-bounded backward
 // BFS over the current overlay and appends the cover id of every visited
 // vertex to ids. With no seeds it does nothing and counts no traversal.
-func (ix *Index) collectBackward(sc *overlayScratch, maxHops int, ids []int32) []int32 {
-	if len(sc.queue) == 0 {
+func (ix *Index) collectBackward(b *graph.BFS, maxHops int, ids []int32) []int32 {
+	if len(b.Visited()) == 0 {
 		return ids
 	}
-	sc.expand(ix.dg, maxHops, false)
+	b.ExpandTo(ix.dg.base, &ix.dg.ov, graph.Backward, maxHops)
 	ix.bfsRuns.Add(1)
-	for _, v := range sc.queue {
+	for _, v := range b.Visited() {
 		if id := ix.coverID[v]; id >= 0 {
 			ids = append(ids, id)
 		}
@@ -660,7 +657,7 @@ func (ix *Index) repair(ids []int32) {
 		return
 	}
 	for len(ix.scratches) < workers {
-		ix.scratches = append(ix.scratches, newOverlayScratch(ix.dg.NumVertices()))
+		ix.scratches = append(ix.scratches, &rowScratch{})
 	}
 	deltas := make([]int, workers)
 	var cursor atomic.Int64
@@ -688,25 +685,23 @@ func (ix *Index) repair(ids []int32) {
 	}
 }
 
-// recomputeRow re-derives one cover row with a forward k-hop BFS over the
-// overlay and returns the change in its arc count. It writes only
-// rows[id], so repair workers can run it concurrently on distinct ids.
-func (ix *Index) recomputeRow(id int32, sc *overlayScratch) int {
-	sc.reset()
-	sc.seed(ix.coverList[id], 0)
-	sc.expand(ix.dg, ix.k, true)
-	keys := sc.keys[:0]
-	// The queue leads with the row's own vertex: (u,u) is implicit.
-	for _, v := range sc.queue[1:] {
-		if ci := ix.coverID[v]; ci >= 0 {
-			keys = append(keys, uint64(ci)<<bucketBits|uint64(ix.bucketFor(sc.dist[v])))
-		}
-	}
-	slices.Sort(keys)
-	sc.keys = keys
+// rowScratch is one repair worker's state: the BFS engine and the packed
+// arc keys of the row it is deriving.
+type rowScratch struct {
+	bfs  graph.BFS
+	keys []uint64
+}
+
+// recomputeRow re-derives one cover row over the overlay — the static
+// build's row derivation, core.AppendRow — and returns the change in its
+// arc count. It writes only rows[id], so repair workers can run it
+// concurrently on distinct ids.
+func (ix *Index) recomputeRow(id int32, sc *rowScratch) int {
+	sc.keys = core.AppendRow(sc.keys[:0], &sc.bfs, ix.dg.base, &ix.dg.ov, ix.coverList[id], ix.coverID, ix.k, ix.bucketFor)
 	row := ix.rows[id][:0]
-	for _, key := range keys {
-		row = append(row, arc{to: int32(key >> bucketBits), w: uint8(key & (1<<bucketBits - 1))})
+	for _, key := range sc.keys {
+		to, w := core.UnpackArc(key)
+		row = append(row, arc{to: to, w: uint8(w)})
 	}
 	delta := len(row) - len(ix.rows[id])
 	ix.rows[id] = row
@@ -833,14 +828,13 @@ func (ix *Index) Stats() Stats {
 }
 
 // SizeBytes estimates the resident index size: cover id map, cover list,
-// one slice header per row plus its live arcs, the overlay's delta lists
-// and dirty bitmaps, and each repair worker's visitation arrays.
+// one slice header per row plus its live arcs, the overlay's delta lists,
+// and one vertex bitmap per overlay side and per repair worker's BFS.
 func (ix *Index) SizeBytes() int {
 	ix.rw.RLock()
 	defer ix.rw.RUnlock()
 	const (
 		idBytes     = int(unsafe.Sizeof(int32(0)))
-		stampBytes  = int(unsafe.Sizeof(uint32(0)))
 		vertexBytes = int(unsafe.Sizeof(graph.Vertex(0)))
 		arcBytes    = int(unsafe.Sizeof(arc{}))
 		rowBytes    = int(unsafe.Sizeof([]arc(nil)))
@@ -849,8 +843,7 @@ func (ix *Index) SizeBytes() int {
 	size := idBytes*len(ix.coverID) + vertexBytes*len(ix.coverList)
 	size += rowBytes*len(ix.rows) + arcBytes*ix.arcCount
 	size += 2 * vertexBytes * ix.dg.DeltaSize() // an out- and an in-entry per overlay edge
-	size += wordBytes * (len(ix.dg.dirtyOut) + len(ix.dg.dirtyIn))
-	size += len(ix.scratches) * ix.dg.NumVertices() * (idBytes + stampBytes) // dist + stamp
+	size += (2 + len(ix.scratches)) * wordBytes * len(ix.dg.ov.Dirty[outSide])
 	return size
 }
 
@@ -877,76 +870,4 @@ func (ix *Index) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// overlayScratch is BFS state over the overlay adjacency, with
-// epoch-stamped visitation like graph.BFSScratch, plus the packed arc keys
-// recomputeRow sorts. Each repair worker owns one.
-type overlayScratch struct {
-	dist  []int32
-	stamp []uint32
-	epoch uint32
-	queue []graph.Vertex
-	keys  []uint64
-}
-
-func newOverlayScratch(n int) *overlayScratch {
-	return &overlayScratch{
-		dist:  make([]int32, n),
-		stamp: make([]uint32, n),
-		queue: make([]graph.Vertex, 0, 64),
-	}
-}
-
-// reset starts a traversal: every vertex becomes unvisited and the queue
-// empty.
-func (s *overlayScratch) reset() {
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.stamp)
-		s.epoch = 1
-	}
-	s.queue = s.queue[:0]
-}
-
-// seed enqueues v at hop distance d unless it is already visited. Seeds
-// must arrive in nondecreasing distance order, and before expand.
-func (s *overlayScratch) seed(v graph.Vertex, d int32) {
-	if s.stamp[v] != s.epoch {
-		s.stamp[v] = s.epoch
-		s.dist[v] = d
-		s.queue = append(s.queue, v)
-	}
-}
-
-// expand runs the BFS from the seeded queue over dg, forward or backward,
-// up to maxHops from the nearest seed. Afterwards s.queue holds every
-// visited vertex (seeds first) in nondecreasing distance order and s.dist
-// their distances. A clean vertex's neighbors are its base CSR slice; only
-// dirty vertices consult the delta lists.
-func (s *overlayScratch) expand(dg *DeltaGraph, maxHops int, forward bool) {
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		d := s.dist[u]
-		if int(d) >= maxHops {
-			break // queue is in nondecreasing distance order
-		}
-		var base, add, rem []graph.Vertex
-		if forward {
-			base = dg.base.OutNeighbors(u)
-			add, rem = dg.outDelta(u)
-		} else {
-			base = dg.base.InNeighbors(u)
-			add, rem = dg.inDelta(u)
-		}
-		d++
-		for _, w := range base {
-			if len(rem) == 0 || !sortedContains(rem, w) {
-				s.seed(w, d)
-			}
-		}
-		for _, w := range add {
-			s.seed(w, d)
-		}
-	}
 }

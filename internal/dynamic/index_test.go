@@ -455,7 +455,9 @@ func TestCase4QueryDoesNotAllocate(t *testing.T) {
 	if _, err := ix.Mutate(add, remove); err != nil {
 		t.Fatal(err)
 	}
-	dirty := func(v graph.Vertex) bool { return isDirty(ix.dg.dirtyOut, v) || isDirty(ix.dg.dirtyIn, v) }
+	dirty := func(v graph.Vertex) bool {
+		return isDirty(ix.dg.ov.Dirty[outSide], v) || isDirty(ix.dg.ov.Dirty[inSide], v)
+	}
 	cases := map[string]func(s, t graph.Vertex) bool{
 		"case 2": func(s, t graph.Vertex) bool { return ix.coverID[s] >= 0 && ix.coverID[t] < 0 },
 		"case 3": func(s, t graph.Vertex) bool { return ix.coverID[s] < 0 && ix.coverID[t] >= 0 },

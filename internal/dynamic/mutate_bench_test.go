@@ -51,17 +51,18 @@ func BenchmarkMutate(b *testing.B) {
 	// current overlay: the same seeds and bounds Mutate used, each phase one
 	// multi-source backward BFS.
 	collect := func() []int32 {
-		sc := ix.scratches[0]
-		sc.reset()
+		bfs, n := &ix.scratches[0].bfs, ix.NumVertices()
+		bfs.Reset(n)
 		for _, e := range remove {
-			sc.seed(e.Src, 0)
+			bfs.Visit(e.Src)
 		}
-		ids := ix.collectBackward(sc, ix.k-1, ix.affected[:0])
-		sc.reset()
+		ids := ix.collectBackward(bfs, ix.k-1, ix.affected[:0])
+		bfs.Reset(n)
+		bfs.Expand(ix.dg.base, &ix.dg.ov, graph.Backward) // no promotions: level 0 is empty
 		for _, e := range add {
-			sc.seed(e.Src, 1)
+			bfs.Visit(e.Src)
 		}
-		ids = ix.collectBackward(sc, ix.k, ids)
+		ids = ix.collectBackward(bfs, ix.k, ids)
 		slices.Sort(ids)
 		ix.affected = slices.Compact(ids)
 		return ix.affected

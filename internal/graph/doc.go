@@ -12,8 +12,10 @@
 // # Layout
 //
 //   - graph.go — Graph (immutable CSR, out- and in-adjacency) and Builder.
-//   - bfs.go — BFSScratch, KHopBFS (forward/backward, hop-bounded) and
-//     KHopReach, the online-search baseline.
+//   - bfs.go — BFS, the one bounded level-synchronous search engine
+//     (visited bitmap, level-ordered visit list, optional Overlay of edge
+//     deltas for the dynamic index); KHopReach, the online-search baseline
+//     with its early exit; and BFSDistances, the reference oracle.
 //   - io.go — text edge lists ("src dst" lines, optional "n m" header)
 //     and the "KRG1" CRC-checked binary format; see docs/API.md for the
 //     byte-level layout.

@@ -311,27 +311,27 @@ func TestBFSDistancesPath(t *testing.T) {
 	}
 }
 
-func TestKHopBFSBound(t *testing.T) {
+func TestBFSHopBound(t *testing.T) {
 	b := graph.NewBuilder(6)
 	for i := 0; i < 5; i++ {
 		b.AddEdge(graph.Vertex(i), graph.Vertex(i+1))
 	}
 	g := b.Build()
-	scratch := graph.NewBFSScratch(6)
-	graph.KHopBFS(g, 0, 2, graph.Forward, scratch)
-	if got := scratch.Dist(2); got != 2 {
-		t.Errorf("dist within bound = %d, want 2", got)
+	var bfs graph.BFS
+	bfs.Run(g, nil, 0, 2, graph.Forward)
+	if bfs.Depth() != 2 || !reflect.DeepEqual(bfs.Level(2), []graph.Vertex{2}) {
+		t.Errorf("depth %d, level 2 %v; want vertex 2 at distance 2", bfs.Depth(), bfs.Level(2))
 	}
-	if got := scratch.Dist(3); got != graph.InfDist {
-		t.Errorf("vertex beyond bound visible: dist = %d", got)
+	if bfs.Seen(3) {
+		t.Error("vertex beyond bound visited")
 	}
-	if got := len(scratch.Visited()); got != 3 {
+	if got := len(bfs.Visited()); got != 3 {
 		t.Errorf("visited %d vertices, want 3", got)
 	}
 	// Zero hops: only the source.
-	graph.KHopBFS(g, 1, 0, graph.Forward, scratch)
-	if len(scratch.Visited()) != 1 || scratch.Dist(1) != 0 {
-		t.Errorf("0-hop BFS visited %v", scratch.Visited())
+	bfs.Run(g, nil, 1, 0, graph.Forward)
+	if len(bfs.Visited()) != 1 || bfs.Depth() != 0 || bfs.Level(0)[0] != 1 {
+		t.Errorf("0-hop BFS visited %v", bfs.Visited())
 	}
 }
 
@@ -344,13 +344,13 @@ func TestKHopReachAgainstDistances(t *testing.T) {
 			b.AddEdge(graph.Vertex(rng.IntN(n)), graph.Vertex(rng.IntN(n)))
 		}
 		g := b.Build()
-		scratch := graph.NewBFSScratch(n)
+		var bfs graph.BFS
 		for s := 0; s < n; s++ {
 			dist := graph.BFSDistances(g, graph.Vertex(s), graph.Forward)
 			for tt := 0; tt < n; tt++ {
 				for _, k := range []int{0, 1, 2, 3, n, -1} {
 					want := dist[tt] != graph.InfDist && (k < 0 || int(dist[tt]) <= k)
-					got := graph.KHopReach(g, graph.Vertex(s), graph.Vertex(tt), k, scratch)
+					got := graph.KHopReach(g, graph.Vertex(s), graph.Vertex(tt), k, &bfs)
 					if got != want {
 						t.Fatalf("KHopReach(%d,%d,k=%d) = %v, want %v (dist %d)",
 							s, tt, k, got, want, dist[tt])
@@ -361,41 +361,23 @@ func TestKHopReachAgainstDistances(t *testing.T) {
 	}
 }
 
-func TestShortestDistMatchesBFS(t *testing.T) {
-	rng := rand.New(rand.NewPCG(77, 3))
-	n := 40
-	b := graph.NewBuilder(n)
-	for i := 0; i < 120; i++ {
-		b.AddEdge(graph.Vertex(rng.IntN(n)), graph.Vertex(rng.IntN(n)))
-	}
-	g := b.Build()
-	scratch := graph.NewBFSScratch(n)
-	for s := 0; s < n; s++ {
-		dist := graph.BFSDistances(g, graph.Vertex(s), graph.Forward)
-		for tt := 0; tt < n; tt++ {
-			if got := graph.ShortestDist(g, graph.Vertex(s), graph.Vertex(tt), scratch); got != dist[tt] {
-				t.Fatalf("ShortestDist(%d,%d) = %d, want %d", s, tt, got, dist[tt])
-			}
-		}
-	}
-}
-
 func TestScratchEpochReuse(t *testing.T) {
-	// Repeated traversals over the same scratch must not leak state.
+	// Repeated traversals over one engine must not leak state: Reset clears
+	// exactly the bits the previous traversal set.
 	g := buildSmall(t)
-	scratch := graph.NewBFSScratch(g.NumVertices())
-	graph.KHopBFS(g, 0, -1, graph.Forward, scratch)
-	first := append([]graph.Vertex{}, scratch.Visited()...)
-	graph.KHopBFS(g, 4, -1, graph.Forward, scratch)
-	if len(scratch.Visited()) != 1 {
-		t.Fatalf("second traversal leaked state: visited %v", scratch.Visited())
+	var bfs graph.BFS
+	bfs.Run(g, nil, 0, -1, graph.Forward)
+	first := append([]graph.Vertex{}, bfs.Visited()...)
+	bfs.Run(g, nil, 4, -1, graph.Forward)
+	if len(bfs.Visited()) != 1 {
+		t.Fatalf("second traversal leaked state: visited %v", bfs.Visited())
 	}
-	if scratch.Dist(0) != graph.InfDist {
-		t.Fatalf("stale distance visible after epoch bump")
+	if bfs.Seen(0) {
+		t.Fatalf("stale visit bit after Reset")
 	}
-	graph.KHopBFS(g, 0, -1, graph.Forward, scratch)
-	if !reflect.DeepEqual(first, scratch.Visited()) {
-		t.Fatalf("traversal not reproducible: %v vs %v", first, scratch.Visited())
+	bfs.Run(g, nil, 0, -1, graph.Forward)
+	if !reflect.DeepEqual(first, bfs.Visited()) {
+		t.Fatalf("traversal not reproducible: %v vs %v", first, bfs.Visited())
 	}
 }
 

@@ -29,7 +29,7 @@ func ComputeStats(g *Graph, samples int, rng *rand.Rand) Stats {
 		return st
 	}
 	sources := sampleVertices(n, samples, rng)
-	scratch := NewBFSScratch(n)
+	var b BFS
 	var (
 		pathLens  []int32
 		reachable int
@@ -38,43 +38,34 @@ func ComputeStats(g *Graph, samples int, rng *rand.Rand) Stats {
 		deepStart Vertex = -1 // vertex with the largest backward eccentricity
 		deepDist  int32  = -1
 	)
+	// eccentricity is the last traversal's deepest level: an unbounded Run
+	// stops on an empty open level.
+	eccentricity := func() int32 { return int32(b.Depth() - 1) }
 	for _, src := range sources {
-		KHopBFS(g, src, -1, Forward, scratch)
-		visited := scratch.Visited()
+		b.Run(g, nil, src, -1, Forward)
 		pairs += n - 1
-		for _, v := range visited {
-			d := scratch.dist[v]
-			if v == src {
-				continue
-			}
-			reachable++
-			pathLens = append(pathLens, d)
-			if d > diameter {
-				diameter = d
+		for d := 1; d <= b.Depth(); d++ {
+			for range b.Level(d) {
+				pathLens = append(pathLens, int32(d))
 			}
 		}
+		reachable += len(b.Visited()) - 1
+		diameter = max(diameter, eccentricity())
 		// Backward sweep from the same source: the farthest vertex found is
 		// a deep "root" candidate — a forward BFS from it typically
 		// realizes the true long paths that uniform forward sampling misses
 		// on DAGs where most vertices are leaves.
-		KHopBFS(g, src, -1, Backward, scratch)
-		for _, v := range scratch.Visited() {
-			if d := scratch.dist[v]; d > diameter {
-				diameter = d
-			}
-			if d := scratch.dist[v]; d > deepDist {
-				deepDist, deepStart = d, v
-			}
+		b.Run(g, nil, src, -1, Backward)
+		d := eccentricity()
+		diameter = max(diameter, d)
+		if d > deepDist {
+			deepDist, deepStart = d, b.Level(int(d))[0]
 		}
 	}
 	// Double-sweep refinement from the deepest root candidate.
 	if deepStart >= 0 {
-		KHopBFS(g, deepStart, -1, Forward, scratch)
-		for _, v := range scratch.Visited() {
-			if d := scratch.dist[v]; d > diameter {
-				diameter = d
-			}
-		}
+		b.Run(g, nil, deepStart, -1, Forward)
+		diameter = max(diameter, eccentricity())
 	}
 	st.Diameter = int(diameter)
 	if len(pathLens) > 0 {

@@ -114,7 +114,6 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if rep, ok := d.Reacher.(kreach.ExecPathReporter); ok {
 		rt.path = rep.EnumPath(req.Source, requestK(req.K), dir == "out")
 	}
-	epoch := d.Epoch()
 	ball, err := reach(r.Context(), req.Source, requestK(req.K), kreach.EnumOptions{})
 	if err != nil {
 		writeAnswerError(w, r, d, err)
@@ -137,7 +136,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		Source:    req.Source,
 		K:         ball.K,
 		Direction: dir,
-		Epoch:     epoch,
+		Epoch:     ball.Epoch,
 		Total:     ball.Total,
 	}
 	if len(members) > limit {

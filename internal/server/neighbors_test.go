@@ -7,9 +7,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"kreach"
+	"kreach/internal/graph"
 	"kreach/internal/server"
 )
 
@@ -262,5 +265,131 @@ func TestNeighborsDynamicEpochAdvances(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("mutated edge's target missing from the live ball")
+	}
+}
+
+// TestNeighborsEpochNamesTheBall reads balls of a dynamic dataset while a
+// writer flips one edge per batch, and checks every reply against the
+// graph.BFSDistances oracle on the edge set at the epoch the reply names:
+// the epoch must be the one the ball was enumerated at, not one read
+// before or after it. The flipped edge (u, v) joins two vertices more than
+// k hops apart, so every flip moves v in or out of u's out-ball and u in or
+// out of v's in-ball, and a reply labelled one epoch off is a wrong ball.
+func TestNeighborsEpochNamesTheBall(t *testing.T) {
+	const n, k, batches = 200, 3, 1000
+	g := randomServedGraph(n, 600, 9)
+	u, v := 0, -1
+	for w, d := range graph.BFSDistances(g.Internal(), graph.Vertex(u), graph.Forward) {
+		if w != u && (d == graph.InfDist || d > k) {
+			v = w
+			break
+		}
+	}
+	if v < 0 {
+		t.Fatal("every vertex is within k hops of the source")
+	}
+	states := [2]*graph.Graph{g.Internal(), graph.Rebuild(g.Internal(), []graph.Edge{{Src: graph.Vertex(u), Dst: graph.Vertex(v)}}, nil)}
+	dyn, err := kreach.NewDynamicIndex(g, kreach.DynamicOptions{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	if err := reg.Add(&server.Dataset{Name: "dyn", Graph: g, Reacher: dyn}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Config{})
+
+	// present maps every epoch the writer issued to whether (u, v) is an
+	// edge at it; written by the writer only, read after it is done. The
+	// writer paces itself to about one batch per reply, so reads and
+	// batches keep overlapping.
+	present := map[uint64]bool{dyn.Epoch(): false}
+	var read atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		flip := [][2]int{{u, v}}
+		for i := range batches {
+			for read.Load() < int64(i) {
+				runtime.Gosched()
+			}
+			add, remove := flip, [][2]int(nil)
+			if i%2 == 1 {
+				add, remove = nil, flip
+			}
+			res, err := dyn.Mutate(add, remove)
+			if err != nil || res.Added+res.Removed != 1 {
+				t.Errorf("batch %d: %+v, %v", i, res, err)
+				return
+			}
+			present[res.Epoch] = i%2 == 0
+		}
+	}()
+
+	type reply struct {
+		src   int
+		dir   graph.Direction
+		epoch uint64
+		ball  map[int]string
+	}
+	var replies []reply
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		r := reply{src: u, dir: graph.Forward, ball: map[int]string{}}
+		body := map[string]any{"graph": "dyn", "source": u, "limit": n}
+		if len(replies)%2 == 1 {
+			r.src, r.dir = v, graph.Backward
+			body["source"], body["direction"] = v, "in"
+		}
+		rec, resp := postNeighbors(t, srv, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		r.epoch = uint64(resp["epoch"].(float64))
+		for _, e := range resp["neighbors"].([]any) {
+			m := e.(map[string]any)
+			r.ball[int(m["id"].(float64))] = m["bucket"].(string)
+		}
+		replies = append(replies, r)
+		read.Add(1)
+	}
+
+	epochs := map[uint64]bool{}
+	for i, r := range replies {
+		edge, ok := present[r.epoch]
+		if !ok {
+			t.Fatalf("reply %d names epoch %d, which no batch issued", i, r.epoch)
+		}
+		epochs[r.epoch] = true
+		state := states[0]
+		if edge {
+			state = states[1]
+		}
+		want := map[int]string{}
+		for w, d := range graph.BFSDistances(state, graph.Vertex(r.src), r.dir) {
+			switch {
+			case d <= 0 || d > k:
+			case d == k:
+				want[w] = "frontier"
+			default:
+				want[w] = "within"
+			}
+		}
+		if len(r.ball) != len(want) {
+			t.Fatalf("reply %d (src %d dir %d, epoch %d, edge %v): %d members, oracle %d", i, r.src, r.dir, r.epoch, edge, len(r.ball), len(want))
+		}
+		for w, b := range want {
+			if r.ball[w] != b {
+				t.Fatalf("reply %d (src %d dir %d, epoch %d, edge %v): vertex %d is %q, oracle %q", i, r.src, r.dir, r.epoch, edge, w, r.ball[w], b)
+			}
+		}
+	}
+	t.Logf("%d replies over %d distinct epochs", len(replies), len(epochs))
+	if len(epochs) < 2 {
+		t.Fatalf("replies named %d epoch(s): the reads never overlapped the writer", len(epochs))
 	}
 }

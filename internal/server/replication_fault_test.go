@@ -202,7 +202,7 @@ func checkStateAtCursor(t *testing.T, fp *faultPrimary, ff *faultFollower, base 
 	}
 	n := base.NumVertices()
 	g := graph.FromEdges(n, edges)
-	sc := graph.NewBFSScratch(n)
+	sc := new(graph.BFS)
 	rng := rand.New(rand.NewPCG(seed, 0xFA17))
 	for i := 0; i < 15; i++ {
 		s, d := rng.IntN(n), rng.IntN(n)

@@ -218,7 +218,7 @@ func TestReplicationSoak(t *testing.T) {
 	// Answer exactness: sampled pairs against a BFS oracle over the stream's
 	// final edge set, asked over HTTP on the primary and both followers.
 	final := graph.FromEdges(ig.NumVertices(), ms.Edges())
-	sc := graph.NewBFSScratch(final.NumVertices())
+	sc := new(graph.BFS)
 	rng := rand.New(rand.NewPCG(0x50AC, 2))
 	n := final.NumVertices()
 	servers := map[string]string{

@@ -32,8 +32,6 @@ type NeighborStream struct {
 	top  []graph.Vertex
 	bias float64
 	i    int
-
-	scratch *graph.BFSScratch
 }
 
 // NewNeighborStream seeds a stream over g. ks lists the hop bounds to
@@ -45,11 +43,10 @@ func NewNeighborStream(g *graph.Graph, seed uint64, ks []int, bias float64) *Nei
 		ks = []int{2}
 	}
 	s := &NeighborStream{
-		rng:     rand.New(rand.NewPCG(seed, 0xba11)),
-		g:       g,
-		ks:      append([]int(nil), ks...),
-		bias:    bias,
-		scratch: graph.NewBFSScratch(g.NumVertices()),
+		rng:  rand.New(rand.NewPCG(seed, 0xba11)),
+		g:    g,
+		ks:   append([]int(nil), ks...),
+		bias: bias,
 	}
 	if bias > 0 {
 		s.top = TopDegree(g, 64)
@@ -73,20 +70,19 @@ func (s *NeighborStream) Next() NeighborQuery {
 }
 
 // Ball is the BFS-ball oracle: the exact k-hop ball of q (source excluded)
-// with Within/Frontier buckets, computed directly on the graph. It shares
-// one scratch across calls; results alias nothing.
+// with Within/Frontier buckets, read off graph.BFSDistances — the
+// reference BFS, not the engine the indexes enumerate with.
 func (s *NeighborStream) Ball(q NeighborQuery) map[graph.Vertex]core.DistBucket {
-	graph.KHopBFS(s.g, q.Src, q.K, q.Dir, s.scratch)
 	out := make(map[graph.Vertex]core.DistBucket)
-	for _, v := range s.scratch.Visited() {
-		if v == q.Src {
-			continue
+	for v, d := range graph.BFSDistances(s.g, q.Src, q.Dir) {
+		if d <= 0 || (q.K >= 0 && int(d) > q.K) {
+			continue // unreachable, the source itself, or beyond the bound
 		}
 		b := core.BucketWithin
-		if q.K >= 0 && int(s.scratch.Dist(v)) == q.K {
+		if int(d) == q.K {
 			b = core.BucketFrontier
 		}
-		out[v] = b
+		out[graph.Vertex(v)] = b
 	}
 	return out
 }

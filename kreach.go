@@ -326,7 +326,7 @@ func BuildHKIndex(g *Graph, opts HKOptions) (*HKIndex, error) {
 		return nil, err
 	}
 	idx := &HKIndex{ix: ix, g: g}
-	idx.scratch.New = func() any { return core.NewHKQueryScratch(ix) }
+	idx.scratch.New = func() any { return core.NewHKQueryScratch() }
 	return idx, nil
 }
 
@@ -409,7 +409,7 @@ func LoadHKIndex(r io.Reader, g *Graph) (*HKIndex, error) {
 		return nil, err
 	}
 	idx := &HKIndex{ix: ix, g: g}
-	idx.scratch.New = func() any { return core.NewHKQueryScratch(ix) }
+	idx.scratch.New = func() any { return core.NewHKQueryScratch() }
 	return idx, nil
 }
 

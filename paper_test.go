@@ -229,7 +229,7 @@ func build(t *testing.T, d standIn, k int, vc *cover.Set) *core.Index {
 func muReachVsBFS(t *testing.T, ds []standIn) float64 {
 	var ratios []float64
 	for _, d := range ds {
-		sc := graph.NewBFSScratch(d.g.NumVertices())
+		sc := new(graph.BFS)
 		ratios = append(ratios, slowdown(t, d, build(t, d, d.mu, d.vc), "µ-BFS", func(s, u graph.Vertex) bool {
 			return graph.KHopReach(d.g, s, u, d.mu, sc)
 		}))
@@ -365,7 +365,7 @@ func twoHopReachSlower(t *testing.T, ds []standIn) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := core.NewHKQueryScratch(hk)
+		sc := core.NewHKQueryScratch()
 		ratios = append(ratios, slowdown(t, d, build(t, d, k, d.vc), fmt.Sprintf("(2,%d)-reach", k), func(s, u graph.Vertex) bool {
 			return hk.Reach(s, u, sc)
 		}))

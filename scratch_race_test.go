@@ -13,11 +13,12 @@ import (
 // TestScratchPoolConcurrentNoContamination hammers ReachFrom/ReachInto and
 // ReachBatch concurrently across all four index variants and checks every
 // result against ground truth computed up front. The enumeration path
-// recycles pooled BallScratch/EnumScratch state between queries, and the
-// batch path shares one QueryScratch per worker; under -race this test
-// catches unsynchronized pool use directly, and the oracle comparison
-// catches the subtler failure where a recycled scratch leaks marks from a
-// previous query (wrong membership or buckets) without any racy access.
+// recycles pooled EnumScratch state — the BFS engine's visited bitmap and
+// visit order among it — between queries, and the batch path shares one
+// QueryScratch per worker; under -race this test catches unsynchronized
+// pool use directly, and the oracle comparison catches the subtler failure
+// where a recycled scratch leaks marks from a previous query (wrong
+// membership or buckets) without any racy access.
 func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 	const (
 		n, m, k  = 80, 320, 3
