@@ -73,7 +73,9 @@ repl-smoke:
 # write-ahead logs and KRF1 replication feeds must error (or recover a
 # valid prefix), never crash; /v1/batch request bodies must decode, and
 # replies encode, exactly as encoding/json does; the staged ReachBatch
-# kernel must answer byte-built graphs and pair lists as scalar Reach does.
+# kernel must answer byte-built graphs and pair lists as scalar Reach does;
+# the dynamic index's rows must equal a from-scratch derivation after every
+# byte-built mutation batch.
 # (Go allows one -fuzz pattern per package invocation.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -run='^$$' .
@@ -83,3 +85,4 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
 	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
 	$(GO) test -fuzz=FuzzReachBatch -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
+	$(GO) test -fuzz=FuzzMutate -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dynamic

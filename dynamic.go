@@ -76,6 +76,7 @@ type MutationResult struct {
 	UnknownVertex  int    // operations dropped for out-of-range endpoints
 	Promoted       int    // vertices promoted into the vertex cover
 	RowsRecomputed int    // cover rows re-derived by bounded BFS
+	RowsRelaxed    int    // other cover rows an insertion or promotion changed
 	Epoch          uint64 // the epoch issued for the post-batch state
 }
 
@@ -89,16 +90,7 @@ func (r MutationResult) Applied() bool { return r.Added+r.Removed > 0 }
 // snapshot has been published.
 func (ix *DynamicIndex) Mutate(add, remove [][2]int) (MutationResult, error) {
 	res, err := ix.d.Mutate(toEdges(add), toEdges(remove))
-	return MutationResult{
-		Added:          res.Added,
-		Removed:        res.Removed,
-		DupAdds:        res.DupAdds,
-		MissingRemoves: res.MissingRemoves,
-		UnknownVertex:  res.UnknownVertex,
-		Promoted:       res.Promoted,
-		RowsRecomputed: res.RowsRecomputed,
-		Epoch:          res.Epoch,
-	}, err
+	return mutationResult(res), err
 }
 
 // ApplyRecord applies one replicated mutation record under the epoch the
@@ -111,6 +103,10 @@ func (ix *DynamicIndex) Mutate(add, remove [][2]int) (MutationResult, error) {
 // primary compaction's successor epoch. The epoch must be nonzero.
 func (ix *DynamicIndex) ApplyRecord(add, remove [][2]int, epoch uint64) (MutationResult, error) {
 	res, err := ix.d.ApplyRecord(toEdges(add), toEdges(remove), epoch)
+	return mutationResult(res), err
+}
+
+func mutationResult(res dynamic.MutationResult) MutationResult {
 	return MutationResult{
 		Added:          res.Added,
 		Removed:        res.Removed,
@@ -119,8 +115,9 @@ func (ix *DynamicIndex) ApplyRecord(add, remove [][2]int, epoch uint64) (Mutatio
 		UnknownVertex:  res.UnknownVertex,
 		Promoted:       res.Promoted,
 		RowsRecomputed: res.RowsRecomputed,
+		RowsRelaxed:    res.RowsRelaxed,
 		Epoch:          res.Epoch,
-	}, err
+	}
 }
 
 func toEdges(pairs [][2]int) []graph.Edge {
@@ -241,6 +238,7 @@ type DynamicStats struct {
 	EdgesRemoved    uint64
 	Promotions      uint64
 	RowsRecomputed  uint64
+	RowsRelaxed     uint64
 	MaintenanceBFS  uint64
 	Compactions     uint64
 }
@@ -265,6 +263,7 @@ func (ix *DynamicIndex) dynStats() DynamicStats {
 		EdgesRemoved:    st.EdgesRemoved,
 		Promotions:      st.Promotions,
 		RowsRecomputed:  st.RowsRecomputed,
+		RowsRelaxed:     st.RowsRelaxed,
 		MaintenanceBFS:  st.MaintenanceBFS,
 		Compactions:     st.Compactions,
 	}

@@ -2,9 +2,13 @@ package kreach_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"kreach"
+	"kreach/internal/graph"
 )
 
 // Fuzzing the on-disk attack surface: kreachd and the kreach CLI load
@@ -96,6 +100,13 @@ func FuzzLoadAutoIndex(f *testing.F) {
 	f.Add([]byte("KRI1"))
 	f.Add([]byte("not an index at all"))
 
+	// A well-framed KRG1 stream whose edges (3,0),(1,0),(1,2),(1,4),(1,4)
+	// are out of order and duplicated: each byte is one uvarint, n, m,
+	// then per edge its source and its target's gap from the previous
+	// target of that source.
+	unsorted := []byte{5, 5, 3, 0, 1, 0, 1, 2, 1, 2, 1, 0}
+	f.Add(append(binary.LittleEndian.AppendUint32([]byte("KRG1"), crc32.ChecksumIEEE(unsorted)), unsorted...))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64<<10 {
 			t.Skip("oversized input")
@@ -120,17 +131,43 @@ func FuzzLoadAutoIndex(f *testing.F) {
 			}
 		}
 		// The same bytes through the graph loader: corrupt KRG1 streams
-		// must error, and accepted ones must be safely usable.
+		// must error, and accepted ones must be well-formed CSR graphs and
+		// safely usable.
 		if g2, err := kreach.LoadBinary(bytes.NewReader(data)); err == nil {
-			n := g2.NumVertices()
-			for v := 0; v < n && v < 64; v++ {
-				g2.OutNeighbors(v)
-				g2.InNeighbors(v)
-			}
+			checkCSR(t, g2.Internal())
 			var out bytes.Buffer
 			if err := g2.SaveBinary(&out); err != nil {
 				t.Fatalf("re-save of accepted graph: %v", err)
 			}
 		}
 	})
+}
+
+// checkCSR asserts the invariants every consumer of a loaded graph relies
+// on: each out- and in-list is strictly ascending, every out-edge (u,v)
+// has u in v's in-list, and both sides hold NumEdges entries, so the in-
+// lists are exactly the out-lists mirrored.
+func checkCSR(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	outs, ins := 0, 0
+	for u := range graph.Vertex(g.NumVertices()) {
+		out, in := g.OutNeighbors(u), g.InNeighbors(u)
+		for _, list := range [][]graph.Vertex{out, in} {
+			for i := 1; i < len(list); i++ {
+				if list[i-1] >= list[i] {
+					t.Fatalf("vertex %d: adjacency %v not strictly ascending", u, list)
+				}
+			}
+		}
+		for _, v := range out {
+			if _, ok := slices.BinarySearch(g.InNeighbors(v), u); !ok {
+				t.Fatalf("edge (%d,%d) missing from the in-list of %d", u, v, v)
+			}
+		}
+		outs += len(out)
+		ins += len(in)
+	}
+	if outs != g.NumEdges() || ins != g.NumEdges() {
+		t.Fatalf("%d out- and %d in-entries for %d edges", outs, ins, g.NumEdges())
+	}
 }

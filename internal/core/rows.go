@@ -105,8 +105,28 @@ func AppendRow[W uint8 | uint16](keys []uint64, b *graph.BFS, g *graph.Graph, ov
 			}
 		}
 	}
-	slices.Sort(keys[start:])
+	SortArcs(keys[start:])
 	return keys
+}
+
+// insertionSortMax is the longest run of keys SortArcs sorts by insertion
+// sort. A typical row holds a few dozen keys, which insertion sort orders in
+// about half pdqsort's time; hub rows stay on slices.Sort.
+const insertionSortMax = 64
+
+// SortArcs sorts packed arc keys ascending.
+func SortArcs(keys []uint64) {
+	if len(keys) > insertionSortMax {
+		slices.Sort(keys)
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		key, j := keys[i], i
+		for ; j > 0 && keys[j-1] > key; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = key
+	}
 }
 
 // UnpackArc splits a key AppendRow packed into its target cover id and

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -84,9 +85,9 @@ type Options struct {
 	// Seed drives randomized cover selection.
 	Seed uint64
 	// Parallelism bounds concurrent BFS workers, both during full
-	// (re)builds and when a mutation batch re-derives its affected rows;
-	// 0 = GOMAXPROCS. Repair workers run inside the batch's write section,
-	// so readers still see exactly one epoch per batch.
+	// (re)builds and when a mutation batch re-derives or relaxes its
+	// affected rows; 0 = GOMAXPROCS. Repair workers run inside the batch's
+	// write section, so readers still see exactly one epoch per batch.
 	Parallelism int
 	// CompactRatio is the DeltaSize/base-edges ratio at which ShouldCompact
 	// reports true (0 = DefaultCompactRatio).
@@ -136,9 +137,9 @@ type Index struct {
 	compacting atomic.Bool
 
 	// Cumulative counters (guarded by rw; carried across compactions).
-	batches, edgesAdded, edgesRemoved uint64
-	promotions, rowsRecomputed        uint64
-	compactions                       uint64
+	batches, edgesAdded, edgesRemoved       uint64
+	promotions, rowsRecomputed, rowsRelaxed uint64
+	compactions                             uint64
 	// bfsRuns is atomic: maintenance pre-scans run outside the write lock.
 	bfsRuns atomic.Uint64
 
@@ -146,7 +147,8 @@ type Index struct {
 	// use; scratches[0] also serves the collection phases. Guarded by mutMu
 	// and grown only under the write lock.
 	scratches []*rowScratch
-	affected  []int32 // collected row ids, reused across batches (mutMu)
+	affected  []int32   // re-derived row ids, reused across batches (mutMu)
+	relax     relaxPlan // relaxed rows, reused across batches (mutMu)
 
 	journal Journal // durability hook, nil for in-memory indexes (mutMu)
 }
@@ -401,6 +403,7 @@ type MutationResult struct {
 	UnknownVertex           int // ops dropped for out-of-range endpoints
 	Promoted                int // vertices promoted into the cover
 	RowsRecomputed          int // cover rows re-derived by bounded BFS
+	RowsRelaxed             int // other cover rows an insertion or promotion changed
 	Epoch                   uint64
 }
 
@@ -411,14 +414,17 @@ func (r MutationResult) Applied() bool { return r.Added+r.Removed > 0 }
 // then adds) and incrementally repairs the index:
 //
 //   - rows of cover vertices within k-1 hops backward of a removed edge's
-//     source (in the pre-batch graph) are re-derived, since any weakened
-//     path routes through that source;
+//     source (in the pre-batch graph) are re-derived by bounded BFS, since
+//     any weakened path routes through that source;
 //   - an insertion between two uncovered endpoints promotes the
 //     higher-degree endpoint into the cover, keeping the vertex-cover
-//     invariant Algorithm 2's case analysis rests on;
-//   - rows of cover vertices within k-1 hops backward of an added edge's
-//     source, and within k hops backward of any promoted vertex (in the
-//     post-batch graph), are re-derived likewise.
+//     invariant Algorithm 2's case analysis rests on; a promoted vertex's
+//     own row is re-derived too;
+//   - every other row is relaxed: an insertion (u,v) can only tighten
+//     row c, to the bucket of d(c,u)+1+d(v,c′), and a promoted vertex p
+//     only adds the arc c→p at the bucket of d(c,p), all distances taken
+//     in the post-batch graph. Buckets are monotone in distance, so
+//     merging these candidates into the row by minimum bucket is exact.
 //
 // Batches serialize; queries are excluded only during the apply-and-repair
 // write section, at the end of which a fresh epoch is issued.
@@ -535,34 +541,27 @@ func (ix *Index) mutateLocked(add, remove []graph.Edge, replayEpoch uint64) (Mut
 		}
 	}
 
-	// Phase C (post-batch graph): rows that an insertion can strengthen
-	// route through the new edge's source, within k-1 hops; a freshly
-	// promoted cover vertex additionally needs arcs from every cover vertex
-	// that already reached it, within the full k hops. One BFS with the
-	// promoted vertices seeded at level 0 and the sources at level 1,
-	// bounded at k, visits exactly the union of both kinds of ball.
-	b.Reset(n)
+	// Phase C (post-batch graph): the removal balls and the promoted
+	// vertices' own rows are re-derived; every other row an insertion or a
+	// promotion reaches is relaxed.
 	for _, c := range promoted {
-		b.Visit(c)
+		affected = append(affected, ix.coverID[c])
 	}
-	b.Expand(ix.dg.base, &ix.dg.ov, graph.Backward)
-	for _, e := range applied {
-		b.Visit(e.Src)
-	}
-	affected = ix.collectBackward(b, ix.k, affected)
-
-	// Phase D: re-derive every affected row, once, by forward bounded BFS.
 	slices.Sort(affected)
 	affected = slices.Compact(affected)
 	ix.affected = affected
-	ix.repair(affected)
+	ix.planRelax(applied, promoted, affected)
+
+	// Phase D: re-derive and relax every affected row, once.
 	res.RowsRecomputed = len(affected)
+	res.RowsRelaxed = ix.repair(affected, &ix.relax)
 
 	ix.batches++
 	ix.edgesAdded += uint64(res.Added)
 	ix.edgesRemoved += uint64(res.Removed)
 	ix.promotions += uint64(res.Promoted)
 	ix.rowsRecomputed += uint64(res.RowsRecomputed)
+	ix.rowsRelaxed += uint64(res.RowsRelaxed)
 	switch {
 	case res.Applied():
 		if reserved == 0 {
@@ -642,51 +641,147 @@ func (ix *Index) collectBackward(b *graph.BFS, maxHops int, ids []int32) []int32
 	return ids
 }
 
-// repair re-derives the rows of ids (distinct cover ids) on up to
-// opts.workers() goroutines, one per 2·repairChunk ids at most. Workers claim
-// repairChunk ids at a time from a shared cursor, each with its own scratch,
-// and write only the rows they claimed; their arc-count deltas are summed
-// once all are done. Caller holds the write lock.
-func (ix *Index) repair(ids []int32) {
-	ix.bfsRuns.Add(uint64(len(ids)))
-	workers := min(ix.opts.workers(), (len(ids)+2*repairChunk-1)/(2*repairChunk))
-	if workers <= 1 {
-		for _, id := range ids {
-			ix.arcCount += ix.recomputeRow(id, ix.scratches[0])
+// relaxPlan is the relaxation work of one batch, rebuilt by planRelax. A
+// source is one candidate list: the cover vertices within k-1 hops forward
+// of an inserted edge's head, or a promoted vertex alone. A reference puts
+// a source's candidates in a row: row c, through source s, gains c′ at
+// distance base + the candidate's hops.
+type relaxPlan struct {
+	cands []uint64   // every source's list, packed cover id<<32 | hops, level by level
+	ends  []int      // ends[s]: end of source s's list in cands
+	refs  []relaxRef // sorted by row
+	rows  []int      // start of each row's run in refs, then len(refs)
+}
+
+// runs returns the number of rows p relaxes.
+func (p *relaxPlan) runs() int { return max(len(p.rows)-1, 0) }
+
+// relaxRef is one reference of a relaxPlan.
+type relaxRef struct {
+	row, src, base int32
+}
+
+// planRelax rebuilds ix.relax for a batch whose insertions applied and
+// whose promotions are in, over the post-batch overlay. Each insertion
+// (u,v) takes a backward (k-1)-bounded BFS from u, whose cover vertices c
+// are the rows, at base d(c,u)+1, and a forward (k-1)-bounded BFS from v,
+// whose cover vertices are its candidates; each promoted vertex p takes a
+// backward k-bounded BFS, whose cover vertices c get the arc c→p at base
+// d(c,p). Rows in rederive (sorted) are left out: they are re-derived.
+// Caller holds the write lock.
+func (ix *Index) planRelax(applied []graph.Edge, promoted []graph.Vertex, rederive []int32) {
+	p := &ix.relax
+	p.cands, p.ends, p.refs = p.cands[:0], p.ends[:0], p.refs[:0]
+	b := &ix.scratches[0].bfs
+	// addRows references source src from every cover row b visited at
+	// level minLevel or beyond.
+	addRows := func(src, minLevel, offset int) {
+		for d := minLevel; d <= b.Depth(); d++ {
+			for _, v := range b.Level(d) {
+				id := ix.coverID[v]
+				if id < 0 {
+					continue
+				}
+				if _, skip := slices.BinarySearch(rederive, id); !skip {
+					p.refs = append(p.refs, relaxRef{row: id, src: int32(src), base: int32(d + offset)})
+				}
+			}
 		}
-		return
+	}
+	for _, e := range applied {
+		b.Run(ix.dg.base, &ix.dg.ov, e.Dst, ix.k-1, graph.Forward)
+		for d := 0; d <= b.Depth(); d++ {
+			for _, v := range b.Level(d) {
+				if id := ix.coverID[v]; id >= 0 {
+					p.cands = append(p.cands, uint64(id)<<32|uint64(d))
+				}
+			}
+		}
+		p.ends = append(p.ends, len(p.cands))
+		b.Run(ix.dg.base, &ix.dg.ov, e.Src, ix.k-1, graph.Backward)
+		addRows(len(p.ends)-1, 0, 1)
+	}
+	for _, c := range promoted {
+		p.cands = append(p.cands, uint64(ix.coverID[c])<<32)
+		p.ends = append(p.ends, len(p.cands))
+		b.Run(ix.dg.base, &ix.dg.ov, c, ix.k, graph.Backward)
+		addRows(len(p.ends)-1, 1, 0)
+	}
+	ix.bfsRuns.Add(uint64(2*len(applied) + len(promoted)))
+	slices.SortFunc(p.refs, func(a, b relaxRef) int { return cmp.Compare(a.row, b.row) })
+	p.rows = p.rows[:0]
+	for i, r := range p.refs {
+		if i == 0 || r.row != p.refs[i-1].row {
+			p.rows = append(p.rows, i)
+		}
+	}
+	p.rows = append(p.rows, len(p.refs))
+}
+
+// repair re-derives the rows of ids (distinct cover ids) and relaxes the
+// rows of p, on up to opts.workers() goroutines, one per
+// 2·repairChunk rows at most. Workers claim repairChunk rows at a time from
+// a shared cursor, each with its own scratch, and write only the rows they
+// claimed; their arc-count deltas are summed once all are done. It returns
+// how many relaxed rows changed. Caller holds the write lock.
+func (ix *Index) repair(ids []int32, p *relaxPlan) (relaxed int) {
+	ix.bfsRuns.Add(uint64(len(ids)))
+	tasks := len(ids) + p.runs()
+	// run does task i: re-derive ids[i], or relax the row of p's run
+	// i-len(ids).
+	run := func(i int, sc *rowScratch) (delta int, changed bool) {
+		if i < len(ids) {
+			return ix.recomputeRow(ids[i], sc), false
+		}
+		return ix.relaxRow(p, i-len(ids), sc)
+	}
+	workers := min(ix.opts.workers(), (tasks+2*repairChunk-1)/(2*repairChunk))
+	if workers <= 1 {
+		for i := range tasks {
+			delta, changed := run(i, ix.scratches[0])
+			ix.arcCount += delta
+			if changed {
+				relaxed++
+			}
+		}
+		return relaxed
 	}
 	for len(ix.scratches) < workers {
 		ix.scratches = append(ix.scratches, &rowScratch{})
 	}
-	deltas := make([]int, workers)
+	deltas, counts := make([]int, workers), make([]int, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc, delta := ix.scratches[w], 0
+			sc := ix.scratches[w]
 			for {
 				lo := int(cursor.Add(repairChunk)) - repairChunk
-				if lo >= len(ids) {
+				if lo >= tasks {
 					break
 				}
-				for _, id := range ids[lo:min(lo+repairChunk, len(ids))] {
-					delta += ix.recomputeRow(id, sc)
+				for i := lo; i < min(lo+repairChunk, tasks); i++ {
+					delta, changed := run(i, sc)
+					deltas[w] += delta
+					if changed {
+						counts[w]++
+					}
 				}
 			}
-			deltas[w] = delta
 		}()
 	}
 	wg.Wait()
-	for _, d := range deltas {
-		ix.arcCount += d
+	for w := range workers {
+		ix.arcCount += deltas[w]
+		relaxed += counts[w]
 	}
+	return relaxed
 }
 
 // rowScratch is one repair worker's state: the BFS engine and the packed
-// arc keys of the row it is deriving.
+// arc keys of the row it is deriving or relaxing.
 type rowScratch struct {
 	bfs  graph.BFS
 	keys []uint64
@@ -706,6 +801,73 @@ func (ix *Index) recomputeRow(id int32, sc *rowScratch) int {
 	delta := len(row) - len(ix.rows[id])
 	ix.rows[id] = row
 	return delta
+}
+
+// relaxRow merges the candidates of p's run-th row into that row by
+// minimum bucket, in place when no target is new, and returns the change in
+// its arc count and whether the row changed. It writes only that row, so
+// repair workers can run it concurrently on distinct rows.
+func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, changed bool) {
+	refs := p.refs[p.rows[run]:p.rows[run+1]]
+	id, keys := refs[0].row, sc.keys[:0]
+	for _, r := range refs {
+		lo := 0
+		if r.src > 0 {
+			lo = p.ends[r.src-1]
+		}
+		// A list is level by level, so the cut to d(c,u)+1+d(v,c′) ≤ k is
+		// a prefix.
+		for _, cand := range p.cands[lo:p.ends[r.src]] {
+			d := r.base + int32(uint32(cand))
+			if int(d) > ix.k {
+				break
+			}
+			if to := int32(cand >> 32); to != id {
+				keys = append(keys, uint64(to)<<8|uint64(ix.bucketFor(d)))
+			}
+		}
+	}
+	sc.keys = keys
+	core.SortArcs(keys)
+
+	// Tighten the targets the row has; gather the new ones, each with its
+	// least bucket (the first of its keys), in the front of keys.
+	row, fresh := ix.rows[id], keys[:0]
+	i, prev := 0, int32(-1)
+	for _, key := range keys {
+		to, w := int32(key>>8), uint8(key)
+		if to == prev {
+			continue
+		}
+		prev = to
+		for i < len(row) && row[i].to < to {
+			i++
+		}
+		switch {
+		case i == len(row) || row[i].to != to:
+			fresh = append(fresh, key)
+		case w < row[i].w:
+			row[i].w = w
+			changed = true
+		}
+	}
+	if len(fresh) == 0 {
+		return 0, changed
+	}
+	// Merge the new targets in from the back.
+	i = len(row) - 1
+	row = slices.Grow(row, len(fresh))[:len(row)+len(fresh)]
+	for o, j := len(row)-1, len(fresh)-1; j >= 0; o-- {
+		if to := int32(fresh[j] >> 8); i >= 0 && row[i].to > to {
+			row[o] = row[i]
+			i--
+		} else {
+			row[o] = arc{to: to, w: uint8(fresh[j])}
+			j--
+		}
+	}
+	ix.rows[id] = row
+	return len(fresh), true
 }
 
 // ShouldCompact reports whether the overlay has grown past the configured
@@ -779,6 +941,7 @@ func (next *Index) inherit(prev *Index) {
 	next.edgesRemoved = prev.edgesRemoved
 	next.promotions = prev.promotions
 	next.rowsRecomputed = prev.rowsRecomputed
+	next.rowsRelaxed = prev.rowsRelaxed
 	next.bfsRuns.Store(prev.bfsRuns.Load())
 	next.compactions = prev.compactions + 1
 }
@@ -799,7 +962,8 @@ type Stats struct {
 	EdgesAdded      uint64 // cumulative, across compactions
 	EdgesRemoved    uint64
 	Promotions      uint64
-	RowsRecomputed  uint64
+	RowsRecomputed  uint64 // rows re-derived by bounded BFS
+	RowsRelaxed     uint64 // other rows an insertion or promotion changed
 	MaintenanceBFS  uint64 // bounded BFS traversals spent on maintenance
 	Compactions     uint64
 }
@@ -822,6 +986,7 @@ func (ix *Index) Stats() Stats {
 		EdgesRemoved:    ix.edgesRemoved,
 		Promotions:      ix.promotions,
 		RowsRecomputed:  ix.rowsRecomputed,
+		RowsRelaxed:     ix.rowsRelaxed,
 		MaintenanceBFS:  ix.bfsRuns.Load(),
 		Compactions:     ix.compactions,
 	}

@@ -12,8 +12,9 @@ import (
 // BenchmarkMutate is the local reproduction of dynamic.mutate_us_per_edge:
 // steady-state 32+32 batches on a 100 k-vertex lattice at k = 4 with the
 // benchmark's random-edge cover, after a 64-batch fill of the live window.
-// batch times whole Mutate calls; collect and repair re-run the two halves
-// of the last batch's maintenance (both idempotent on a settled index).
+// batch times whole Mutate calls and reports the rows each one re-derived
+// and relaxed; collect, repair and relax re-run the three parts of the
+// last batch's maintenance (each idempotent on a settled index).
 func BenchmarkMutate(b *testing.B) {
 	const adds, window = 32, 64
 	g := testgraph.Lattice(100_000, 1)
@@ -35,36 +36,33 @@ func BenchmarkMutate(b *testing.B) {
 			batches[i][0], batches[i][1] = st.next(adds, 0, nil)
 		}
 		b.ResetTimer()
-		rows := 0
+		rederived, relaxed := 0, 0
 		for _, m := range batches {
 			res, err := ix.Mutate(m[0], m[1])
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows += res.RowsRecomputed
+			rederived += res.RowsRecomputed
+			relaxed += res.RowsRelaxed
 		}
 		add, remove = batches[b.N-1][0], batches[b.N-1][1]
-		b.ReportMetric(float64(rows)/float64(b.N), "rows/batch")
+		b.ReportMetric(float64(rederived)/float64(b.N), "rederived/batch")
+		b.ReportMetric(float64(relaxed)/float64(b.N), "relaxed/batch")
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*2*adds), "us/edge")
 	})
-	// collect seeds both phases from the last batch's edge sources on the
-	// current overlay: the same seeds and bounds Mutate used, each phase one
-	// multi-source backward BFS.
+	// collect runs both collections on the last batch's edges over the
+	// current overlay: the removal balls (one multi-source backward BFS)
+	// and the relaxation plan of its insertions (two BFSs per edge).
 	collect := func() []int32 {
-		bfs, n := &ix.scratches[0].bfs, ix.NumVertices()
-		bfs.Reset(n)
+		bfs := &ix.scratches[0].bfs
+		bfs.Reset(ix.NumVertices())
 		for _, e := range remove {
 			bfs.Visit(e.Src)
 		}
 		ids := ix.collectBackward(bfs, ix.k-1, ix.affected[:0])
-		bfs.Reset(n)
-		bfs.Expand(ix.dg.base, &ix.dg.ov, graph.Backward) // no promotions: level 0 is empty
-		for _, e := range add {
-			bfs.Visit(e.Src)
-		}
-		ids = ix.collectBackward(bfs, ix.k, ids)
 		slices.Sort(ids)
 		ix.affected = slices.Compact(ids)
+		ix.planRelax(add, nil, ix.affected)
 		return ix.affected
 	}
 	b.Run("collect", func(b *testing.B) {
@@ -75,8 +73,14 @@ func BenchmarkMutate(b *testing.B) {
 	ids := slices.Clone(collect())
 	b.Run("repair", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.repair(ids)
+			ix.repair(ids, &relaxPlan{})
 		}
 		b.ReportMetric(float64(len(ids)), "rows/batch")
+	})
+	b.Run("relax", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ix.repair(nil, &ix.relax)
+		}
+		b.ReportMetric(float64(ix.relax.runs()), "rows/batch")
 	})
 }

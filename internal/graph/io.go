@@ -230,6 +230,9 @@ func DecodeBinary(payload []byte) (*Graph, int, error) {
 	edges := make([]Edge, 0, m)
 	prevSrc := Vertex(-1)
 	prevDst := Vertex(0)
+	// FromSortedEdges, the overlay merge and every CSR consumer rely on
+	// (src,dst) strictly ascending, so an edge that is not strictly after
+	// its predecessor is rejected, not sorted.
 	for i := 0; i < m; i++ {
 		s64, err := readUvarint()
 		if err != nil {
@@ -247,6 +250,9 @@ func DecodeBinary(payload []byte) (*Graph, int, error) {
 		prevDst = v
 		if int(u) >= n || int(v) >= n || u < 0 || v < 0 {
 			return nil, 0, fmt.Errorf("%w: edge (%d,%d) out of range", ErrBadFormat, u, v)
+		}
+		if last := len(edges) - 1; last >= 0 && (u < edges[last].Src || u == edges[last].Src && v <= edges[last].Dst) {
+			return nil, 0, fmt.Errorf("%w: edge (%d,%d) not after (%d,%d)", ErrBadFormat, u, v, edges[last].Src, edges[last].Dst)
 		}
 		edges = append(edges, Edge{u, v})
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -124,5 +126,52 @@ func TestEdgeListRoundTripWithIsolatedTail(t *testing.T) {
 		if !want[e] {
 			t.Errorf("round trip invented edge %v", e)
 		}
+	}
+}
+
+// binaryPayload encodes edges as AppendBinary does — source, then the
+// target's gap from the previous target of the same source — but in the
+// order given, sorted or not.
+func binaryPayload(n int, edges [][2]Vertex) []byte {
+	buf := binary.AppendUvarint(nil, uint64(n))
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	prevSrc, prevDst := Vertex(-1), Vertex(0)
+	for _, e := range edges {
+		if e[0] != prevSrc {
+			prevSrc, prevDst = e[0], 0
+		}
+		buf = binary.AppendUvarint(buf, uint64(e[0]))
+		buf = binary.AppendUvarint(buf, uint64(e[1]-prevDst))
+		prevDst = e[1]
+	}
+	return buf
+}
+
+// TestDecodeBinaryRejectsUnsortedEdges pins the KRG1 order check: the CSR
+// build behind DecodeBinary assumes (src,dst) strictly ascending, and a
+// stream that breaks it once loaded in(0) = [3 1], out(1) = [0 2 4 4] and
+// HasEdge(1,0) false.
+func TestDecodeBinaryRejectsUnsortedEdges(t *testing.T) {
+	for name, edges := range map[string][][2]Vertex{
+		"out of order and duplicate": {{3, 0}, {1, 0}, {1, 2}, {1, 4}, {1, 4}},
+		"source descends":            {{3, 0}, {1, 0}},
+		"duplicate":                  {{1, 2}, {1, 4}, {1, 4}},
+	} {
+		if g, _, err := DecodeBinary(binaryPayload(5, edges)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: got graph %v, error %v; want ErrBadFormat", name, g, err)
+		}
+	}
+	sorted := [][2]Vertex{{1, 0}, {1, 2}, {1, 4}, {3, 0}}
+	g, _, err := DecodeBinary(binaryPayload(5, sorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range sorted {
+		if !g.HasEdge(e[0], e[1]) {
+			t.Errorf("sorted stream lost edge %v", e)
+		}
+	}
+	if g.NumEdges() != len(sorted) {
+		t.Errorf("sorted stream has %d edges, want %d", g.NumEdges(), len(sorted))
 	}
 }

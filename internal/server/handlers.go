@@ -360,6 +360,7 @@ type dynamicInfo struct {
 	EdgesRemoved    uint64 `json:"edges_removed"`
 	Promotions      uint64 `json:"promotions"`
 	RowsRecomputed  uint64 `json:"rows_recomputed"`
+	RowsRelaxed     uint64 `json:"rows_relaxed"`
 	MaintenanceBFS  uint64 `json:"maintenance_bfs"`
 	Compactions     uint64 `json:"compactions"`
 	ShouldCompact   bool   `json:"should_compact"`
@@ -499,6 +500,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 				EdgesRemoved:    dyn.EdgesRemoved,
 				Promotions:      dyn.Promotions,
 				RowsRecomputed:  dyn.RowsRecomputed,
+				RowsRelaxed:     dyn.RowsRelaxed,
 				MaintenanceBFS:  dyn.MaintenanceBFS,
 				Compactions:     dyn.Compactions,
 				ShouldCompact:   shouldCompact,

@@ -47,6 +47,7 @@ type edgesResponse struct {
 	UnknownVertex  int    `json:"unknown_vertices"`
 	Promoted       int    `json:"promoted"`
 	RowsRecomputed int    `json:"rows_recomputed"`
+	RowsRelaxed    int    `json:"rows_relaxed"`
 	Epoch          uint64 `json:"epoch"`
 	LiveEdges      int    `json:"live_edges"`
 	DeltaEdges     int    `json:"delta_edges"`
@@ -101,6 +102,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			UnknownVertex:  res.UnknownVertex,
 			Promoted:       res.Promoted,
 			RowsRecomputed: res.RowsRecomputed,
+			RowsRelaxed:    res.RowsRelaxed,
 			Epoch:          res.Epoch,
 			LiveEdges:      st.LiveEdges,
 			DeltaEdges:     st.DeltaAdded + st.DeltaRemoved,
