@@ -35,7 +35,9 @@ scorecard:
 # BenchmarkBuild, the per-stage split of index construction (cover order,
 # row BFS, finalize, load), core's BenchmarkReachBatch, ns/pair of scalar
 # Reach in a loop against the staged batch kernel on one and on all workers
-# over a 300 k-vertex lattice, core's BenchmarkEnumerate, ns per ball vertex
+# over a 300 k-vertex lattice, then of a dynamic index's scalar Reach and
+# one-worker batch on the same graph and pairs (the dynamic/ rungs, one
+# command timing both paths), core's BenchmarkEnumerate, ns per ball vertex
 # of the cover-source walk and the BFS fallback on the lattice and a
 # hub-heavy stand-in, and dynamic's BenchmarkMutate, the local reproduction
 # of dynamic.mutate_us_per_edge (batch, collect, repair) — so bench-only

@@ -200,5 +200,5 @@ func OpenDurableDynamicIndex(base *Graph, opts DynamicOptions, dur DurableOption
 		store.Close()
 		return nil, nil, nil, err
 	}
-	return &DynamicIndex{d: d, n: g.NumVertices()}, &Graph{g: g}, &WAL{s: store}, nil
+	return newDynamicIndex(d, g.NumVertices()), &Graph{g: g}, &WAL{s: store}, nil
 }

@@ -2,6 +2,7 @@ package kreach
 
 import (
 	"errors"
+	"sync"
 
 	"kreach/internal/core"
 	"kreach/internal/dynamic"
@@ -47,8 +48,15 @@ type DynamicOptions struct {
 // safe for concurrent use; see Mutate and Compact for the write-path
 // semantics.
 type DynamicIndex struct {
-	d *dynamic.Index
-	n int
+	d       *dynamic.Index
+	n       int
+	scratch sync.Pool // *core.QueryScratch, one per concurrent Reach
+}
+
+func newDynamicIndex(d *dynamic.Index, n int) *DynamicIndex {
+	ix := &DynamicIndex{d: d, n: n}
+	ix.scratch.New = func() any { return core.NewQueryScratch() }
+	return ix
 }
 
 // NewDynamicIndex builds a mutable k-reach index over g. The graph is used
@@ -64,7 +72,7 @@ func NewDynamicIndex(g *Graph, opts DynamicOptions) (*DynamicIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicIndex{d: d, n: g.NumVertices()}, nil
+	return newDynamicIndex(d, g.NumVertices()), nil
 }
 
 // MutationResult reports what one Mutate batch did.
@@ -144,7 +152,10 @@ func clampVertex(v int) graph.Vertex {
 func (ix *DynamicIndex) Reach(s, t int) bool {
 	ix.check(s)
 	ix.check(t)
-	return ix.d.Reach(graph.Vertex(s), graph.Vertex(t), nil)
+	sc := ix.scratch.Get().(*core.QueryScratch)
+	ok := ix.d.Reach(graph.Vertex(s), graph.Vertex(t), sc)
+	ix.scratch.Put(sc)
+	return ok
 }
 
 // corePairs validates every endpoint against the (fixed) vertex range and
@@ -208,7 +219,7 @@ func (ix *DynamicIndex) Compact(publish func(next *DynamicIndex, g *Graph) error
 	var outIx *DynamicIndex
 	_, err := ix.d.Compact(func(nd *dynamic.Index, ng *graph.Graph) error {
 		outG = &Graph{g: ng}
-		outIx = &DynamicIndex{d: nd, n: ix.n}
+		outIx = newDynamicIndex(nd, ix.n)
 		if publish == nil {
 			return nil
 		}

@@ -8,6 +8,7 @@ import (
 
 	"kreach/internal/core"
 	"kreach/internal/cover"
+	"kreach/internal/dynamic"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
 )
@@ -18,7 +19,10 @@ import (
 // (every second target the end of a 1..k+1-step walk from its source, the
 // rest uniform). reach-loop answers the pairs with scalar Reach one after
 // another; batch/p=1 and batch/p=max run ReachBatch on one worker and on
-// GOMAXPROCS. Each reports ns/pair.
+// GOMAXPROCS. The dynamic/ rungs answer the same pairs with a mutable index
+// over the same graph and cover (dynamic.New, no mutations yet), whose rows
+// are per-row slices instead of the CSR, through the same two kernels.
+// Each reports ns/pair.
 func BenchmarkReachBatch(b *testing.B) {
 	const k = 4
 	g := testgraph.Lattice(300_000, 1)
@@ -53,6 +57,29 @@ func BenchmarkReachBatch(b *testing.B) {
 			perPair(b)
 		})
 	}
+
+	dyn, err := dynamic.New(g, dynamic.Options{K: k, Strategy: cover.RandomEdge, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("dynamic/reach-loop", func(b *testing.B) {
+		sc := core.NewQueryScratch()
+		out := make([]bool, len(pairs))
+		for b.Loop() {
+			for i, p := range pairs {
+				out[i] = dyn.Reach(p.S, p.T, sc)
+			}
+		}
+		perPair(b)
+	})
+	b.Run("dynamic/batch/p=1", func(b *testing.B) {
+		for b.Loop() {
+			if _, _, err := dyn.ReachBatch(context.Background(), pairs, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPair(b)
+	})
 }
 
 // benchPairs draws the benchmark's pair mix on g.

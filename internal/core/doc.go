@@ -13,7 +13,10 @@
 //     and dynamic builds and by the dynamic index's row repair.
 //   - query.go — Index queries (Algorithm 2): the four cover-membership
 //     cases, each at most one adjacency-list intersection. QueryCase and
-//     Classify expose the case split for the Table 8 experiment.
+//     Classify expose the case split for the Table 8 experiment. The same
+//     code answers for the dynamic index: NewMutable gives an Index a
+//     mutable row table and a graph.Overlay in place of the CSR, and every
+//     row read branches once on that table.
 //   - hk.go — HKIndex, the (h,k)-reach variant: smaller index over an
 //     h-hop cover, queries expand h-hop neighborhoods (Algorithm 3).
 //   - enum.go — k-hop neighborhood enumeration: BFSFallback, the
@@ -26,9 +29,10 @@
 //   - batch.go — ReachBatch worker pools: the shared batch path that
 //     answers many pairs at once with per-worker scratch, used by the
 //     public library, kreachd's /v1/batch and the bench harness.
-//   - stage.go — the plain index's batch kernel: Cases 1–3 of up to 64
-//     pairs become index-arc probes, resolved 32 at a time in lockstep so
-//     their cache misses overlap; Case 4 falls back to scalar Reach.
+//   - stage.go — the plain and mutable indexes' batch kernel: Cases 1–3
+//     of up to 64 pairs become index-arc probes, resolved 32 at a time in
+//     lockstep so their cache misses overlap; Case 4, and a Case 2–3 pair
+//     whose neighbour list the overlay changed, fall back to scalar Reach.
 //   - serial.go, hkserial.go — binary index serialization ("KRI1"/"KRH1"
 //     magics, CRC-checked varint payloads); SniffIndexMagic dispatches
 //     auto-detecting loaders.
@@ -41,6 +45,8 @@
 //
 // All query methods are safe for concurrent use provided each goroutine
 // owns its QueryScratch/HKQueryScratch; construction parallelizes across
-// cover vertices (Section 4.1.3). Indexes are immutable once built, which
-// is what lets the serving layer swap them atomically under load.
+// cover vertices (Section 4.1.3). Built and loaded indexes are immutable,
+// which is what lets the serving layer swap them atomically under load; a
+// mutable index (NewMutable) leaves the exclusion of queries during its
+// changes to its owner, internal/dynamic's read-write lock.
 package core

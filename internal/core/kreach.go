@@ -52,7 +52,8 @@ func (o Options) workers() int {
 // I = (V_I, E_I, ω_I) with V_I a vertex cover of G, an edge (u,v) for every
 // cover pair with u →k v, and 2-bit bucketed weights. It retains a
 // reference to the indexed graph, which queries consult for the adjacency
-// of non-cover endpoints (Cases 2–4 of Algorithm 2).
+// of non-cover endpoints (Cases 2–4 of Algorithm 2). A mutable Index
+// (NewMutable) holds the rows of a dynamic index instead of a CSR.
 type Index struct {
 	g   *graph.Graph
 	k   int    // Unbounded for n-reach
@@ -109,6 +110,46 @@ type Index struct {
 	fringeOutAdj  []graph.Vertex
 	fringeInHead  []int32
 	fringeInAdj   []graph.Vertex
+
+	// Mutable row table (NewMutable), nil on a built or loaded index: per
+	// cover id, the row's arcs sorted by target, which a dynamic index
+	// maintains in place. It stands in for the CSR and every layout derived
+	// from it, which stay empty, and ov applies the dynamic index's edge
+	// deltas to g. Each query path branches on it where it reads a row, a
+	// branch static indexes never take.
+	rows [][]Arc
+	ov   *graph.Overlay
+}
+
+// Arc is one arc of a mutable row: a target cover id and its weight bucket.
+type Arc struct {
+	To int32
+	W  uint8
+}
+
+// NewMutable returns an index that answers Reach and ReachBatch from state
+// a dynamic index owns: the adjacency of g with ov applied, the cover map
+// coverID (graph vertex → cover id, -1 outside the cover) and one row per
+// cover id. It reads all of them in place, so the owner must exclude
+// queries while it changes them and must keep coverID a vertex cover of
+// the live edges. A mutable index has no CSR, so it cannot be saved,
+// enumerated or sized; its queries need k ≥ 1.
+func NewMutable(g *graph.Graph, ov *graph.Overlay, k int, coverID []int32, rows [][]Arc) *Index {
+	return &Index{g: g, ov: ov, k: k, gen: nextGeneration(), coverID: coverID, rows: rows}
+}
+
+// Row returns row u of a mutable index. Its weights may be tightened in
+// place, under the owner's exclusion of queries.
+func (ix *Index) Row(u int32) []Arc { return ix.rows[u] }
+
+// SetRow replaces row u of a mutable index; u equal to the number of rows
+// appends one, the row of a newly promoted cover id.
+func (ix *Index) SetRow(u int32, row []Arc) {
+	if int(u) == len(ix.rows) {
+		ix.rows = append(ix.rows, row)
+		return
+	}
+	ix.rows[u] = row
 }
 
 // ErrBadK reports an invalid hop bound.
@@ -378,8 +419,12 @@ const notFound = uint(0xFF)
 
 // arcWeight returns the weight bucket of the index edge (u,v) given by
 // cover ids, and whether the edge exists. Hub rows answer in one bitplane
-// load; CSR-only rows binary-search the sorted adjacency.
+// load; CSR-only rows binary-search the sorted adjacency, and so do the
+// rows of a mutable table.
 func (ix *Index) arcWeight(u, v int32) (uint8, bool) {
+	if ix.rows != nil {
+		return searchArcs(ix.rows[u], v)
+	}
 	if slot := ix.denseID[u]; slot >= 0 {
 		w := ix.denseRow(slot).Get(int(v))
 		return w, w != bitvec.LaneAbsent
@@ -394,8 +439,39 @@ func (ix *Index) arcWeight(u, v int32) (uint8, bool) {
 // hasArc reports whether the index edge (u,v) exists without decoding its
 // weight, which is all Case 1 asks.
 func (ix *Index) hasArc(u, v int32) bool {
+	if ix.rows != nil {
+		_, ok := searchArcs(ix.rows[u], v)
+		return ok
+	}
 	if slot := ix.denseID[u]; slot >= 0 {
 		return ix.denseRow(slot).Get(int(v)) != bitvec.LaneAbsent
 	}
 	return searchInt32(ix.outAdj[ix.outHead[u]:ix.outHead[u+1]], v) >= 0
+}
+
+// searchArcs returns the weight bucket of the arc to v in a mutable row,
+// and whether there is one.
+func searchArcs(row []Arc, v int32) (uint8, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid].To < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(row) && row[lo].To == v {
+		return row[lo].W, true
+	}
+	return 0, false
+}
+
+// maskWords is the size of a Case-4 mask: a bit per cover id of the live
+// cover, which a mutable index grows by promotion.
+func (ix *Index) maskWords() int {
+	if ix.rows != nil {
+		return bitvec.RowWords(len(ix.rows))
+	}
+	return ix.rowWords
 }

@@ -17,6 +17,10 @@ import (
 // (WeightRow.AnyLEMasked), and CSR-only rows probe it in O(1) per entry —
 // no per-query sorting, no binary search against the neighbor list.
 //
+// A mutable index (NewMutable) answers through the same code: its rows are
+// per-row arc slices searched one at a time, and the adjacency of a vertex
+// its overlay marks dirty is merged into the scratch.
+//
 // Two degenerate situations the paper's pseudocode leaves implicit are
 // handled explicitly (see DESIGN.md §5): s = t answers true for any k ≥ 0,
 // and the "index distance" of a cover vertex to itself is 0, which makes
@@ -80,8 +84,9 @@ func (ix *Index) Classify(s, t graph.Vertex) QueryCase {
 // ReachBatch keeps its staged kernel's fixed-size queues here too, so a
 // worker's allocations do not grow with the batch.
 type QueryScratch struct {
-	in    []int32  // cover ids of inNei(t), deduplicated (Case 4)
-	mask  []uint64 // cover-id bitmap; all-zero between queries
+	in    []int32        // cover ids of inNei(t), deduplicated (Case 4)
+	mask  []uint64       // cover-id bitmap; all-zero between queries
+	nbrs  []graph.Vertex // a dirty vertex's live neighbors (mutable index)
 	stage stageScratch
 }
 
@@ -89,9 +94,9 @@ type QueryScratch struct {
 func NewQueryScratch() *QueryScratch { return &QueryScratch{} }
 
 // Reach reports whether s →k t, i.e. whether t is reachable from s within
-// the k the index was built for (any path length for n-reach). scratch may
-// be shared across calls from one goroutine; pass nil to allocate
-// internally.
+// the k the index was built for (any path length for n-reach), on a
+// mutable index over the live edge set. scratch may be shared across calls
+// from one goroutine; pass nil to allocate internally.
 func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 	if s == t {
 		return true
@@ -109,9 +114,10 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 		// Case 2: every in-neighbor of t is in the cover; s reaches t within
 		// k iff it reaches one of them within k-1. A hub source answers each
 		// probe in one bitplane load.
-		if slot := ix.denseID[cs]; slot >= 0 {
-			row := ix.denseRow(slot)
-			for _, v := range ix.g.InNeighbors(t) {
+		in := ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs)
+		if ix.rows == nil && ix.denseID[cs] >= 0 {
+			row := ix.denseRow(ix.denseID[cs])
+			for _, v := range in {
 				if v == s {
 					return true // direct edge (s,t): 1 hop
 				}
@@ -121,7 +127,7 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 			}
 			return false
 		}
-		for _, v := range ix.g.InNeighbors(t) {
+		for _, v := range in {
 			if v == s {
 				return true
 			}
@@ -133,7 +139,7 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 
 	case ct >= 0:
 		// Case 3: mirror image of Case 2 through out-neighbors of s.
-		for _, u := range ix.g.OutNeighbors(s) {
+		for _, u := range ix.ov.Neighbors(ix.g, s, graph.Forward, &scratch.nbrs) {
 			if u == t {
 				return true
 			}
@@ -149,12 +155,12 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 		// dist(u,v) ≤ k-2 (the ≤k-2 weight bucket), including u = v with
 		// distance 0 (the path s→u→t). Stage inNei(t) as a cover-id bitmap,
 		// then intersect each u's row against it.
-		if need := ix.rowWords; need > len(scratch.mask) {
+		if need := ix.maskWords(); need > len(scratch.mask) {
 			scratch.mask = make([]uint64, need)
 		}
 		in := scratch.in[:0]
 		mask := scratch.mask
-		for _, v := range ix.g.InNeighbors(t) {
+		for _, v := range ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs) {
 			ci := int(ix.coverID[v])
 			if !bitvec.TestBit(mask, ci) {
 				bitvec.SetBit(mask, ci)
@@ -165,7 +171,7 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 		if len(in) == 0 {
 			return false
 		}
-		hit := ix.case4(s, in, mask)
+		hit := ix.case4(s, in, mask, &scratch.nbrs)
 		for _, ci := range in {
 			bitvec.ClearBit(mask, int(ci))
 		}
@@ -178,12 +184,21 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 // word-parallel kernel (or O(1) lane probes when the neighbor list is much
 // smaller than the row bitmap); CSR-only rows pick probe direction by
 // relative size, with bitmap membership replacing the old sorted search.
-func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64) bool {
+// The rows of a mutable table are short and scanned against the bitmap.
+func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.Vertex) bool {
 	twoHopOK := ix.k == Unbounded || ix.k >= 2
-	for _, u := range ix.g.OutNeighbors(s) {
+	for _, u := range ix.ov.Neighbors(ix.g, s, graph.Forward, buf) {
 		cu := ix.coverID[u]
 		if twoHopOK && bitvec.TestBit(mask, int(cu)) {
 			return true // s→u→t in 2 hops
+		}
+		if ix.rows != nil {
+			for _, a := range ix.rows[cu] {
+				if a.W == weightLEKm2 && bitvec.TestBit(mask, int(a.To)) {
+					return true
+				}
+			}
+			continue
 		}
 		if slot := ix.denseID[cu]; slot >= 0 {
 			row := ix.denseRow(slot)

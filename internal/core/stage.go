@@ -16,14 +16,15 @@ import (
 //  1. load the cover ids of both endpoints of every pair of a sub-range;
 //  2. classify each pair: s = t answers yes, Case 1 queues one arc probe,
 //     Cases 2–3 record the neighbour list that decides them, Case 4 is
-//     deferred;
+//     deferred, and so is a Case 2–3 pair whose list a mutable index's
+//     overlay has changed;
 //  3. expand the Case 2–3 lists into arc probes, one neighbour of every
 //     list per round (a direct edge answers on the spot);
 //  4. resolve the probes batchGroup at a time: the dense slots and CSR
 //     bounds of the whole group, then a fixed-trip binary search over all
 //     its CSR rows in lockstep, then the weights of only the probes that
-//     need a bucket;
-//  5. answer the deferred Case-4 pairs with scalar Reach.
+//     need a bucket (a mutable index searches each probe's row alone);
+//  5. answer the deferred pairs with scalar Reach.
 //
 // Go has no prefetch intrinsic. The overlap comes from each loop body
 // issuing loads that do not depend on one another, which the CPU keeps in
@@ -81,11 +82,14 @@ func (ix *Index) reachStaged(pairs []Pair, out []bool, sc *QueryScratch) {
 			if st.push(arcProbe{row: cs[i], col: ct[i], pair: int32(i), max: weightK}) {
 				ix.flush(st, out)
 			}
-		case cs[i] >= 0:
+		case cs[i] >= 0 && !ix.ov.IsDirty(graph.Backward, p.T):
 			lists = append(lists, nbrList{nbrs: ix.g.InNeighbors(p.T), end: p.S, fixed: cs[i], pair: int32(i), fixedRow: true})
-		case ct[i] >= 0:
+		case ct[i] >= 0 && !ix.ov.IsDirty(graph.Forward, p.S):
 			lists = append(lists, nbrList{nbrs: ix.g.OutNeighbors(p.S), end: p.T, fixed: ct[i], pair: int32(i)})
 		default:
+			// Case 4, or a Case 2 or 3 whose neighbour list a mutable
+			// index's overlay has changed (a Case 2 pair fails the Case 3
+			// test too, having ct < 0).
 			deferred = append(deferred, int32(i))
 		}
 	}
@@ -140,6 +144,14 @@ func (ix *Index) flush(st *stageScratch, out []bool) {
 // loop touches one structure for the whole group, so the group's misses on
 // it overlap.
 func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
+	if ix.rows != nil {
+		for _, pr := range group {
+			if w, ok := searchArcs(ix.rows[pr.row], pr.col); ok && w <= pr.max {
+				out[pr.pair] = true
+			}
+		}
+		return
+	}
 	var slot [batchGroup]int32
 	for j := range group {
 		slot[j] = ix.denseID[group[j].row]

@@ -7,10 +7,10 @@ import (
 )
 
 // DeltaGraph overlays per-vertex added/removed adjacency deltas on an
-// immutable base CSR graph. It serves the adjacency surface the query path
+// immutable base CSR graph. It serves the adjacency surface maintenance
 // uses — OutNeighbors/InNeighbors (appended into caller buffers), HasEdge
-// and degrees — with the deltas applied, so Algorithm 2 answers against
-// the live edge set mid-mutation.
+// and degrees — with the deltas applied, and its overlay is what core's
+// query kernels read, so Algorithm 2 answers against the live edge set.
 //
 // Invariants (maintained by AddEdge/RemoveEdge):
 //
@@ -22,12 +22,12 @@ import (
 // All per-vertex delta lists are kept sorted; they are expected to stay
 // short between compactions, so inserts are simple O(len) shifts.
 //
-// The deltas live in a graph.Overlay, the form the BFS engine expands
-// directly. Its two dirty bitmaps (one bit per vertex, out- and in-side)
-// mark every vertex that carries a delta on that side. A clear bit means
-// the vertex's live adjacency is exactly its base CSR slice, so the BFS and
-// query paths read that slice directly instead of probing four maps; only
-// the few dirty vertices pay for the merge. A bit is set whenever AddEdge or
+// The deltas live in a graph.Overlay, the form the BFS engine expands and
+// core's query kernels read directly. Its two dirty bitmaps (one bit per
+// vertex, out- and in-side) mark every vertex that carries a delta on that
+// side. A clear bit means the vertex's live adjacency is exactly its base
+// CSR slice, so the BFS and query paths read that slice directly instead of
+// probing four maps; only the few dirty vertices pay for the merge. A bit is set whenever AddEdge or
 // RemoveEdge inserts a delta entry and cleared when the vertex's last
 // entry on that side leaves, so a sliding window of live insertions keeps
 // only the window's endpoints dirty.
@@ -53,8 +53,6 @@ func NewDeltaGraph(base *graph.Graph) *DeltaGraph {
 	return &DeltaGraph{base: base, ov: graph.NewOverlay(base.NumVertices())}
 }
 
-func isDirty(bits []uint64, v graph.Vertex) bool { return bits[v>>6]&(1<<(v&63)) != 0 }
-
 func markDirty(bits []uint64, v graph.Vertex) { bits[v>>6] |= 1 << (v & 63) }
 
 func clearDirty(bits []uint64, v graph.Vertex) { bits[v>>6] &^= 1 << (v & 63) }
@@ -62,7 +60,7 @@ func clearDirty(bits []uint64, v graph.Vertex) { bits[v>>6] &^= 1 << (v & 63) }
 // delta returns v's added and removed lists on side dir; both are nil,
 // without a map lookup, when v is clean.
 func (d *DeltaGraph) delta(dir graph.Direction, v graph.Vertex) (add, rem []graph.Vertex) {
-	if !isDirty(d.ov.Dirty[dir], v) {
+	if !d.ov.IsDirty(dir, v) {
 		return nil, nil
 	}
 	return d.ov.Add[dir][v], d.ov.Rem[dir][v]
@@ -200,27 +198,6 @@ func (d *DeltaGraph) AppendOutNeighbors(v graph.Vertex, buf []graph.Vertex) []gr
 func (d *DeltaGraph) AppendInNeighbors(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
 	add, rem := d.delta(inSide, v)
 	return graph.AppendLive(buf, d.base.InNeighbors(v), add, rem)
-}
-
-// outNeighbors returns the sorted live out-neighbors of v without copying
-// when v is clean: the result is then the base CSR slice itself, so callers
-// must neither modify nor append to it. A dirty vertex's list is merged
-// into *buf, which never aliases the base.
-func (d *DeltaGraph) outNeighbors(v graph.Vertex, buf *[]graph.Vertex) []graph.Vertex {
-	if !isDirty(d.ov.Dirty[outSide], v) {
-		return d.base.OutNeighbors(v)
-	}
-	*buf = d.AppendOutNeighbors(v, (*buf)[:0])
-	return *buf
-}
-
-// inNeighbors is outNeighbors for the in-side.
-func (d *DeltaGraph) inNeighbors(v graph.Vertex, buf *[]graph.Vertex) []graph.Vertex {
-	if !isDirty(d.ov.Dirty[inSide], v) {
-		return d.base.InNeighbors(v)
-	}
-	*buf = d.AppendInNeighbors(v, (*buf)[:0])
-	return *buf
 }
 
 // AddedEdges returns the live added-edge delta as an edge list.

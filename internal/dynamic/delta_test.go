@@ -141,7 +141,7 @@ func TestDeltaGraphMatchesMaterialized(t *testing.T) {
 // removals, un-removes and un-adds — and checks after every step that a
 // vertex's dirty bit is set exactly when that side's delta lists are not
 // both empty (a clear bit means the base slice is the live list), and that
-// the map-free neighbor paths (outNeighbors/inNeighbors) and one level of
+// the map-free neighbor path (graph.Overlay.Neighbors) and one level of
 // the BFS engine over the overlay agree with the merging
 // AppendOutNeighbors/AppendInNeighbors for every vertex, without writing
 // into a clean vertex's base slice.
@@ -201,18 +201,17 @@ func checkDirtyBitmaps(t *testing.T, d *DeltaGraph, step int) {
 			dir     graph.Direction
 			base    []graph.Vertex
 			appendN func(graph.Vertex, []graph.Vertex) []graph.Vertex
-			direct  func(graph.Vertex, *[]graph.Vertex) []graph.Vertex
 		}{
-			{"out", outSide, d.base.OutNeighbors(v), d.AppendOutNeighbors, d.outNeighbors},
-			{"in", inSide, d.base.InNeighbors(v), d.AppendInNeighbors, d.inNeighbors},
+			{"out", outSide, d.base.OutNeighbors(v), d.AppendOutNeighbors},
+			{"in", inSide, d.base.InNeighbors(v), d.AppendInNeighbors},
 		} {
-			dirty := isDirty(d.ov.Dirty[side.dir], v)
+			dirty := d.ov.IsDirty(side.dir, v)
 			if has := len(d.ov.Add[side.dir][v]) > 0 || len(d.ov.Rem[side.dir][v]) > 0; has != dirty {
 				t.Fatalf("step %d: vertex %d has %s-deltas %v, %s-bit %v", step, v, side.name, has, side.name, dirty)
 			}
 			want = side.appendN(v, want[:0])
 			buf = append(buf[:0], -1)
-			got := side.direct(v, &buf)
+			got := d.ov.Neighbors(d.base, v, side.dir, &buf)
 			if !vertexSlicesEqual(got, want) {
 				t.Fatalf("step %d: %s(%d) direct %v, merged %v", step, side.name, v, got, want)
 			}

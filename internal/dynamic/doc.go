@@ -20,9 +20,11 @@
 //     are a graph.Overlay, which the graph.BFS engine expands directly;
 //     its dirty bitmaps let every vertex without a delta read its base CSR
 //     slice.
-//   - Index: a mutable k-reach index over the overlay. Queries run the
-//     four cases of Algorithm 2 against live adjacency plus incrementally
-//     maintained cover-pair weight rows. Mutations promote uncovered
+//   - Index: a mutable k-reach index over the overlay. Its incrementally
+//     maintained cover-pair weight rows live in a mutable core.Index
+//     (core.NewMutable) over the overlay and the cover map, so queries run
+//     core's Algorithm 2 — scalar Reach and the staged batch kernel —
+//     against the live adjacency. Mutations promote uncovered
 //     endpoints into the cover when an insertion would otherwise break the
 //     vertex-cover invariant, then re-derive the rows a removal can weaken
 //     and relax the rows an insertion or a promotion can tighten.
@@ -32,7 +34,9 @@
 //     RCU registry) while mutations — but never reads — are held.
 //
 // Concurrency model: queries take a read lock and run concurrently with
-// each other; mutation batches serialize on a mutation mutex and take the
+// each other — a batch holds it for all of its pairs, so it answers from
+// one epoch and returns that epoch, and nothing under it takes the lock
+// again; mutation batches serialize on a mutation mutex and take the
 // write lock only for the apply + row-repair step. Inside that step the
 // removal rows — collected by one multi-source backward BFS on the
 // pre-batch graph — and the promoted vertices' rows are re-derived by

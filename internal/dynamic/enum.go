@@ -12,9 +12,11 @@ import (
 // DeltaGraph's overlay applied, and holds the read lock for the whole
 // traversal: the enumerated ball is a consistent snapshot of one epoch —
 // a mutation batch either precedes the whole ball or follows it, never
-// lands in the middle. (Readers holding the lock for a ball's duration is
-// the same trade ReachBatch makes per query; balls are bounded by k, so
-// writers wait at most one bounded traversal.)
+// lands in the middle. (ReachBatch makes the same trade for a whole batch
+// of pairs; balls are bounded by k, so writers wait at most one bounded
+// traversal.) The cover walk of core's static enumeration is not used:
+// its vertex mirrors and fringe lists are aligned to one CSR and cannot
+// follow the per-row slices a mutation rewrites.
 
 // Enumerate materializes the k-hop ball around src on the live edge set
 // (source excluded, EnumOptions.Limit applied) and returns the members, the

@@ -39,8 +39,6 @@ const (
 	wK     = 2 // shortest live distance = k
 )
 
-const notFound = uint8(0xFF)
-
 // repairChunk is how many affected row ids a repair worker claims at a
 // time; a batch fans out to one worker per 2·repairChunk rows at most, so
 // small batches stay on the calling goroutine.
@@ -101,14 +99,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// arc is one index edge: a target cover id and its 2-bit weight bucket.
-type arc struct {
-	to int32
-	w  uint8
-}
-
 // Index is the mutable k-reach index: Algorithm 2 answered against a
 // DeltaGraph overlay plus incrementally maintained cover-pair weight rows.
+// The answering is core's: the rows live in a mutable core.Index over the
+// overlay and the cover map, whose scalar and staged kernels run under the
+// read lock.
 //
 // Concurrency: Reach/ReachBatch/Stats take the read lock; Mutate batches
 // serialize on a mutation mutex and hold the write lock for the
@@ -129,7 +124,7 @@ type Index struct {
 
 	coverID   []int32        // graph vertex → dense cover id, -1 if not in cover
 	coverList []graph.Vertex // cover id → graph vertex (append-only; grows on promotion)
-	rows      [][]arc        // per cover id, sorted by arc.to
+	core      *core.Index    // the rows, per cover id sorted by target; answers queries
 	arcCount  int            // live index edges across all rows
 
 	epoch      atomic.Uint64 // re-issued inside every mutation's write section
@@ -184,15 +179,16 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	// slot reallocates instead of running into its neighbor.
 	rows := core.BuildRows(base, ix.coverList, ix.coverID, ix.k, opts.workers(), ix.bucketFor)
 	ix.arcCount = int(rows.Head[len(ix.coverList)])
-	slab := make([]arc, 0, ix.arcCount)
+	slab := make([]core.Arc, 0, ix.arcCount)
 	for to, w := range rows.Arcs() {
-		slab = append(slab, arc{to: to, w: uint8(w)})
+		slab = append(slab, core.Arc{To: to, W: uint8(w)})
 	}
-	ix.rows = make([][]arc, len(ix.coverList))
-	for ui := range ix.rows {
+	table := make([][]core.Arc, len(ix.coverList))
+	for ui := range table {
 		lo, hi := rows.Head[ui], rows.Head[ui+1]
-		ix.rows[ui] = slab[lo:hi:hi]
+		table[ui] = slab[lo:hi:hi]
 	}
+	ix.core = core.NewMutable(base, &ix.dg.ov, ix.k, ix.coverID, table)
 	ix.epoch.Store(core.NextGeneration())
 	return ix, nil
 }
@@ -242,158 +238,28 @@ func (ix *Index) RestoreEpoch(e uint64) { ix.epoch.Store(e) }
 // NumVertices returns n.
 func (ix *Index) NumVertices() int { return ix.dg.NumVertices() }
 
-// arcWeight returns the weight bucket of index edge (u,v) in cover ids.
-func arcWeight(row []arc, to int32) uint8 {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if row[mid].to < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && row[lo].to == to {
-		return row[lo].w
-	}
-	return notFound
-}
-
-// QueryScratch holds reusable per-goroutine query buffers. out and in hold
-// merged neighbor lists of dirty vertices only; a clean vertex's list is
-// read straight from the base CSR and never copied into (or aliased by)
-// these buffers.
-type QueryScratch struct {
-	out, in []graph.Vertex
-	inIDs   []int32
-}
-
-// NewQueryScratch returns scratch space for Reach.
-func NewQueryScratch() *QueryScratch { return &QueryScratch{} }
-
 // Reach reports whether t is reachable from s within k hops of the live
-// (overlay-applied) edge set. Safe for concurrent use; pass nil scratch to
-// allocate internally.
-func (ix *Index) Reach(s, t graph.Vertex, sc *QueryScratch) bool {
-	if sc == nil {
-		sc = NewQueryScratch()
-	}
+// (overlay-applied) edge set, by core's Algorithm 2 over the maintained rows.
+// Safe for concurrent use; pass nil scratch to allocate internally.
+func (ix *Index) Reach(s, t graph.Vertex, sc *core.QueryScratch) bool {
 	ix.rw.RLock()
 	defer ix.rw.RUnlock()
-	return ix.reachLocked(s, t, sc)
+	return ix.core.Reach(s, t, sc)
 }
 
-// reachLocked is Algorithm 2 over the overlay adjacency. Caller holds at
-// least the read lock.
-func (ix *Index) reachLocked(s, t graph.Vertex, sc *QueryScratch) bool {
-	if s == t {
-		return true
-	}
-	cs, ct := ix.coverID[s], ix.coverID[t]
-	switch {
-	case cs >= 0 && ct >= 0:
-		// Case 1: one index edge lookup.
-		return arcWeight(ix.rows[cs], ct) != notFound
-
-	case cs >= 0:
-		// Case 2: every live in-neighbor of non-cover t is in the cover;
-		// s →k t iff s reaches one of them within k-1 (or (s,t) is an edge).
-		for _, v := range ix.dg.inNeighbors(t, &sc.in) {
-			if v == s {
-				return true // direct edge (s,t), k ≥ 1 always
-			}
-			if w := arcWeight(ix.rows[cs], ix.coverID[v]); w != notFound && w <= wKm1 {
-				return true
-			}
-		}
-		return false
-
-	case ct >= 0:
-		// Case 3: mirror of Case 2 through live out-neighbors of s.
-		for _, u := range ix.dg.outNeighbors(s, &sc.out) {
-			if u == t {
-				return true
-			}
-			cu := ix.coverID[u]
-			if cu < 0 {
-				continue // unreachable if the cover invariant holds
-			}
-			if w := arcWeight(ix.rows[cu], ct); w != notFound && w <= wKm1 {
-				return true
-			}
-		}
-		return false
-
-	default:
-		// Case 4: all out-neighbors of s and in-neighbors of t are cover
-		// vertices; s →k t iff some pair (u,v) has dist(u,v) ≤ k-2,
-		// including u = v with distance 0 (the 2-hop path s→u→t).
-		in := ix.dg.inNeighbors(t, &sc.in)
-		if len(in) == 0 {
-			return false
-		}
-		sc.inIDs = sc.inIDs[:0]
-		for _, v := range in {
-			sc.inIDs = append(sc.inIDs, ix.coverID[v])
-		}
-		slices.Sort(sc.inIDs)
-		twoHopOK := ix.k >= 2
-		for _, u := range ix.dg.outNeighbors(s, &sc.out) {
-			cu := ix.coverID[u]
-			if cu < 0 {
-				continue // unreachable if the cover invariant holds
-			}
-			if twoHopOK && containsInt32(sc.inIDs, cu) {
-				return true // s→u→t in 2 hops
-			}
-			row := ix.rows[cu]
-			i, j := 0, 0
-			for i < len(row) && j < len(sc.inIDs) {
-				switch {
-				case row[i].to < sc.inIDs[j]:
-					i++
-				case row[i].to > sc.inIDs[j]:
-					j++
-				default:
-					if row[i].w == wLEKm2 {
-						return true
-					}
-					i++
-					j++
-				}
-			}
-		}
-		return false
-	}
-}
-
-func containsInt32(sorted []int32, v int32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
-}
-
-// ReachBatch answers every pair with a worker pool (0 = GOMAXPROCS,
-// 1 = sequential), positionally aligned with pairs. Each worker owns its
-// scratch; each query takes the read lock, so a mutation landing mid-batch
-// is answered for by either the old or the new edge set per query. If ctx
-// is cancelled mid-batch the pool stops between pairs and returns the
-// partially filled slice together with ctx.Err().
-func (ix *Index) ReachBatch(ctx context.Context, pairs []core.Pair, parallelism int) ([]bool, error) {
-	out := make([]bool, len(pairs))
-	err := core.BatchEval(ctx, len(pairs), parallelism, NewQueryScratch, func(lo, hi int, sc *QueryScratch) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.Reach(pairs[i].S, pairs[i].T, sc)
-		}
-	})
-	return out, err
+// ReachBatch answers every pair with core's staged batch kernel on a worker
+// pool (0 = GOMAXPROCS, 1 = sequential), positionally aligned with pairs,
+// and returns the epoch they answer for. The read lock is held for the
+// whole batch, so every pair is answered from the one edge set that epoch
+// names; nothing under it takes the lock again, since a second RLock would
+// deadlock behind a queued writer. If ctx is cancelled mid-batch the pool
+// stops between sub-ranges and returns the partially filled slice together
+// with ctx.Err().
+func (ix *Index) ReachBatch(ctx context.Context, pairs []core.Pair, parallelism int) ([]bool, uint64, error) {
+	ix.rw.RLock()
+	defer ix.rw.RUnlock()
+	out, err := ix.core.ReachBatch(ctx, pairs, parallelism)
+	return out, ix.epoch.Load(), err
 }
 
 // MutationResult reports what one Mutate batch did.
@@ -619,9 +485,10 @@ func (ix *Index) ApplyRecord(add, remove []graph.Edge, epoch uint64) (MutationRe
 // promote adds vertex c to the cover with a fresh dense id and an empty
 // row (the caller schedules its recompute). Caller holds the write lock.
 func (ix *Index) promote(c graph.Vertex) {
-	ix.coverID[c] = int32(len(ix.coverList))
+	id := int32(len(ix.coverList))
+	ix.coverID[c] = id
 	ix.coverList = append(ix.coverList, c)
-	ix.rows = append(ix.rows, nil)
+	ix.core.SetRow(id, nil)
 }
 
 // collectBackward expands the seeds in b into a maxHops-bounded backward
@@ -789,18 +656,18 @@ type rowScratch struct {
 
 // recomputeRow re-derives one cover row over the overlay — the static
 // build's row derivation, core.AppendRow — and returns the change in its
-// arc count. It writes only rows[id], so repair workers can run it
+// arc count. It writes only row id, so repair workers can run it
 // concurrently on distinct ids.
 func (ix *Index) recomputeRow(id int32, sc *rowScratch) int {
 	sc.keys = core.AppendRow(sc.keys[:0], &sc.bfs, ix.dg.base, &ix.dg.ov, ix.coverList[id], ix.coverID, ix.k, ix.bucketFor)
-	row := ix.rows[id][:0]
+	old := ix.core.Row(id)
+	row := old[:0]
 	for _, key := range sc.keys {
 		to, w := core.UnpackArc(key)
-		row = append(row, arc{to: to, w: uint8(w)})
+		row = append(row, core.Arc{To: to, W: uint8(w)})
 	}
-	delta := len(row) - len(ix.rows[id])
-	ix.rows[id] = row
-	return delta
+	ix.core.SetRow(id, row)
+	return len(row) - len(old)
 }
 
 // relaxRow merges the candidates of p's run-th row into that row by
@@ -832,7 +699,7 @@ func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, cha
 
 	// Tighten the targets the row has; gather the new ones, each with its
 	// least bucket (the first of its keys), in the front of keys.
-	row, fresh := ix.rows[id], keys[:0]
+	row, fresh := ix.core.Row(id), keys[:0]
 	i, prev := 0, int32(-1)
 	for _, key := range keys {
 		to, w := int32(key>>8), uint8(key)
@@ -840,14 +707,14 @@ func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, cha
 			continue
 		}
 		prev = to
-		for i < len(row) && row[i].to < to {
+		for i < len(row) && row[i].To < to {
 			i++
 		}
 		switch {
-		case i == len(row) || row[i].to != to:
+		case i == len(row) || row[i].To != to:
 			fresh = append(fresh, key)
-		case w < row[i].w:
-			row[i].w = w
+		case w < row[i].W:
+			row[i].W = w
 			changed = true
 		}
 	}
@@ -858,15 +725,15 @@ func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, cha
 	i = len(row) - 1
 	row = slices.Grow(row, len(fresh))[:len(row)+len(fresh)]
 	for o, j := len(row)-1, len(fresh)-1; j >= 0; o-- {
-		if to := int32(fresh[j] >> 8); i >= 0 && row[i].to > to {
+		if to := int32(fresh[j] >> 8); i >= 0 && row[i].To > to {
 			row[o] = row[i]
 			i--
 		} else {
-			row[o] = arc{to: to, w: uint8(fresh[j])}
+			row[o] = core.Arc{To: to, W: uint8(fresh[j])}
 			j--
 		}
 	}
-	ix.rows[id] = row
+	ix.core.SetRow(id, row)
 	return len(fresh), true
 }
 
@@ -1001,12 +868,12 @@ func (ix *Index) SizeBytes() int {
 	const (
 		idBytes     = int(unsafe.Sizeof(int32(0)))
 		vertexBytes = int(unsafe.Sizeof(graph.Vertex(0)))
-		arcBytes    = int(unsafe.Sizeof(arc{}))
-		rowBytes    = int(unsafe.Sizeof([]arc(nil)))
+		arcBytes    = int(unsafe.Sizeof(core.Arc{}))
+		rowBytes    = int(unsafe.Sizeof([]core.Arc(nil)))
 		wordBytes   = int(unsafe.Sizeof(uint64(0)))
 	)
 	size := idBytes*len(ix.coverID) + vertexBytes*len(ix.coverList)
-	size += rowBytes*len(ix.rows) + arcBytes*ix.arcCount
+	size += rowBytes*len(ix.coverList) + arcBytes*ix.arcCount
 	size += 2 * vertexBytes * ix.dg.DeltaSize() // an out- and an in-entry per overlay edge
 	size += (2 + len(ix.scratches)) * wordBytes * len(ix.dg.ov.Dirty[outSide])
 	return size

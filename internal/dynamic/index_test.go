@@ -3,10 +3,13 @@ package dynamic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 
+	"kreach/internal/bitvec"
 	"kreach/internal/core"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
@@ -71,7 +74,7 @@ func mustNew(t *testing.T, g *graph.Graph, k int) *Index {
 // checkAllPairs compares every (s,t) answer against the oracle.
 func checkAllPairs(t *testing.T, ix *Index, o *oracle, k int, tag string) {
 	t.Helper()
-	sc := NewQueryScratch()
+	sc := core.NewQueryScratch()
 	for s := 0; s < o.n; s++ {
 		for dst := 0; dst < o.n; dst++ {
 			sv, tv := graph.Vertex(s), graph.Vertex(dst)
@@ -353,27 +356,140 @@ func TestShouldCompactRatio(t *testing.T) {
 	}
 }
 
+// TestReachBatchMatchesReach runs a mutation stream through a mutable index
+// and, after every batch, answers pairs drawn around the vertices the stream
+// touched with ReachBatch at parallelism 1, 2 and 7, against scalar Reach
+// and the k-hop BFS oracle on the materialized graph. The stream promotes
+// enough vertices that cover ids outgrow the initial cover's Case-4 mask,
+// dirties the neighbour lists of covered and uncovered endpoints, and
+// removes base edges; the test asserts that every case of Algorithm 2 was
+// hit with a dirty list and with a promoted id.
 func TestReachBatchMatchesReach(t *testing.T) {
+	const n, k, batches = 400, 3, 8
+	ix, err := New(testgraph.Random(n, 700, 5), Options{K: k, Strategy: cover.DegreePrioritized, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(5, 0x777))
-	n := 50
-	b := graph.NewBuilder(n)
-	for i := 0; i < 4*n; i++ {
-		b.AddEdge(graph.Vertex(rng.IntN(n)), graph.Vertex(rng.IntN(n)))
+	initial := int32(len(ix.coverList))
+	pastMask := int32(64 * bitvec.RowWords(int(initial))) // first id the initial mask cannot hold
+	var hit [5]struct{ pairs, dirty, promoted int }
+	for b := range batches {
+		add, remove := reachBatchStream(ix, rng)
+		if _, err := ix.Mutate(add, remove); err != nil {
+			t.Fatal(err)
+		}
+		var touched []graph.Vertex
+		for v := range graph.Vertex(n) {
+			if ix.dg.ov.IsDirty(outSide, v) || ix.dg.ov.IsDirty(inSide, v) || ix.coverID[v] >= initial {
+				touched = append(touched, v)
+			}
+		}
+		pick := func() graph.Vertex {
+			if rng.IntN(4) == 0 {
+				return graph.Vertex(rng.IntN(n))
+			}
+			return touched[rng.IntN(len(touched))]
+		}
+		pairs := make([]core.Pair, 2048)
+		var buf []graph.Vertex
+		for i := range pairs {
+			p := core.Pair{S: pick(), T: pick()}
+			if i%3 == 0 { // a live walk of 1..k+1 steps, so that yes answers are common
+				p.T = p.S
+				for steps := 1 + rng.IntN(k+1); steps > 0; steps-- {
+					if buf = ix.dg.AppendOutNeighbors(p.T, buf[:0]); len(buf) > 0 {
+						p.T = buf[rng.IntN(len(buf))]
+					}
+				}
+			}
+			pairs[i] = p
+			// Tally the case, whether a list that decides it is dirty, and
+			// whether it probes a promoted id: an endpoint's row, or for
+			// Case 4 an in-neighbour's id past the initial mask.
+			c := ix.core.Classify(p.S, p.T)
+			h := &hit[c]
+			h.pairs++
+			inDirty, outDirty := ix.dg.ov.IsDirty(inSide, p.T), ix.dg.ov.IsDirty(outSide, p.S)
+			if c == core.Case2 && inDirty || c == core.Case3 && outDirty || c == core.Case4 && (inDirty || outDirty) {
+				h.dirty++
+			}
+			if c != core.Case4 && max(ix.coverID[p.S], ix.coverID[p.T]) >= initial {
+				h.promoted++
+			}
+			if c == core.Case4 && slices.ContainsFunc(ix.dg.AppendInNeighbors(p.T, buf[:0]), func(v graph.Vertex) bool { return ix.coverID[v] >= pastMask }) {
+				h.promoted++
+			}
+		}
+		checkBatch(t, ix, pairs, fmt.Sprintf("batch %d", b))
 	}
-	ix := mustNew(t, b.Build(), 3)
-	pairs := make([]core.Pair, 500)
-	for i := range pairs {
-		pairs[i] = core.Pair{S: graph.Vertex(rng.IntN(n)), T: graph.Vertex(rng.IntN(n))}
+	if ix.dg.Removed() == 0 {
+		t.Error("the stream removed no base edge")
 	}
-	for _, par := range []int{1, 0, 4} {
-		got, err := ix.ReachBatch(context.Background(), pairs, par)
+	if got := int32(len(ix.coverList)); got <= pastMask {
+		t.Errorf("cover grew %d → %d: no id past the initial mask's %d bits", initial, got, pastMask)
+	}
+	for c := core.Case1; c <= core.Case4; c++ {
+		h := hit[c]
+		t.Logf("%v: %d pairs, %d with a dirty list, %d with a promoted id", c, h.pairs, h.dirty, h.promoted)
+		if h.pairs == 0 || h.promoted == 0 || (c != core.Case1 && h.dirty == 0) {
+			t.Errorf("%v not hit as required: %+v", c, h)
+		}
+	}
+}
+
+// reachBatchStream draws one batch of TestReachBatchMatchesReach's stream:
+// twelve joins of uncovered vertices (each promotes one), twelve edges
+// between a cover vertex, often a promoted one, and an uncovered vertex in
+// either direction (dirty lists, no promotion), and four removed base edges.
+func reachBatchStream(ix *Index, rng *rand.Rand) (add, remove []graph.Edge) {
+	free := uncovered(ix)
+	cov := ix.coverList
+	for range 12 {
+		add = append(add, graph.Edge{Src: free[rng.IntN(len(free))], Dst: free[rng.IntN(len(free))]})
+	}
+	for i := range 12 {
+		c := cov[len(cov)-1-rng.IntN(min(len(cov), 32))] // recent promotions first
+		if i%2 == 0 {
+			c = cov[rng.IntN(len(cov))]
+		}
+		e := graph.Edge{Src: c, Dst: free[rng.IntN(len(free))]}
+		if i%3 == 0 {
+			e.Src, e.Dst = e.Dst, e.Src
+		}
+		add = append(add, e)
+	}
+	base := ix.dg.Base()
+	for len(remove) < 4 {
+		u := graph.Vertex(rng.IntN(base.NumVertices()))
+		if out := base.OutNeighbors(u); len(out) > 0 {
+			remove = append(remove, graph.Edge{Src: u, Dst: out[rng.IntN(len(out))]})
+		}
+	}
+	return add, remove
+}
+
+// checkBatch answers pairs with ReachBatch at parallelism 1, 2 and 7 and
+// checks every answer against scalar Reach and graph.KHopReach on the
+// materialized graph, and the returned epoch against the index's.
+func checkBatch(t *testing.T, ix *Index, pairs []core.Pair, tag string) {
+	t.Helper()
+	live := ix.dg.Materialize()
+	var bfs graph.BFS
+	sc := core.NewQueryScratch()
+	for _, par := range []int{1, 2, 7} {
+		got, epoch, err := ix.ReachBatch(context.Background(), pairs, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewQueryScratch()
+		if epoch != ix.Epoch() {
+			t.Fatalf("%s: parallelism %d: batch epoch %d, index epoch %d", tag, par, epoch, ix.Epoch())
+		}
 		for i, p := range pairs {
-			if want := ix.Reach(p.S, p.T, sc); got[i] != want {
-				t.Fatalf("parallelism %d: pair %d = %v, want %v", par, i, got[i], want)
+			scalar, want := ix.Reach(p.S, p.T, sc), graph.KHopReach(live, p.S, p.T, ix.k, &bfs)
+			if got[i] != want || scalar != want {
+				t.Fatalf("%s: parallelism %d: pair %d (%d,%d, %v): batch %v, Reach %v, oracle %v",
+					tag, par, i, p.S, p.T, ix.core.Classify(p.S, p.T), got[i], scalar, want)
 			}
 		}
 	}
@@ -393,11 +509,11 @@ func TestNewMatchesReferenceRows(t *testing.T) {
 			want := testgraph.ReferenceRows(g, ix.coverList, k)
 			arcs := 0
 			for u, row := range want {
-				if len(ix.rows[u]) != len(row) {
-					t.Fatalf("k=%d workers=%d: row %d has %d arcs, reference %d", k, workers, u, len(ix.rows[u]), len(row))
+				if len(ix.core.Row(int32(u))) != len(row) {
+					t.Fatalf("k=%d workers=%d: row %d has %d arcs, reference %d", k, workers, u, len(ix.core.Row(int32(u))), len(row))
 				}
 				for i, a := range row {
-					if got := ix.rows[u][i]; got.to != a.To || got.w != ix.bucketFor(a.Dist) {
+					if got := ix.core.Row(int32(u))[i]; got.To != a.To || got.W != ix.bucketFor(a.Dist) {
 						t.Fatalf("k=%d workers=%d: row %d arc %d is %+v, reference %+v", k, workers, u, i, got, a)
 					}
 				}
@@ -412,7 +528,7 @@ func TestNewMatchesReferenceRows(t *testing.T) {
 	// New edges out of the first cover vertex grow its row past its slot in
 	// the slab; every other row must still answer as the oracle does.
 	ix := mustNew(t, g, 2)
-	was := len(ix.rows[0])
+	was := len(ix.core.Row(0))
 	u := ix.coverList[0]
 	var add []graph.Edge
 	for v := graph.Vertex(0); len(add) < 20; v++ {
@@ -423,8 +539,8 @@ func TestNewMatchesReferenceRows(t *testing.T) {
 	if _, err := ix.Mutate(add, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.rows[0]) <= was {
-		t.Fatalf("row 0 did not grow: %d arcs, was %d", len(ix.rows[0]), was)
+	if len(ix.core.Row(0)) <= was {
+		t.Fatalf("row 0 did not grow: %d arcs, was %d", len(ix.core.Row(0)), was)
 	}
 	o := newOracle(g)
 	for _, e := range add {
@@ -456,7 +572,7 @@ func TestCase4QueryDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := func(v graph.Vertex) bool {
-		return isDirty(ix.dg.ov.Dirty[outSide], v) || isDirty(ix.dg.ov.Dirty[inSide], v)
+		return ix.dg.ov.IsDirty(outSide, v) || ix.dg.ov.IsDirty(inSide, v)
 	}
 	cases := map[string]func(s, t graph.Vertex) bool{
 		"case 2": func(s, t graph.Vertex) bool { return ix.coverID[s] >= 0 && ix.coverID[t] < 0 },
@@ -482,7 +598,7 @@ func TestCase4QueryDoesNotAllocate(t *testing.T) {
 		if len(pairs) == 0 || dirtyPairs == 0 {
 			t.Fatalf("%s: %d pairs, %d with a dirty endpoint, in the fixture", name, len(pairs), dirtyPairs)
 		}
-		sc := NewQueryScratch()
+		sc := core.NewQueryScratch()
 		query := func() {
 			for _, p := range pairs {
 				ix.Reach(p[0], p[1], sc)
@@ -502,8 +618,9 @@ func TestSizeBytesCountsRows(t *testing.T) {
 	ix := mustNew(t, g, 3)
 	held := func() int {
 		n := 0
-		for _, row := range ix.rows {
-			n += int(unsafe.Sizeof(row)) + cap(row)*int(unsafe.Sizeof(arc{}))
+		for u := range ix.coverList {
+			row := ix.core.Row(int32(u))
+			n += int(unsafe.Sizeof(row)) + cap(row)*int(unsafe.Sizeof(core.Arc{}))
 		}
 		return n
 	}

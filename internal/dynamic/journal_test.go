@@ -11,6 +11,7 @@ import (
 	"errors"
 	"testing"
 
+	"kreach/internal/core"
 	"kreach/internal/dynamic"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
@@ -95,7 +96,7 @@ func TestJournalFailureAbortsMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ix.Stats()
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	if ix.Reach(0, 5, sc) {
 		t.Fatal("sanity: 0→5 unreachable in a 6-path under k=3")
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"kreach/internal/core"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
@@ -107,7 +108,9 @@ func mixedBatch(ix *Index, rng *rand.Rand, restore []graph.Edge) (add, remove []
 // FuzzMutate builds a graph of at most 64 vertices, a hop bound and a
 // cover from the fuzz bytes, then applies the rest of them as mutation
 // batches; after each one every row must equal the reference rows of the
-// materialized graph and the cover invariants must hold.
+// materialized graph, the cover invariants must hold, and ReachBatch at
+// parallelism 1, 2 and 7 must answer every pair as scalar Reach and the
+// BFS oracle do.
 //
 // Layout: n-1, k-1, cover strategy (modulo 3), base edge count, then that many
 // (src, dst) byte pairs; then batches, each an op count followed by that
@@ -138,6 +141,12 @@ func FuzzMutate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pairs := make([]core.Pair, 0, n*n)
+		for s := range graph.Vertex(n) {
+			for t := range graph.Vertex(n) {
+				pairs = append(pairs, core.Pair{S: s, T: t})
+			}
+		}
 		for b := 0; len(data) > 0 && b < 8; b++ {
 			var add, remove []graph.Edge
 			for ops := next(); ops > 0 && len(data) > 0; ops-- {
@@ -156,6 +165,7 @@ func FuzzMutate(f *testing.F) {
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
+			checkBatch(t, ix, pairs, tag)
 		}
 	})
 }

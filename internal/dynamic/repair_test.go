@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"kreach/internal/core"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
@@ -141,11 +142,11 @@ func uncovered(ix *Index) []graph.Vertex {
 
 // bucketRows turns reference rows into (target, bucket) arcs, the form in
 // which the index stores them.
-func bucketRows(ix *Index, ref [][]testgraph.CoverArc) [][]arc {
-	rows := make([][]arc, len(ref))
+func bucketRows(ix *Index, ref [][]testgraph.CoverArc) [][]core.Arc {
+	rows := make([][]core.Arc, len(ref))
 	for u, row := range ref {
 		for _, a := range row {
-			rows[u] = append(rows[u], arc{to: a.To, w: ix.bucketFor(a.Dist)})
+			rows[u] = append(rows[u], core.Arc{To: a.To, W: ix.bucketFor(a.Dist)})
 		}
 	}
 	return rows
@@ -154,13 +155,13 @@ func bucketRows(ix *Index, ref [][]testgraph.CoverArc) [][]arc {
 // checkReferenceRows compares every row and the arc count with the
 // single-threaded reference build over g, and returns the reference rows
 // bucketed as the index stores them.
-func checkReferenceRows(t *testing.T, ix *Index, g *graph.Graph, tag string) [][]arc {
+func checkReferenceRows(t *testing.T, ix *Index, g *graph.Graph, tag string) [][]core.Arc {
 	t.Helper()
 	want := bucketRows(ix, testgraph.ReferenceRows(g, ix.coverList, ix.k))
 	arcs := 0
 	for u, row := range want {
-		if !slices.Equal(ix.rows[u], row) {
-			t.Fatalf("%s: row %d is %v, reference %v", tag, u, ix.rows[u], row)
+		if got := ix.core.Row(int32(u)); !slices.Equal(got, row) {
+			t.Fatalf("%s: row %d is %v, reference %v", tag, u, got, row)
 		}
 		arcs += len(row)
 	}

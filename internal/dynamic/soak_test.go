@@ -80,7 +80,7 @@ func TestMutationSoak(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewPCG(seed, uint64(100+w)))
-			sc := NewQueryScratch()
+			sc := core.NewQueryScratch()
 			cur := ix
 			for {
 				select {
@@ -97,7 +97,7 @@ func TestMutationSoak(t *testing.T) {
 		}(w)
 	}
 
-	sc := NewQueryScratch()
+	sc := core.NewQueryScratch()
 	checked, flips := 0, 0
 	prev := false
 	for op := 0; op < ops; op++ {
@@ -221,7 +221,7 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewPCG(uint64(w), 0x44))
-			sc := NewQueryScratch()
+			sc := core.NewQueryScratch()
 			for i := 0; i < 400; i++ {
 				switch r.IntN(4) {
 				case 0:

@@ -45,6 +45,28 @@ func NewOverlay(n int) Overlay {
 	return ov
 }
 
+// IsDirty reports whether v carries a delta on side dir. A nil overlay has
+// none.
+func (ov *Overlay) IsDirty(dir Direction, v Vertex) bool {
+	return ov != nil && ov.Dirty[dir][v>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// Neighbors returns v's adjacency in g following dir with ov applied. It is
+// g's own list when v is clean on that side (always, for a nil overlay);
+// a dirty vertex's live list is merged into *buf. The result may alias g
+// and must not be modified.
+func (ov *Overlay) Neighbors(g *Graph, v Vertex, dir Direction, buf *[]Vertex) []Vertex {
+	nbrs := g.OutNeighbors(v)
+	if dir == Backward {
+		nbrs = g.InNeighbors(v)
+	}
+	if ov.IsDirty(dir, v) {
+		*buf = AppendLive((*buf)[:0], nbrs, ov.Add[dir][v], ov.Rem[dir][v])
+		return *buf
+	}
+	return nbrs
+}
+
 // AppendLive appends to buf the live adjacency of a vertex whose base list
 // is base and whose overlay lists are add and rem: the merge of the sorted
 // lists base and add, without the entries of the sorted list rem.

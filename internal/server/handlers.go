@@ -271,15 +271,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.workers = s.cfg.Parallelism; rt.workers <= 0 {
 		rt.workers = runtime.GOMAXPROCS(0)
 	}
-	answers, err := d.Reacher.ReachBatch(r.Context(), req.Pairs,
-		kreach.BatchOptions{K: requestK(req.K), Parallelism: s.cfg.Parallelism})
+	// A mutable dataset reports the epoch its batch was answered at; any
+	// other index has one epoch for its lifetime.
+	opts := kreach.BatchOptions{K: requestK(req.K), Parallelism: s.cfg.Parallelism}
+	var answers []kreach.BatchVerdict
+	var epoch uint64
+	if dyn, ok := d.Mutable(); ok {
+		answers, epoch, err = dyn.ReachBatchAt(r.Context(), req.Pairs, opts)
+	} else {
+		answers, err = d.Reacher.ReachBatch(r.Context(), req.Pairs, opts)
+		epoch = d.Epoch()
+	}
 	if err != nil {
 		// Cancelled mid-batch (or bad k): the answers are partial.
 		writeAnswerError(w, r, d, err)
 		return
 	}
 	reply := &sc.Reply
-	reply.Graph, reply.Epoch, reply.Count = d.Name, d.Epoch(), len(answers)
+	reply.Graph, reply.Epoch, reply.Count = d.Name, epoch, len(answers)
 	reply.Results = slices.Grow(reply.Results[:0], len(answers))[:len(answers)]
 	for i, a := range answers {
 		reply.Results[i] = a.Verdict != kreach.No

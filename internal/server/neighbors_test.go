@@ -268,27 +268,38 @@ func TestNeighborsDynamicEpochAdvances(t *testing.T) {
 	}
 }
 
-// TestNeighborsEpochNamesTheBall reads balls of a dynamic dataset while a
-// writer flips one edge per batch, and checks every reply against the
-// graph.BFSDistances oracle on the edge set at the epoch the reply names:
-// the epoch must be the one the ball was enumerated at, not one read
-// before or after it. The flipped edge (u, v) joins two vertices more than
-// k hops apart, so every flip moves v in or out of u's out-ball and u in or
-// out of v's in-ball, and a reply labelled one epoch off is a wrong ball.
-func TestNeighborsEpochNamesTheBall(t *testing.T) {
-	const n, k, batches = 200, 3, 1000
+// edgeFlip is the fixture of the epoch tests: a dynamic dataset "dyn" over
+// a random graph, served by srv, and a writer that flips the edge (u, v) —
+// two vertices more than k hops apart — once per batch, 1000 batches. The
+// writer paces itself to at most ahead batches per read the test counts in
+// read, so reads and batches keep overlapping, and closes done when it is
+// through. present maps every epoch it issued to whether (u, v) is an edge
+// at it; it is written by the writer only, so read it after done. states
+// holds the graph without the edge and with it.
+type edgeFlip struct {
+	srv     *server.Server
+	u, v    int
+	states  [2]*graph.Graph
+	present map[uint64]bool
+	read    atomic.Int64
+	done    chan struct{}
+}
+
+func newEdgeFlip(t *testing.T, n, k, ahead int) *edgeFlip {
+	t.Helper()
+	const batches = 1000
 	g := randomServedGraph(n, 600, 9)
-	u, v := 0, -1
-	for w, d := range graph.BFSDistances(g.Internal(), graph.Vertex(u), graph.Forward) {
-		if w != u && (d == graph.InfDist || d > k) {
-			v = w
+	fx := &edgeFlip{v: -1, done: make(chan struct{})}
+	for w, d := range graph.BFSDistances(g.Internal(), graph.Vertex(fx.u), graph.Forward) {
+		if w != fx.u && (d == graph.InfDist || d > int32(k)) {
+			fx.v = w
 			break
 		}
 	}
-	if v < 0 {
+	if fx.v < 0 {
 		t.Fatal("every vertex is within k hops of the source")
 	}
-	states := [2]*graph.Graph{g.Internal(), graph.Rebuild(g.Internal(), []graph.Edge{{Src: graph.Vertex(u), Dst: graph.Vertex(v)}}, nil)}
+	fx.states = [2]*graph.Graph{g.Internal(), graph.Rebuild(g.Internal(), []graph.Edge{{Src: graph.Vertex(fx.u), Dst: graph.Vertex(fx.v)}}, nil)}
 	dyn, err := kreach.NewDynamicIndex(g, kreach.DynamicOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
@@ -297,20 +308,13 @@ func TestNeighborsEpochNamesTheBall(t *testing.T) {
 	if err := reg.Add(&server.Dataset{Name: "dyn", Graph: g, Reacher: dyn}); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(reg, server.Config{})
-
-	// present maps every epoch the writer issued to whether (u, v) is an
-	// edge at it; written by the writer only, read after it is done. The
-	// writer paces itself to about one batch per reply, so reads and
-	// batches keep overlapping.
-	present := map[uint64]bool{dyn.Epoch(): false}
-	var read atomic.Int64
-	done := make(chan struct{})
+	fx.srv = server.New(reg, server.Config{})
+	fx.present = map[uint64]bool{dyn.Epoch(): false}
 	go func() {
-		defer close(done)
-		flip := [][2]int{{u, v}}
+		defer close(fx.done)
+		flip := [][2]int{{fx.u, fx.v}}
 		for i := range batches {
-			for read.Load() < int64(i) {
+			for fx.read.Load()*int64(ahead) < int64(i) {
 				runtime.Gosched()
 			}
 			add, remove := flip, [][2]int(nil)
@@ -322,9 +326,22 @@ func TestNeighborsEpochNamesTheBall(t *testing.T) {
 				t.Errorf("batch %d: %+v, %v", i, res, err)
 				return
 			}
-			present[res.Epoch] = i%2 == 0
+			fx.present[res.Epoch] = i%2 == 0
 		}
 	}()
+	return fx
+}
+
+// TestNeighborsEpochNamesTheBall reads balls of a dynamic dataset while a
+// writer flips one edge per batch, and checks every reply against the
+// graph.BFSDistances oracle on the edge set at the epoch the reply names:
+// the epoch must be the one the ball was enumerated at, not one read
+// before or after it. The flipped edge (u, v) joins two vertices more than
+// k hops apart, so every flip moves v in or out of u's out-ball and u in or
+// out of v's in-ball, and a reply labelled one epoch off is a wrong ball.
+func TestNeighborsEpochNamesTheBall(t *testing.T) {
+	const n, k = 200, 3
+	fx := newEdgeFlip(t, n, k, 1)
 
 	type reply struct {
 		src   int
@@ -335,17 +352,17 @@ func TestNeighborsEpochNamesTheBall(t *testing.T) {
 	var replies []reply
 	for reading := true; reading; {
 		select {
-		case <-done:
+		case <-fx.done:
 			reading = false
 		default:
 		}
-		r := reply{src: u, dir: graph.Forward, ball: map[int]string{}}
-		body := map[string]any{"graph": "dyn", "source": u, "limit": n}
+		r := reply{src: fx.u, dir: graph.Forward, ball: map[int]string{}}
+		body := map[string]any{"graph": "dyn", "source": fx.u, "limit": n}
 		if len(replies)%2 == 1 {
-			r.src, r.dir = v, graph.Backward
-			body["source"], body["direction"] = v, "in"
+			r.src, r.dir = fx.v, graph.Backward
+			body["source"], body["direction"] = fx.v, "in"
 		}
-		rec, resp := postNeighbors(t, srv, body)
+		rec, resp := postNeighbors(t, fx.srv, body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
@@ -355,19 +372,19 @@ func TestNeighborsEpochNamesTheBall(t *testing.T) {
 			r.ball[int(m["id"].(float64))] = m["bucket"].(string)
 		}
 		replies = append(replies, r)
-		read.Add(1)
+		fx.read.Add(1)
 	}
 
 	epochs := map[uint64]bool{}
 	for i, r := range replies {
-		edge, ok := present[r.epoch]
+		edge, ok := fx.present[r.epoch]
 		if !ok {
 			t.Fatalf("reply %d names epoch %d, which no batch issued", i, r.epoch)
 		}
 		epochs[r.epoch] = true
-		state := states[0]
+		state := fx.states[0]
 		if edge {
-			state = states[1]
+			state = fx.states[1]
 		}
 		want := map[int]string{}
 		for w, d := range graph.BFSDistances(state, graph.Vertex(r.src), r.dir) {
@@ -389,6 +406,92 @@ func TestNeighborsEpochNamesTheBall(t *testing.T) {
 		}
 	}
 	t.Logf("%d replies over %d distinct epochs", len(replies), len(epochs))
+	if len(epochs) < 2 {
+		t.Fatalf("replies named %d epoch(s): the reads never overlapped the writer", len(epochs))
+	}
+}
+
+// TestBatchEpochNamesTheAnswers batches pairs of a dynamic dataset while a
+// writer flips one edge per batch, and checks every answer of every reply
+// against graph.KHopReach on the edge set at the epoch the reply names: all
+// the pairs of a batch must answer from one state, and the epoch must be
+// that state's. Each pair (u, w) has w more than k hops from u without the
+// flipped edge (u, v) and within k hops with it, so every flip changes
+// every answer, and a batch that straddles a flip, or a reply labelled one
+// epoch off, answers some pair wrong.
+func TestBatchEpochNamesTheAnswers(t *testing.T) {
+	// The writer runs free once the first reply is in, so flips keep
+	// landing while batches are answered.
+	const n, k = 200, 3
+	fx := newEdgeFlip(t, n, k, 1000)
+	var flips [][2]int
+	without := graph.BFSDistances(fx.states[0], graph.Vertex(fx.u), graph.Forward)
+	for w, d := range graph.BFSDistances(fx.states[1], graph.Vertex(fx.u), graph.Forward) {
+		if d != graph.InfDist && d <= k && (without[w] == graph.InfDist || without[w] > k) {
+			flips = append(flips, [2]int{fx.u, w})
+		}
+	}
+	// Enough pairs for several pool chunks, so that the batch runs on more
+	// than one worker where there is more than one core.
+	pairs := make([][2]int, 4096)
+	var want [2][]bool
+	var bfs graph.BFS
+	for i := range pairs {
+		pairs[i] = flips[i%len(flips)]
+		for s, state := range fx.states {
+			want[s] = append(want[s], graph.KHopReach(state, graph.Vertex(pairs[i][0]), graph.Vertex(pairs[i][1]), k, &bfs))
+		}
+	}
+	raw, err := json.Marshal(map[string]any{"graph": "dyn", "pairs": pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type reply struct {
+		Epoch   uint64 `json:"epoch"`
+		Results []bool `json:"results"`
+	}
+	var replies []reply
+	for reading := true; reading; {
+		select {
+		case <-fx.done:
+			reading = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		fx.srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(raw)))
+		var r reply
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			t.Fatalf("bad response %q: %v", rec.Body.String(), err)
+		}
+		replies = append(replies, r)
+		fx.read.Add(1)
+	}
+
+	epochs := map[uint64]bool{}
+	for i, r := range replies {
+		edge, ok := fx.present[r.Epoch]
+		if !ok {
+			t.Fatalf("reply %d names epoch %d, which no batch issued", i, r.Epoch)
+		}
+		epochs[r.Epoch] = true
+		oracle := want[0]
+		if edge {
+			oracle = want[1]
+		}
+		if len(r.Results) != len(pairs) {
+			t.Fatalf("reply %d: %d results for %d pairs", i, len(r.Results), len(pairs))
+		}
+		for j, got := range r.Results {
+			if got != oracle[j] {
+				t.Fatalf("reply %d (epoch %d, edge %v): pair %d %v answers %v, oracle %v", i, r.Epoch, edge, j, pairs[j], got, oracle[j])
+			}
+		}
+	}
+	t.Logf("%d replies over %d distinct epochs, %d flipping pairs", len(replies), len(epochs), len(flips))
 	if len(epochs) < 2 {
 		t.Fatalf("replies named %d epoch(s): the reads never overlapped the writer", len(epochs))
 	}

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kreach/internal/core"
 	"kreach/internal/dynamic"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
@@ -104,7 +105,7 @@ func TestGoldenLogRecovers(t *testing.T) {
 	if ix.Epoch() != 9 {
 		t.Fatalf("recovered epoch %d, want 9", ix.Epoch())
 	}
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	for _, q := range goldenPinnedReach {
 		if got := ix.Reach(q.s, q.d, sc); got != q.want {
 			t.Fatalf("golden recovery answers Reach(%d,%d) = %v, want %v", q.s, q.d, got, q.want)
@@ -131,7 +132,7 @@ func TestGoldenTornLogRecovers(t *testing.T) {
 	if ix.Epoch() != 5 {
 		t.Fatalf("recovered epoch %d, want 5", ix.Epoch())
 	}
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	// The epoch-9 batch is torn away: h→c never happened, the rest holds.
 	for _, q := range goldenPinnedReach {
 		want := q.want
@@ -170,7 +171,7 @@ func TestGoldenEmptyLog(t *testing.T) {
 		t.Fatalf("recovery stats drifted: %+v", rs)
 	}
 	// Unmutated Figure 1 under k=3: Example 2's verdicts.
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	if !ix.Reach(1, 6, sc) || ix.Reach(1, 7, sc) {
 		t.Fatal("empty-log recovery does not answer like the base graph")
 	}

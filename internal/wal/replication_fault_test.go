@@ -13,7 +13,7 @@ import (
 	"errors"
 	"testing"
 
-	"kreach/internal/dynamic"
+	"kreach/internal/core"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
 	"kreach/internal/wal"
@@ -117,7 +117,7 @@ func TestReplicatedApplyJournalFaultResumes(t *testing.T) {
 	// Full-pair answer equality against a BFS oracle over the stream's
 	// ground-truth edge set — zero mismatches, the campaign's bar.
 	oracle := testgraph.NewReachOracle(graph.FromEdges(n, ms.Edges()))
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	k := fix2.K()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kreach/internal/core"
 	"kreach/internal/dynamic"
 	"kreach/internal/graph"
 	"kreach/internal/testgraph"
@@ -122,7 +123,7 @@ func verifyCrashPoint(t *testing.T, srcDir string, base *graph.Graph, states []s
 	// surviving prefix's recorded edge set.
 	n := base.NumVertices()
 	oracle := testgraph.NewReachOracle(graph.FromEdges(n, states[want].edges))
-	sc := dynamic.NewQueryScratch()
+	sc := core.NewQueryScratch()
 	k := ix2.K()
 	mismatches := 0
 	for s := 0; s < n; s++ {

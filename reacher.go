@@ -328,15 +328,24 @@ func (ix *DynamicIndex) ReachK(ctx context.Context, s, t, k int) (Verdict, int, 
 }
 
 // ReachBatch implements Reacher; see DynamicIndex.ReachK for the hop-bound
-// rules. A mutation landing mid-batch is reflected by either the old or the
-// new edge set per pair, never a mix within one pair.
+// rules. The whole batch answers from one edge set: a mutation either
+// precedes every pair or follows every pair. ReachBatchAt also returns the
+// epoch that edge set has.
 func (ix *DynamicIndex) ReachBatch(ctx context.Context, pairs []Pair, opts BatchOptions) ([]BatchVerdict, error) {
+	out, _, err := ix.ReachBatchAt(ctx, pairs, opts)
+	return out, err
+}
+
+// ReachBatchAt is ReachBatch that also returns the epoch every answer is
+// exact for, read under the same lock as the batch ran, so that a reply can
+// name the state that produced it (as Ball.Epoch does for a ball).
+func (ix *DynamicIndex) ReachBatchAt(ctx context.Context, pairs []Pair, opts BatchOptions) ([]BatchVerdict, uint64, error) {
 	effK, err := ResolveK(ix.K(), opts.K)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	oks, err := ix.d.ReachBatch(ctx, ix.corePairs(pairs), opts.Parallelism)
-	return boolVerdicts(oks, effK), err
+	oks, epoch, err := ix.d.ReachBatch(ctx, ix.corePairs(pairs), opts.Parallelism)
+	return boolVerdicts(oks, effK), epoch, err
 }
 
 // Stats implements IndexInfo; the Dynamic section carries the live-edge
