@@ -18,11 +18,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint mirrors the fast CI job: gofmt must produce no diff, vet must pass.
+# lint is the fast CI job, run as is: gofmt must produce no diff, vet must
+# pass, and only internal/codec may checksum or decode varints in non-test
+# code, so the binary formats keep one framing and one decoder. The spine
+# search ends in `|| true` because a clean tree matches nothing, and grep
+# exits 1 on no match.
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
+	@spine="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'hash/crc32' | grep -v '^kreach/internal/codec:' | cut -d: -f1; \
+		grep -rl --include='*.go' --exclude='*_test.go' 'binary\.Uvarint(' . | grep -v '^\./internal/codec/' || true)"; \
+	if [ -n "$$spine" ]; then \
+		echo "hash/crc32 or binary.Uvarint outside internal/codec:"; echo "$$spine"; exit 1; fi
 
 # scorecard runs the paper's §6 claims on the 1/20-scale stand-ins and
 # logs one reading per claim; docs/PAPER.md holds the verdict table it

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"slices"
 	"testing"
 
@@ -105,7 +106,20 @@ func FuzzLoadAutoIndex(f *testing.F) {
 	// then per edge its source and its target's gap from the previous
 	// target of that source.
 	unsorted := []byte{5, 5, 3, 0, 1, 0, 1, 2, 1, 2, 1, 0}
-	f.Add(append(binary.LittleEndian.AppendUint32([]byte("KRG1"), crc32.ChecksumIEEE(unsorted)), unsorted...))
+	f.Add(seal("KRG1", unsorted))
+	// Well-framed streams that no writer produces: bytes after the last
+	// field of each format, a KRG1 source id of 2^32+1 (vertex 1 once
+	// truncated to int32), an overlong varint (0x80 0x00 is 0), and a KRI1
+	// row that repeats an arc.
+	for _, valid := range [][]byte{validPlain, validHK, validGraph} {
+		payload := append(append([]byte(nil), valid[8:]...), 0, 0, 0)
+		f.Add(seal(string(valid[:4]), payload))
+	}
+	f.Add(seal("KRG1", append(binary.AppendUvarint([]byte{5, 1}, 1<<32+1), 0)))
+	f.Add(seal("KRG1", []byte{5, 0x80, 0x00}))
+	// k=3, n=12, cover {0,1}, 2 arcs, row 0 = {1,1}, row 1 empty, 1 word.
+	repeated := []byte{6, 12, 2, 0, 1, 2, 2, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	f.Add(seal("KRI1", repeated))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64<<10 {
@@ -116,16 +130,10 @@ func FuzzLoadAutoIndex(f *testing.F) {
 			switch {
 			case ix != nil:
 				exerciseReacher(t, ix)
-				var out bytes.Buffer
-				if err := ix.Save(&out); err != nil {
-					t.Fatalf("re-save of accepted plain index: %v", err)
-				}
+				requireResave(t, "plain index", data, ix.Save)
 			case hk != nil:
 				exerciseReacher(t, hk)
-				var out bytes.Buffer
-				if err := hk.Save(&out); err != nil {
-					t.Fatalf("re-save of accepted (h,k) index: %v", err)
-				}
+				requireResave(t, "(h,k) index", data, hk.Save)
 			default:
 				t.Fatal("LoadAutoIndex returned neither index nor error")
 			}
@@ -135,12 +143,29 @@ func FuzzLoadAutoIndex(f *testing.F) {
 		// safely usable.
 		if g2, err := kreach.LoadBinary(bytes.NewReader(data)); err == nil {
 			checkCSR(t, g2.Internal())
-			var out bytes.Buffer
-			if err := g2.SaveBinary(&out); err != nil {
-				t.Fatalf("re-save of accepted graph: %v", err)
-			}
+			requireResave(t, "graph", data, g2.SaveBinary)
 		}
 	})
+}
+
+// seal frames payload as a KRG1/KRI1/KRH1 stream: magic, then a CRC that
+// matches, so only the decoder's structural checks stand in the way.
+func seal(magic string, payload []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32([]byte(magic), crc32.ChecksumIEEE(payload)), payload...)
+}
+
+// requireResave asserts that an accepted stream saves back to exactly the
+// bytes it was loaded from: the decoders accept only what the writers
+// produce, so anything a load tolerates but a save normalizes is a gap.
+func requireResave(t *testing.T, what string, data []byte, save func(io.Writer) error) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := save(&out); err != nil {
+		t.Fatalf("re-save of accepted %s: %v", what, err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("accepted %s re-saves to different bytes:\n in %x\nout %x", what, data, out.Bytes())
+	}
 }
 
 // checkCSR asserts the invariants every consumer of a loaded graph relies

@@ -34,8 +34,10 @@
 //     lockstep so their cache misses overlap; Case 4, and a Case 2–3 pair
 //     whose neighbour list the overlay changed, fall back to scalar Reach.
 //   - serial.go, hkserial.go — binary index serialization ("KRI1"/"KRH1"
-//     magics, CRC-checked varint payloads); SniffIndexMagic dispatches
-//     auto-detecting loaders.
+//     magics), sealed and decoded by internal/codec. Both formats share
+//     one cover-and-rows section (appendCoverRows/decodeCoverRows) after
+//     their hop bounds, so a stream loads only if it would re-save byte
+//     for byte; SniffIndexMagic dispatches auto-detecting loaders.
 //   - epoch.go — process-unique generation numbers for every built or
 //     loaded index, the cache-epoch mechanism behind kreachd's
 //     hot-swappable datasets.

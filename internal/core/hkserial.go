@@ -2,109 +2,45 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 
-	"kreach/internal/cover"
+	"kreach/internal/codec"
 	"kreach/internal/graph"
 )
 
 // (h,k)-reach index serialization, mirroring the plain index format:
 //
 //	magic "KRH1" | uint32 crc of payload | payload:
-//	  varint h | varint k | varint n | varint coverLen |
-//	  cover vertex ids (varint deltas) | varint totalArcs |
-//	  per cover vertex: varint deg, adj ids (varint deltas) |
-//	  varint weight words, 8 bytes each
+//	  varint h | varint k | cover rows (see serial.go, from n on)
 
 var hkMagic = [4]byte{'K', 'R', 'H', '1'}
 
 // WriteBinary writes the (h,k)-reach index (without its graph) to w.
 func (ix *HKIndex) WriteBinary(w io.Writer) error {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(ix.h))
-	buf = binary.AppendUvarint(buf, uint64(ix.k))
-	buf = binary.AppendUvarint(buf, uint64(len(ix.coverID)))
-	list := ix.coverSet.List()
-	buf = binary.AppendUvarint(buf, uint64(len(list)))
-	prev := graph.Vertex(0)
-	for _, v := range list {
-		buf = binary.AppendUvarint(buf, uint64(v-prev))
-		prev = v
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ix.outAdj)))
-	for u := 0; u < len(list); u++ {
-		adj := ix.outAdj[ix.outHead[u]:ix.outHead[u+1]]
-		buf = binary.AppendUvarint(buf, uint64(len(adj)))
-		p := int32(0)
-		for _, v := range adj {
-			buf = binary.AppendUvarint(buf, uint64(v-p))
-			p = v
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ix.weights.data)))
-	for _, word := range ix.weights.data {
-		var wbuf [8]byte
-		binary.LittleEndian.PutUint64(wbuf[:], word)
-		buf = append(buf, wbuf[:]...)
-	}
-
-	var hdr [8]byte
-	copy(hdr[:4], hkMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(codec.AppendSealed(nil, hkMagic, func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, uint64(ix.h))
+		buf = binary.AppendUvarint(buf, uint64(ix.k))
+		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, ix.outAdj, ix.weights.data)
+	}))
 	return err
 }
 
 // ReadBinaryHKIndex reads an index written by HKIndex.WriteBinary and
 // attaches it to g, which must be the graph it was built from.
 func ReadBinaryHKIndex(r io.Reader, g *graph.Graph) (*HKIndex, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[:4]) != hkMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadIndexFormat)
-	}
-	payload, err := io.ReadAll(r)
+	payload, err := codec.ReadSealed(r, hkMagic, ErrBadIndexFormat)
 	if err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadIndexFormat)
-	}
-	d := decoder{buf: payload}
+	d := codec.NewDecoder(payload, ErrBadIndexFormat)
 	// Bound h and k before any arithmetic: hostile values would otherwise
 	// overflow the k > 2h validation and the 2h+1 weight-width derivation.
-	h, err := d.count("hop-cover radius", 1<<20)
-	if err != nil {
-		return nil, err
+	h := d.Count("hop-cover radius", 1<<20)
+	k := d.Count("hop bound", 1<<30)
+	if d.Err() == nil && (h < 1 || k <= 2*h) {
+		return nil, d.Fail("invalid (h,k)=(%d,%d)", h, k)
 	}
-	k, err := d.count("hop bound", 1<<30)
-	if err != nil {
-		return nil, err
-	}
-	n := int(d.uvarint())
-	if n != g.NumVertices() {
-		return nil, fmt.Errorf("%w: index built for n=%d, graph has n=%d",
-			ErrBadIndexFormat, n, g.NumVertices())
-	}
-	if h < 1 || k <= 2*h {
-		return nil, fmt.Errorf("%w: invalid (h,k)=(%d,%d)", ErrBadIndexFormat, h, k)
-	}
-	coverLen, err := d.count("cover length", n)
-	if err != nil {
-		return nil, err
-	}
-	list, err := d.coverList(coverLen, n)
-	if err != nil {
-		return nil, err
-	}
-	total, err := d.count("arc count", len(payload))
+	rows, err := decodeCoverRows(d, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -113,23 +49,14 @@ func ReadBinaryHKIndex(r io.Reader, g *graph.Graph) (*HKIndex, error) {
 		h:        h,
 		k:        k,
 		gen:      nextGeneration(),
-		coverSet: cover.NewSet(n, list),
-		coverID:  make([]int32, n),
-		outHead:  make([]int32, coverLen+1),
-		outAdj:   make([]int32, total),
+		coverSet: rows.set,
+		coverID:  rows.coverID,
+		outHead:  rows.outHead,
+		outAdj:   rows.outAdj,
+		weights:  newPackedArray(len(rows.outAdj), bitsFor(uint(2*h))),
 	}
-	for i := range ix.coverID {
-		ix.coverID[i] = -1
-	}
-	for i, v := range list {
-		ix.coverID[v] = int32(i)
-	}
-	ix.weights = newPackedArray(total, bitsFor(uint(2*h)))
-	if err := d.arcRows(coverLen, total, ix.outHead, ix.outAdj, ix.weights.data); err != nil {
+	if err := decodeWeightWords(d, ix.weights.data); err != nil {
 		return nil, err
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	return ix, nil
 }

@@ -3,28 +3,28 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"runtime"
 
 	"kreach/internal/bitvec"
+	"kreach/internal/codec"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
 )
 
 // Index serialization. The paper stores the constructed index on disk
 // (Section 4.1.3); queries then mmap/load it next to the original graph.
-// Layout (little endian):
+// Layout (little endian), sealed by internal/codec:
 //
 //	magic "KRI1" | uint32 crc of payload | payload:
-//	  zigzag-varint k | varint n | varint coverLen |
-//	  cover vertex ids (varint deltas, ascending) |
-//	  varint totalArcs | per cover vertex: varint deg, adj cover ids
-//	  (varint deltas) | packed weight words (varint count, 8 bytes each)
+//	  zigzag-varint k | cover rows, shared with KRH1:
+//	  varint n | varint coverLen | cover vertex ids (varint deltas,
+//	  ascending) | varint totalArcs | per cover vertex: varint deg, adj
+//	  cover ids (varint deltas, ascending) | packed weight words (varint
+//	  count, 8 bytes each)
 //
 // The graph itself is serialized separately (graph.WriteBinary); on load
-// the caller re-attaches it and AttachGraph validates n.
+// the caller re-attaches it and the reader validates n.
 
 var indexMagic = [4]byte{'K', 'R', 'I', '1'}
 
@@ -33,40 +33,10 @@ var ErrBadIndexFormat = errors.New("core: bad index format")
 
 // WriteBinary writes the index (without its graph) to w.
 func (ix *Index) WriteBinary(w io.Writer) error {
-	var buf []byte
-	buf = appendZigzag(buf, int64(ix.k))
-	buf = binary.AppendUvarint(buf, uint64(len(ix.coverID)))
-	list := ix.coverSet.List()
-	buf = binary.AppendUvarint(buf, uint64(len(list)))
-	prev := graph.Vertex(0)
-	for _, v := range list {
-		buf = binary.AppendUvarint(buf, uint64(v-prev))
-		prev = v
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ix.outAdj)))
-	for u := 0; u < len(list); u++ {
-		adj := ix.outAdj[ix.outHead[u]:ix.outHead[u+1]]
-		buf = binary.AppendUvarint(buf, uint64(len(adj)))
-		p := int32(0)
-		for _, v := range adj {
-			buf = binary.AppendUvarint(buf, uint64(v-p))
-			p = v
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ix.weights.Words())))
-	for _, word := range ix.weights.Words() {
-		var wbuf [8]byte
-		binary.LittleEndian.PutUint64(wbuf[:], word)
-		buf = append(buf, wbuf[:]...)
-	}
-
-	var hdr [8]byte
-	copy(hdr[:4], indexMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf)
+	_, err := w.Write(codec.AppendSealed(nil, indexMagic, func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, uint64(ix.k<<1)^uint64(ix.k>>63)) // zigzag
+		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, ix.outAdj, ix.weights.Words())
+	}))
 	return err
 }
 
@@ -74,41 +44,16 @@ func (ix *Index) WriteBinary(w io.Writer) error {
 // g, which must be the graph the index was built from (vertex count is
 // validated; callers are responsible for supplying the same graph).
 func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[:4]) != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadIndexFormat)
-	}
-	payload, err := io.ReadAll(r)
+	payload, err := codec.ReadSealed(r, indexMagic, ErrBadIndexFormat)
 	if err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadIndexFormat)
-	}
-	d := decoder{buf: payload}
-	k := int(d.zigzag())
+	d := codec.NewDecoder(payload, ErrBadIndexFormat)
+	k := int(d.Zigzag())
 	if k != Unbounded && k < 1 {
-		return nil, fmt.Errorf("%w: implausible hop bound %d", ErrBadIndexFormat, k)
+		return nil, d.Fail("implausible hop bound %d", k)
 	}
-	n := int(d.uvarint())
-	if n != g.NumVertices() {
-		return nil, fmt.Errorf("%w: index built for n=%d, graph has n=%d",
-			ErrBadIndexFormat, n, g.NumVertices())
-	}
-	coverLen, err := d.count("cover length", n)
-	if err != nil {
-		return nil, err
-	}
-	list, err := d.coverList(coverLen, n)
-	if err != nil {
-		return nil, err
-	}
-	// Every arc consumes at least one payload byte, so the declared arc
-	// count is bounded by the payload size — checked before allocating.
-	total, err := d.count("arc count", len(payload))
+	rows, err := decodeCoverRows(d, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -116,150 +61,122 @@ func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 		g:        g,
 		k:        k,
 		gen:      nextGeneration(),
-		coverSet: cover.NewSet(n, list),
-		coverID:  make([]int32, n),
-		outHead:  make([]int32, coverLen+1),
-		outAdj:   make([]int32, total),
+		coverSet: rows.set,
+		coverID:  rows.coverID,
+		outHead:  rows.outHead,
+		outAdj:   rows.outAdj,
+		weights:  bitvec.NewPacked2(len(rows.outAdj)),
 	}
-	for i := range ix.coverID {
-		ix.coverID[i] = -1
-	}
-	for i, v := range list {
-		ix.coverID[v] = int32(i)
-	}
-	ix.weights = bitvec.NewPacked2(total)
-	if err := d.arcRows(coverLen, total, ix.outHead, ix.outAdj, ix.weights.Words()); err != nil {
+	if err := decodeWeightWords(d, ix.weights.Words()); err != nil {
 		return nil, err
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	ix.finalize(runtime.GOMAXPROCS(0))
 	return ix, nil
 }
 
-// count reads a non-negative size field and rejects values beyond limit
-// before any caller allocation can happen, so a corrupt stream can never
-// provoke a huge or negative make().
-func (d *decoder) count(label string, limit int) (int, error) {
-	v := d.uvarint()
-	if d.err != nil {
-		return 0, d.err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("%w: %s %d exceeds limit %d", ErrBadIndexFormat, label, v, limit)
-	}
-	return int(v), nil
+// coverRows is the decoded section KRI1 and KRH1 share: the cover, its
+// graph-to-cover id map and the CSR rows over cover ids.
+type coverRows struct {
+	set     *cover.Set
+	coverID []int32
+	outHead []int32
+	outAdj  []int32
 }
 
-// coverList decodes the delta-encoded, strictly ascending cover vertex
-// list, validating every entry against n. Deltas are checked before the
-// int32 accumulation, so hostile values cannot overflow into negative ids.
-func (d *decoder) coverList(coverLen, n int) ([]graph.Vertex, error) {
+// appendCoverRows appends the shared section: n (the length of coverID),
+// the cover, each row, then the packed weight words.
+func appendCoverRows(buf []byte, coverID []int32, list []graph.Vertex, outHead, outAdj []int32, words []uint64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(coverID)))
+	buf = binary.AppendUvarint(buf, uint64(len(list)))
+	prev := graph.Vertex(0)
+	for _, v := range list {
+		buf = binary.AppendUvarint(buf, uint64(v-prev))
+		prev = v
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(outAdj)))
+	for u := range list {
+		adj := outAdj[outHead[u]:outHead[u+1]]
+		buf = binary.AppendUvarint(buf, uint64(len(adj)))
+		p := int32(0)
+		for _, v := range adj {
+			buf = binary.AppendUvarint(buf, uint64(v-p))
+			p = v
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(words)))
+	for _, word := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, word)
+	}
+	return buf
+}
+
+// decodeCoverRows decodes the shared section up to its weight block for
+// the graph of n vertices it must have been built for. The cover and
+// every row must be strictly ascending and in range, and the rows must
+// hold exactly the declared arc total.
+func decodeCoverRows(d *codec.Decoder, n int) (coverRows, error) {
+	if got := d.Uvarint(); d.Err() == nil && got != uint64(n) {
+		return coverRows{}, d.Fail("index built for n=%d, graph has n=%d", got, n)
+	}
+	coverLen := d.Count("cover length", n)
+	if d.Err() != nil {
+		return coverRows{}, d.Err()
+	}
 	list := make([]graph.Vertex, coverLen)
 	prev := graph.Vertex(0)
 	for i := range list {
-		dv := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if dv > uint64(n) || (i > 0 && dv == 0) {
-			return nil, fmt.Errorf("%w: cover vertex out of range", ErrBadIndexFormat)
-		}
-		prev += graph.Vertex(dv)
-		if int(prev) >= n {
-			return nil, fmt.Errorf("%w: cover vertex out of range", ErrBadIndexFormat)
-		}
+		prev = d.NextID(prev, i == 0, n)
 		list[i] = prev
 	}
-	return list, nil
-}
-
-// arcRows decodes the per-cover-vertex CSR rows (delta-encoded ascending
-// ids) and the packed weight words shared by the plain and (h,k) formats.
-// outHead/outAdj must be pre-sized to coverLen+1/total; weightWords is the
-// pre-sized backing word slice of the packed weight array.
-func (d *decoder) arcRows(coverLen, total int, outHead, outAdj []int32, weightWords []uint64) error {
+	// Every arc consumes at least one payload byte, so the declared arc
+	// count is bounded by what is left — checked before allocating.
+	total := d.Count("arc count", d.Remaining())
+	if d.Err() != nil {
+		return coverRows{}, d.Err()
+	}
+	rows := coverRows{
+		set:     cover.NewSet(n, list),
+		coverID: make([]int32, n),
+		outHead: make([]int32, coverLen+1),
+		outAdj:  make([]int32, total),
+	}
+	for i := range rows.coverID {
+		rows.coverID[i] = -1
+	}
+	for i, v := range list {
+		rows.coverID[v] = int32(i)
+	}
 	pos := 0
 	for u := 0; u < coverLen; u++ {
-		outHead[u] = int32(pos)
-		deg, err := d.count("row degree", total-pos)
-		if err != nil {
-			return fmt.Errorf("%w: arc overflow", ErrBadIndexFormat)
-		}
+		rows.outHead[u] = int32(pos)
+		deg := d.Count("row degree", total-pos)
 		p := int32(0)
 		for j := 0; j < deg; j++ {
-			dv := d.uvarint()
-			if d.err != nil {
-				return d.err
-			}
-			if dv > uint64(coverLen) {
-				return fmt.Errorf("%w: arc target out of range", ErrBadIndexFormat)
-			}
-			p += int32(dv)
-			if int(p) >= coverLen {
-				return fmt.Errorf("%w: arc target out of range", ErrBadIndexFormat)
-			}
-			outAdj[pos] = p
+			p = d.NextID(p, j == 0, coverLen)
+			rows.outAdj[pos] = p
 			pos++
 		}
+		if d.Err() != nil {
+			return coverRows{}, d.Err()
+		}
 	}
-	outHead[coverLen] = int32(pos)
+	rows.outHead[coverLen] = int32(pos)
 	if pos != total {
-		return fmt.Errorf("%w: arc count mismatch", ErrBadIndexFormat)
+		return coverRows{}, d.Fail("rows hold %d arcs, header declares %d", pos, total)
 	}
-	words := int(d.uvarint())
-	if d.err != nil {
-		return d.err
-	}
-	if words != len(weightWords) {
-		return fmt.Errorf("%w: weight block size mismatch", ErrBadIndexFormat)
-	}
-	for i := 0; i < words; i++ {
-		weightWords[i] = d.u64()
-	}
-	return d.err
+	return rows, nil
 }
 
-func appendZigzag(buf []byte, v int64) []byte {
-	return binary.AppendUvarint(buf, uint64(v<<1)^uint64(v>>63))
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// decodeWeightWords decodes the packed weight block, the last field of
+// both index formats, into words, which is sized for the decoded arcs.
+func decodeWeightWords(d *codec.Decoder, words []uint64) error {
+	if c := d.Count("weight words", len(words)); d.Err() == nil && c != len(words) {
+		return d.Fail("weight block of %d words, want %d", c, len(words))
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: truncated varint", ErrBadIndexFormat)
-		return 0
+	for i := range words {
+		words[i] = d.U64()
 	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) zigzag() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("%w: truncated word block", ErrBadIndexFormat)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
+	return d.Done()
 }
 
 // SniffIndexMagic classifies a serialized index stream by its leading

@@ -109,13 +109,66 @@ func TestReadBinaryGraphHostile(t *testing.T) {
 		"m beyond payload":  uv(nil, 4, 1<<40),
 		"edge out of range": uv(nil, 2, 1, 5, 0),
 		"truncated edges":   uv(nil, 4, 3, 0, 1),
+		"trailing bytes":    uv(nil, 2, 1, 0, 1, 0, 0, 0),
+		// A source past int32 that would wrap onto vertex 1.
+		"source past int32": uv(nil, 4, 1, 1<<32+1, 0),
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
 			_, err := graph.ReadBinary(bytes.NewReader(frame("KRG1", payload)))
-			if err == nil {
-				t.Fatal("hostile stream accepted")
+			if !errors.Is(err, graph.ErrBadFormat) {
+				t.Fatalf("err %v, want graph.ErrBadFormat", err)
 			}
 		})
+	}
+}
+
+// TestReadBinaryIndexRejectsNonCanonical pins, for both index formats,
+// streams under a valid CRC that no writer produces: bytes after the
+// weight block, a row that repeats an arc (a zero gap after its first
+// entry, which the cover list refuses too), and an overlong varint. Each
+// is built from a stream that loads, so only the named defect is
+// rejected.
+func TestReadBinaryIndexRejectsNonCanonical(t *testing.T) {
+	g := testgraph.PaperFigure1()
+	n := uint64(g.NumVertices())
+	// Cover {0,1} with 2 arcs, the rows as raw bytes (one byte per
+	// varint: degree, then gaps), then one zero weight word.
+	section := func(rows ...byte) []byte {
+		out := append(uv(nil, 2, 0, 1, 2), rows...)
+		return append(uv(out, 1), make([]byte, 8)...)
+	}
+	formats := []struct {
+		magic string
+		head  []byte
+		read  func([]byte) error
+	}{
+		{"KRI1", uv(zz(nil, 3), n), func(b []byte) error {
+			_, err := ReadBinaryIndex(bytes.NewReader(b), g)
+			return err
+		}},
+		{"KRH1", uv(nil, 1, 3, n), func(b []byte) error {
+			_, err := ReadBinaryHKIndex(bytes.NewReader(b), g)
+			return err
+		}},
+	}
+	for _, f := range formats {
+		payload := func(rows ...byte) []byte {
+			return append(append([]byte(nil), f.head...), section(rows...)...)
+		}
+		valid := payload(1, 1, 1, 0)
+		if err := f.read(frame(f.magic, valid)); err != nil {
+			t.Fatalf("%s: base stream rejected: %v", f.magic, err)
+		}
+		for name, payload := range map[string][]byte{
+			"trailing bytes": append(valid, 0, 0, 0),
+			"repeated arc":   payload(2, 1, 0, 0),
+			"overlong gap":   payload(1, 1, 1, 0x80, 0x00),
+		} {
+			err := f.read(frame(f.magic, payload))
+			if !errors.Is(err, ErrBadIndexFormat) {
+				t.Errorf("%s %s: err %v, want ErrBadIndexFormat", f.magic, name, err)
+			}
+		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strconv"
 	"strings"
+
+	"kreach/internal/codec"
 )
 
 // Text edge-list format: one "src dst" pair per line, '#'-prefixed comment
@@ -149,112 +150,83 @@ var ErrBadFormat = errors.New("graph: bad binary format")
 // WriteBinary writes g in the compact binary form with a CRC32 integrity
 // check over the payload.
 func WriteBinary(w io.Writer, g *Graph) error {
-	payload := AppendBinary(nil, g)
-	var hdr [8]byte
-	copy(hdr[:4], binaryMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(AppendBinary(nil, g))
 	return err
 }
 
-// AppendBinary appends the payload encoding of g (without magic/CRC header)
+// AppendBinary appends the whole binary form of g (magic, CRC, payload)
 // to buf and returns the extended buffer.
 func AppendBinary(buf []byte, g *Graph) []byte {
-	buf = binary.AppendUvarint(buf, uint64(g.NumVertices()))
-	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
-	prevSrc := Vertex(-1)
-	prevDst := Vertex(0)
-	g.ForEachEdge(func(u, v Vertex) {
-		buf = binary.AppendUvarint(buf, uint64(u))
-		if u != prevSrc {
-			prevSrc, prevDst = u, 0
-		}
-		buf = binary.AppendUvarint(buf, uint64(v-prevDst))
-		prevDst = v
+	return codec.AppendSealed(buf, binaryMagic, func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, uint64(g.NumVertices()))
+		buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
+		prevSrc := Vertex(-1)
+		prevDst := Vertex(0)
+		g.ForEachEdge(func(u, v Vertex) {
+			buf = binary.AppendUvarint(buf, uint64(u))
+			if u != prevSrc {
+				prevSrc, prevDst = u, 0
+			}
+			buf = binary.AppendUvarint(buf, uint64(v-prevDst))
+			prevDst = v
+		})
+		return buf
 	})
-	return buf
 }
 
 // ReadBinary reads a graph written by WriteBinary, verifying the checksum.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[:4]) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	payload, err := io.ReadAll(r)
+	payload, err := codec.ReadSealed(r, binaryMagic, ErrBadFormat)
 	if err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFormat)
-	}
-	g, _, err := DecodeBinary(payload)
-	return g, err
+	return decodePayload(payload)
 }
 
-// DecodeBinary decodes a payload produced by AppendBinary and returns the
-// graph plus the number of bytes consumed.
-func DecodeBinary(payload []byte) (*Graph, int, error) {
-	off := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrBadFormat)
-		}
-		off += n
-		return v, nil
-	}
-	n64, err := readUvarint()
+// DecodeBinary decodes a graph from its whole binary form, as AppendBinary
+// writes it.
+func DecodeBinary(data []byte) (*Graph, error) {
+	payload, err := codec.Unseal(data, binaryMagic, ErrBadFormat)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	m64, err := readUvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Each edge consumes at least two payload bytes, so a declared m beyond
-	// half the payload is corrupt — checked before the edge slice is sized.
+	return decodePayload(payload)
+}
+
+func decodePayload(payload []byte) (*Graph, error) {
+	d := codec.NewDecoder(payload, ErrBadFormat)
 	// The vertex cap bounds the CSR allocation a tiny hostile header could
 	// otherwise provoke (int32 vertex ids would admit allocations in the
-	// tens of gigabytes).
-	if n64 > maxBinaryVertices || m64 > uint64(len(payload))/2 {
-		return nil, 0, fmt.Errorf("%w: implausible sizes n=%d m=%d", ErrBadFormat, n64, m64)
+	// tens of gigabytes). Each edge consumes at least two payload bytes, so
+	// a declared m beyond half the payload is corrupt — checked before the
+	// edge slice is sized.
+	n := d.Count("vertex count", maxBinaryVertices)
+	m := d.Count("edge count", len(payload)/2)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	n, m := int(n64), int(m64)
-	edges := make([]Edge, 0, m)
-	prevSrc := Vertex(-1)
-	prevDst := Vertex(0)
+	edges := make([]Edge, m)
 	// FromSortedEdges, the overlay merge and every CSR consumer rely on
 	// (src,dst) strictly ascending, so an edge that is not strictly after
-	// its predecessor is rejected, not sorted.
-	for i := 0; i < m; i++ {
-		s64, err := readUvarint()
-		if err != nil {
-			return nil, 0, err
+	// its predecessor is rejected, not sorted: a source may not descend,
+	// and a target may not descend or repeat within its source's run.
+	prev := Edge{Src: -1}
+	for i := range edges {
+		src := d.ID(n)
+		if src < prev.Src {
+			return nil, d.Fail("edge source %d after %d", src, prev.Src)
 		}
-		d64, err := readUvarint()
-		if err != nil {
-			return nil, 0, err
+		if src != prev.Src {
+			prev.Dst = 0
 		}
-		u := Vertex(s64)
-		if u != prevSrc {
-			prevSrc, prevDst = u, 0
+		edges[i] = Edge{Src: src, Dst: d.NextID(prev.Dst, src != prev.Src, n)}
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
-		v := prevDst + Vertex(d64)
-		prevDst = v
-		if int(u) >= n || int(v) >= n || u < 0 || v < 0 {
-			return nil, 0, fmt.Errorf("%w: edge (%d,%d) out of range", ErrBadFormat, u, v)
-		}
-		if last := len(edges) - 1; last >= 0 && (u < edges[last].Src || u == edges[last].Src && v <= edges[last].Dst) {
-			return nil, 0, fmt.Errorf("%w: edge (%d,%d) not after (%d,%d)", ErrBadFormat, u, v, edges[last].Src, edges[last].Dst)
-		}
-		edges = append(edges, Edge{u, v})
+		prev = edges[i]
 	}
-	return FromSortedEdges(n, edges), off, nil
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return FromSortedEdges(n, edges), nil
 }

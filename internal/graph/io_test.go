@@ -1,10 +1,13 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
+
+	"kreach/internal/codec"
 )
 
 // edgeSet flattens a graph's edges for comparison.
@@ -129,9 +132,9 @@ func TestEdgeListRoundTripWithIsolatedTail(t *testing.T) {
 	}
 }
 
-// binaryPayload encodes edges as AppendBinary does — source, then the
-// target's gap from the previous target of the same source — but in the
-// order given, sorted or not.
+// binaryPayload encodes a KRG1 payload as AppendBinary does — source, then
+// the target's gap from the previous target of the same source — but in
+// the order given, sorted or not.
 func binaryPayload(n int, edges [][2]Vertex) []byte {
 	buf := binary.AppendUvarint(nil, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
@@ -147,6 +150,12 @@ func binaryPayload(n int, edges [][2]Vertex) []byte {
 	return buf
 }
 
+// sealed wraps a payload in the KRG1 magic and a correct CRC, so the
+// decoder's structural checks, not the checksum, must reject it.
+func sealed(payload []byte) []byte {
+	return codec.AppendSealed(nil, binaryMagic, func(buf []byte) []byte { return append(buf, payload...) })
+}
+
 // TestDecodeBinaryRejectsUnsortedEdges pins the KRG1 order check: the CSR
 // build behind DecodeBinary assumes (src,dst) strictly ascending, and a
 // stream that breaks it once loaded in(0) = [3 1], out(1) = [0 2 4 4] and
@@ -157,12 +166,12 @@ func TestDecodeBinaryRejectsUnsortedEdges(t *testing.T) {
 		"source descends":            {{3, 0}, {1, 0}},
 		"duplicate":                  {{1, 2}, {1, 4}, {1, 4}},
 	} {
-		if g, _, err := DecodeBinary(binaryPayload(5, edges)); !errors.Is(err, ErrBadFormat) {
+		if g, err := DecodeBinary(sealed(binaryPayload(5, edges))); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: got graph %v, error %v; want ErrBadFormat", name, g, err)
 		}
 	}
 	sorted := [][2]Vertex{{1, 0}, {1, 2}, {1, 4}, {3, 0}}
-	g, _, err := DecodeBinary(binaryPayload(5, sorted))
+	g, err := DecodeBinary(sealed(binaryPayload(5, sorted)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,5 +182,33 @@ func TestDecodeBinaryRejectsUnsortedEdges(t *testing.T) {
 	}
 	if g.NumEdges() != len(sorted) {
 		t.Errorf("sorted stream has %d edges, want %d", g.NumEdges(), len(sorted))
+	}
+}
+
+// TestDecodeBinaryRejectsNonCanonicalStreams pins what no writer produces
+// and the decoder must therefore refuse, even under a valid CRC: bytes
+// after the last edge, a source id past int32 that would wrap onto a
+// valid vertex if it were converted before the range check, and an
+// overlong varint that would decode to the same value as its canonical
+// form. Accepting any of them would let a loaded stream re-save to
+// different bytes.
+func TestDecodeBinaryRejectsNonCanonicalStreams(t *testing.T) {
+	valid := binaryPayload(5, [][2]Vertex{{1, 0}, {1, 2}, {3, 4}})
+	if _, err := DecodeBinary(sealed(valid)); err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"trailing bytes":      append(append([]byte(nil), valid...), 0, 0, 0),
+		"source 2^32+1":       append(binary.AppendUvarint([]byte{5, 1}, 1<<32+1), 0),
+		"overlong edge count": {5, 0x80, 0x00},
+		"overlong target gap": {5, 1, 1, 0x82, 0x00},
+	} {
+		stream := sealed(payload)
+		if g, err := DecodeBinary(stream); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: got graph %v, error %v; want ErrBadFormat", name, g, err)
+		}
+		if g, err := ReadBinary(bytes.NewReader(stream)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: ReadBinary got graph %v, error %v; want ErrBadFormat", name, g, err)
+		}
 	}
 }

@@ -197,8 +197,8 @@ func requireSameRecords(t *testing.T, a, b []wal.Record) {
 //   - Next yields only the three documented frame kinds and at most one
 //     frame per frame header's worth of input.
 //   - Decoding allocates in proportion to the bytes that arrived, not to
-//     what a frame header claims, which keeps it far below
-//     maxFramePayload for any input the fuzzer can build.
+//     what a frame header claims, which keeps it far below the feed's
+//     1 GiB frame cap for any input the fuzzer can build.
 func FuzzFeedDecode(f *testing.F) {
 	wire := wireChunk(f)
 	f.Add(wire)

@@ -2,7 +2,7 @@ package wal_test
 
 // Backward-compatibility proof for the durability formats, mirroring the
 // repo-root golden_test.go contract: the files under testdata/golden/ were
-// written by the KRW1/KRS1 writers when this test was introduced and are
+// written by the KRW1/KRS1/KRF1 writers when this test was introduced and are
 // never regenerated casually. Every future revision must still decode
 // them, recover the pinned index state from them, and re-serialize the
 // canonical ones byte-for-byte — so an on-disk format drift fails here
@@ -17,10 +17,14 @@ package wal_test
 //	           canonical kill-mid-append artifact
 //	empty.wal  a freshly initialized log: magic header only
 //	tiny.krs   a KRS1 snapshot of the unmutated Figure 1 graph at epoch 42
+//	tiny.krf   a KRF1 feed chunk: heartbeat (9/9), a KRS1 snapshot of the
+//	           unmutated graph at epoch 2, tiny.wal's three records, and
+//	           the commit heartbeat
 
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -204,5 +208,54 @@ func TestGoldenSnapshotDecodesByteForByte(t *testing.T) {
 	}
 	if got := st.Stats().LastEpoch; got != 42 {
 		t.Fatalf("snapshot-only recovery last_epoch %d, want 42", got)
+	}
+}
+
+func TestGoldenFeedDecodesByteForByte(t *testing.T) {
+	raw := readGoldenWAL(t, "tiny.krf")
+	fr := wal.NewFeedReader(bytes.NewReader(raw))
+	var frames []wal.FeedFrame
+	for {
+		f, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("golden feed no longer decodes: %v", err)
+		}
+		frames = append(frames, f)
+	}
+	if len(frames) != 4 ||
+		frames[0].Kind != wal.FrameHeartbeat ||
+		frames[1].Kind != wal.FrameSnapshot ||
+		frames[2].Kind != wal.FrameRecords ||
+		frames[3].Kind != wal.FrameHeartbeat {
+		t.Fatalf("golden feed frames %v, want [heartbeat snapshot records heartbeat]", frames)
+	}
+	last, served, err := frames[0].Heartbeat()
+	if err != nil || last != 9 || served != 9 {
+		t.Fatalf("golden heartbeat %d/%d (err %v), want 9/9", last, served, err)
+	}
+	if !bytes.Equal(frames[3].Payload, frames[0].Payload) {
+		t.Fatal("golden commit heartbeat differs from the leading one")
+	}
+	g, epoch, err := wal.DecodeSnapshot(frames[1].Payload)
+	if err != nil || epoch != 2 || g.NumVertices() != 10 || g.NumEdges() != 9 {
+		t.Fatalf("golden snapshot frame: epoch %d, err %v", epoch, err)
+	}
+	recs, err := wal.DecodeRecords(frames[2].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecords(t, goldenRecords, recs)
+
+	ck := wal.FeedChunk{
+		Snapshot:      wal.AppendSnapshot(nil, g, epoch),
+		Records:       wal.AppendLog(nil, recs)[4:],
+		LastEpoch:     last,
+		ServedThrough: served,
+	}
+	if out := ck.AppendWire(nil); !bytes.Equal(out, raw) {
+		t.Fatal("KRF1 round-trip is no longer byte-identical: the feed format drifted")
 	}
 }

@@ -3,10 +3,9 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"math"
 
+	"kreach/internal/codec"
 	"kreach/internal/graph"
 )
 
@@ -29,17 +28,9 @@ import (
 
 var logMagic = [4]byte{'K', 'R', 'W', '1'}
 
-const (
-	recordHeaderSize = 8
-	// maxRecordBytes caps the payload size a length prefix may declare
-	// before any allocation happens: far above every real mutation batch
-	// (the serving layer caps batches long before this), far below what
-	// would let a corrupt 4-byte prefix demand gigabytes.
-	maxRecordBytes = 1 << 26
-	// maxVertexID mirrors the int32 vertex ids of the graph package; a
-	// decoded endpoint beyond it is corruption, not a big graph.
-	maxVertexID = math.MaxInt32 - 1
-)
+// maxVertexID mirrors the int32 vertex ids of the graph package; a
+// decoded endpoint beyond it is corruption, not a big graph.
+const maxVertexID = math.MaxInt32 - 1
 
 // ErrBadRecord reports a structurally invalid record: a corrupt length
 // prefix, CRC mismatch, or payload that does not decode. Readers treat it
@@ -54,6 +45,12 @@ var ErrTornTail = errors.New("wal: torn record at log tail")
 // the store refuses to touch it rather than truncate a foreign file.
 var ErrBadMagic = errors.New("wal: bad log magic")
 
+// recordFraming frames KRW1 records with an empty prefix. Its payload cap
+// sits far above every real mutation batch (the serving layer caps batches
+// long before it), far below what would let a corrupt 4-byte length demand
+// gigabytes.
+var recordFraming = codec.Framing{Limit: 1 << 26, Bad: ErrBadRecord, Torn: ErrTornTail}
+
 // Record is one durable mutation batch: the epoch reserved for it plus the
 // in-range edge operations exactly as the index was asked to apply them.
 type Record struct {
@@ -64,14 +61,11 @@ type Record struct {
 
 // appendRecord appends the framed encoding of rec to buf.
 func appendRecord(buf []byte, rec Record) []byte {
-	payload := binary.AppendUvarint(nil, rec.Epoch)
-	payload = appendEdges(payload, rec.Add)
-	payload = appendEdges(payload, rec.Remove)
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return recordFraming.Append(buf, nil, func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, rec.Epoch)
+		buf = appendEdges(buf, rec.Add)
+		return appendEdges(buf, rec.Remove)
+	})
 }
 
 func appendEdges(buf []byte, edges []graph.Edge) []byte {
@@ -87,80 +81,28 @@ func appendEdges(buf []byte, edges []graph.Edge) []byte {
 // and the total bytes consumed. A short buffer is ErrTornTail; anything
 // structurally wrong is ErrBadRecord.
 func decodeRecord(data []byte) (Record, int, error) {
-	if len(data) < recordHeaderSize {
-		return Record{}, 0, ErrTornTail
-	}
-	size := binary.LittleEndian.Uint32(data[0:4])
-	if size > maxRecordBytes {
-		return Record{}, 0, fmt.Errorf("%w: implausible payload length %d", ErrBadRecord, size)
-	}
-	if len(data) < recordHeaderSize+int(size) {
-		return Record{}, 0, ErrTornTail
-	}
-	payload := data[recordHeaderSize : recordHeaderSize+int(size)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:8]) {
-		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrBadRecord)
-	}
-	rec, err := decodePayload(payload)
+	payload, n, err := recordFraming.Cut(data)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	return rec, recordHeaderSize + int(size), nil
+	d := codec.NewDecoder(payload, ErrBadRecord)
+	rec := Record{Epoch: d.Uvarint()}
+	rec.Add = decodeEdges(d)
+	rec.Remove = decodeEdges(d)
+	if err := d.Done(); err != nil {
+		return Record{}, 0, err
+	}
+	return rec, n, nil
 }
 
-func decodePayload(payload []byte) (Record, error) {
-	off := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrBadRecord)
-		}
-		off += n
-		return v, nil
+func decodeEdges(d *codec.Decoder) []graph.Edge {
+	// Each edge consumes at least two payload bytes; a count beyond that is
+	// corrupt, checked before the slice is sized.
+	edges := make([]graph.Edge, d.Count("edge count", d.Remaining()/2))
+	for i := range edges {
+		edges[i] = graph.Edge{Src: d.ID(maxVertexID + 1), Dst: d.ID(maxVertexID + 1)}
 	}
-	readEdges := func() ([]graph.Edge, error) {
-		count, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		// Each edge consumes at least two payload bytes; a count beyond
-		// that is corrupt, checked before the slice is sized.
-		if count > uint64(len(payload)-off)/2 {
-			return nil, fmt.Errorf("%w: implausible edge count %d in %d payload bytes",
-				ErrBadRecord, count, len(payload))
-		}
-		edges := make([]graph.Edge, 0, count)
-		for i := uint64(0); i < count; i++ {
-			s, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			d, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if s > maxVertexID || d > maxVertexID {
-				return nil, fmt.Errorf("%w: vertex id out of range", ErrBadRecord)
-			}
-			edges = append(edges, graph.Edge{Src: graph.Vertex(s), Dst: graph.Vertex(d)})
-		}
-		return edges, nil
-	}
-	var rec Record
-	var err error
-	if rec.Epoch, err = readUvarint(); err != nil {
-		return rec, err
-	}
-	if rec.Add, err = readEdges(); err != nil {
-		return rec, err
-	}
-	if rec.Remove, err = readEdges(); err != nil {
-		return rec, err
-	}
-	if off != len(payload) {
-		return rec, fmt.Errorf("%w: %d trailing payload bytes", ErrBadRecord, len(payload)-off)
-	}
-	return rec, nil
+	return edges
 }
 
 // DecodeLog decodes a full log image. It returns every record of the valid

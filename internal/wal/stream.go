@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"time"
+
+	"kreach/internal/codec"
 )
 
 // Replication feed wire format ("KRF1", little endian):
@@ -56,13 +56,7 @@ const (
 	FrameHeartbeat byte = 3
 )
 
-const (
-	frameHeaderSize = 9
-	heartbeatSize   = 16
-	// maxFramePayload caps what a frame header may demand before any
-	// allocation happens; snapshots of real datasets sit far below it.
-	maxFramePayload = 1 << 30
-)
+const heartbeatSize = 16
 
 // ErrBadFeed reports a structurally invalid feed stream: bad magic, an
 // unknown frame kind, a frame checksum mismatch, or a records payload that
@@ -73,6 +67,12 @@ var ErrBadFeed = errors.New("wal: bad feed frame")
 // primary dying mid-ship or a connection cut. The consumer discards the
 // torn remainder and resumes from its last durable epoch.
 var ErrTornFeed = errors.New("wal: torn feed stream")
+
+// feedFraming frames KRF1 with the kind byte as the prefix, so the frame
+// CRC covers it and a flipped kind cannot reinterpret an otherwise-valid
+// payload. The payload cap bounds what a header may demand; snapshots of
+// real datasets sit far below it.
+var feedFraming = codec.Framing{Prefix: 1, Limit: 1 << 30, Bad: ErrBadFeed, Torn: ErrTornFeed}
 
 // FeedChunk is one replication feed response: optionally a full snapshot,
 // then raw log records, plus the epoch bookkeeping a follower needs to
@@ -124,19 +124,9 @@ func (c FeedChunk) AppendWire(buf []byte) []byte {
 }
 
 func appendFrame(buf []byte, kind byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], frameSum(kind, payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// frameSum checksums a frame's kind byte together with its payload, so a
-// flipped kind cannot reinterpret an otherwise-valid payload.
-func frameSum(kind byte, payload []byte) uint32 {
-	sum := crc32.Update(0, crc32.IEEETable, []byte{kind})
-	return crc32.Update(sum, crc32.IEEETable, payload)
+	return feedFraming.Append(buf, []byte{kind}, func(buf []byte) []byte {
+		return append(buf, payload...)
+	})
 }
 
 // FeedFrame is one decoded wire frame.
@@ -185,57 +175,14 @@ func (fr *FeedReader) Next() (FeedFrame, error) {
 		}
 		fr.started = true
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return FeedFrame{}, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return FeedFrame{}, fmt.Errorf("%w: truncated frame header", ErrTornFeed)
-		}
-		return FeedFrame{}, err
-	}
-	kind := hdr[0]
-	if kind < FrameSnapshot || kind > FrameHeartbeat {
-		return FeedFrame{}, fmt.Errorf("%w: unknown frame kind %d", ErrBadFeed, kind)
-	}
-	size := binary.LittleEndian.Uint32(hdr[1:5])
-	if size > maxFramePayload {
-		return FeedFrame{}, fmt.Errorf("%w: implausible frame length %d", ErrBadFeed, size)
-	}
-	payload, err := readPayload(fr.r, int(size))
+	kind, payload, err := feedFraming.Read(fr.r)
 	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return FeedFrame{}, fmt.Errorf("%w: truncated frame payload", ErrTornFeed)
-		}
 		return FeedFrame{}, err
 	}
-	if frameSum(kind, payload) != binary.LittleEndian.Uint32(hdr[5:9]) {
-		return FeedFrame{}, fmt.Errorf("%w: frame checksum mismatch", ErrBadFeed)
+	if kind[0] < FrameSnapshot || kind[0] > FrameHeartbeat {
+		return FeedFrame{}, fmt.Errorf("%w: unknown frame kind %d", ErrBadFeed, kind[0])
 	}
-	return FeedFrame{Kind: kind, Payload: payload}, nil
-}
-
-// payloadStep is the first allocation for a frame payload; it doubles as
-// bytes actually arrive.
-const payloadStep = 64 << 10
-
-// readPayload reads exactly size bytes from r, growing the buffer as they
-// arrive instead of trusting the header up front: a stream that claims a
-// large frame and then ends costs what it carried, not what it promised.
-func readPayload(r io.Reader, size int) ([]byte, error) {
-	buf := make([]byte, 0, min(size, payloadStep))
-	for len(buf) < size {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(size-len(buf), cap(buf)))
-		}
-		n, err := io.ReadFull(r, buf[len(buf):min(size, cap(buf))])
-		buf = buf[:len(buf)+n]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return FeedFrame{Kind: kind[0], Payload: payload}, nil
 }
 
 // DecodeRecords decodes a records-frame payload into its records. The

@@ -2,11 +2,9 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kreach/internal/codec"
 	"kreach/internal/core"
 	"kreach/internal/dynamic"
 	"kreach/internal/graph"
@@ -586,7 +585,7 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Snapshot format: "KRS1" | uint64 LE epoch | uint32 LE crc32 of the epoch
-// bytes | a complete KRG1 stream (graph.WriteBinary, self-checking). The
+// bytes | a complete KRG1 stream (graph.AppendBinary, self-checking). The
 // graph serialization — and its fuzz-hardened reader — is reused wholesale;
 // the header only pins which epoch the compacted image corresponds to.
 
@@ -599,14 +598,10 @@ var ErrBadSnapshot = errors.New("wal: bad snapshot")
 
 // AppendSnapshot appends the snapshot encoding of g at epoch to buf.
 func AppendSnapshot(buf []byte, g *graph.Graph, epoch uint64) []byte {
-	var hdr [snapHeaderSize]byte
-	copy(hdr[:4], snapMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], epoch)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(hdr[4:12]))
-	buf = append(buf, hdr[:]...)
-	var payload bytes.Buffer
-	graph.WriteBinary(&payload, g) //nolint:errcheck // bytes.Buffer cannot fail
-	return append(buf, payload.Bytes()...)
+	buf = append(buf, snapMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, codec.Sum(nil, buf[len(buf)-8:]))
+	return graph.AppendBinary(buf, g)
 }
 
 // DecodeSnapshot decodes a snapshot image into its graph and epoch.
@@ -617,15 +612,14 @@ func DecodeSnapshot(data []byte) (*graph.Graph, uint64, error) {
 	if [4]byte(data[:4]) != snapMagic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if crc32.ChecksumIEEE(data[4:12]) != binary.LittleEndian.Uint32(data[12:16]) {
+	if codec.Sum(nil, data[4:12]) != binary.LittleEndian.Uint32(data[12:16]) {
 		return nil, 0, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
 	}
-	epoch := binary.LittleEndian.Uint64(data[4:12])
-	g, err := graph.ReadBinary(bytes.NewReader(data[snapHeaderSize:]))
+	g, err := graph.DecodeBinary(data[snapHeaderSize:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return g, epoch, nil
+	return g, binary.LittleEndian.Uint64(data[4:12]), nil
 }
 
 func writeSnapshotFile(path string, g *graph.Graph, epoch uint64) error {
