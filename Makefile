@@ -20,9 +20,11 @@ race:
 
 # lint is the fast CI job, run as is: gofmt must produce no diff, vet must
 # pass, and only internal/codec may checksum or decode varints in non-test
-# code, so the binary formats keep one framing and one decoder. The spine
-# search ends in `|| true` because a clean tree matches nothing, and grep
-# exits 1 on no match.
+# code, so the binary formats keep one framing and one decoder. Query
+# scratch is internal/core's to take, so no non-test file of the root
+# package may name QueryScratch, HKQueryScratch or sync.Pool. Both searches
+# end in `|| true` because a clean tree matches nothing, and grep exits 1
+# on no match.
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -31,6 +33,9 @@ lint:
 		grep -rl --include='*.go' --exclude='*_test.go' 'binary\.Uvarint(' . | grep -v '^\./internal/codec/' || true)"; \
 	if [ -n "$$spine" ]; then \
 		echo "hash/crc32 or binary.Uvarint outside internal/codec:"; echo "$$spine"; exit 1; fi
+	@scratch="$$(grep -nE 'QueryScratch|sync\.Pool' $$(ls *.go | grep -v '_test\.go$$') || true)"; \
+	if [ -n "$$scratch" ]; then \
+		echo "query scratch or a pool in package kreach (internal/core owns it):"; echo "$$scratch"; exit 1; fi
 
 # scorecard runs the paper's §6 claims on the 1/20-scale stand-ins and
 # logs one reading per claim; docs/PAPER.md holds the verdict table it

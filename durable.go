@@ -200,5 +200,6 @@ func OpenDurableDynamicIndex(base *Graph, opts DynamicOptions, dur DurableOption
 		store.Close()
 		return nil, nil, nil, err
 	}
-	return newDynamicIndex(d, g.NumVertices()), &Graph{g: g}, &WAL{s: store}, nil
+	rg := &Graph{g: g}
+	return &DynamicIndex{d: d, g: rg}, rg, &WAL{s: store}, nil
 }

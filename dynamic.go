@@ -1,10 +1,6 @@
 package kreach
 
 import (
-	"errors"
-	"sync"
-
-	"kreach/internal/core"
 	"kreach/internal/dynamic"
 	"kreach/internal/graph"
 )
@@ -48,15 +44,8 @@ type DynamicOptions struct {
 // safe for concurrent use; see Mutate and Compact for the write-path
 // semantics.
 type DynamicIndex struct {
-	d       *dynamic.Index
-	n       int
-	scratch sync.Pool // *core.QueryScratch, one per concurrent Reach
-}
-
-func newDynamicIndex(d *dynamic.Index, n int) *DynamicIndex {
-	ix := &DynamicIndex{d: d, n: n}
-	ix.scratch.New = func() any { return core.NewQueryScratch() }
-	return ix
+	d *dynamic.Index
+	g *Graph // the base graph; mutations never change its vertex range
 }
 
 // NewDynamicIndex builds a mutable k-reach index over g. The graph is used
@@ -72,7 +61,7 @@ func NewDynamicIndex(g *Graph, opts DynamicOptions) (*DynamicIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDynamicIndex(d, g.NumVertices()), nil
+	return &DynamicIndex{d: d, g: g}, nil
 }
 
 // MutationResult reports what one Mutate batch did.
@@ -150,30 +139,9 @@ func clampVertex(v int) graph.Vertex {
 // It is the concrete-type shorthand for ReachK with UseIndexK; new code
 // that may hold any Reacher should prefer ReachK.
 func (ix *DynamicIndex) Reach(s, t int) bool {
-	ix.check(s)
-	ix.check(t)
-	sc := ix.scratch.Get().(*core.QueryScratch)
-	ok := ix.d.Reach(graph.Vertex(s), graph.Vertex(t), sc)
-	ix.scratch.Put(sc)
-	return ok
-}
-
-// corePairs validates every endpoint against the (fixed) vertex range and
-// converts to the internal pair representation.
-func (ix *DynamicIndex) corePairs(pairs []Pair) []core.Pair {
-	ps := make([]core.Pair, len(pairs))
-	for i, p := range pairs {
-		ix.check(p.S)
-		ix.check(p.T)
-		ps[i] = core.Pair{S: graph.Vertex(p.S), T: graph.Vertex(p.T)}
-	}
-	return ps
-}
-
-func (ix *DynamicIndex) check(v int) {
-	if v < 0 || v >= ix.n {
-		panic(errors.New("kreach: vertex out of range"))
-	}
+	ix.g.check(s)
+	ix.g.check(t)
+	return ix.d.Reach(graph.Vertex(s), graph.Vertex(t), nil)
 }
 
 // K returns the hop bound.
@@ -185,7 +153,7 @@ func (ix *DynamicIndex) K() int { return ix.d.K() }
 func (ix *DynamicIndex) Epoch() uint64 { return ix.d.Epoch() }
 
 // NumVertices returns n (fixed; mutations are edge-only).
-func (ix *DynamicIndex) NumVertices() int { return ix.n }
+func (ix *DynamicIndex) NumVertices() int { return ix.g.NumVertices() }
 
 // NumEdges returns the live edge count with the overlay applied.
 func (ix *DynamicIndex) NumEdges() int { return ix.d.Stats().LiveEdges }
@@ -219,7 +187,7 @@ func (ix *DynamicIndex) Compact(publish func(next *DynamicIndex, g *Graph) error
 	var outIx *DynamicIndex
 	_, err := ix.d.Compact(func(nd *dynamic.Index, ng *graph.Graph) error {
 		outG = &Graph{g: ng}
-		outIx = newDynamicIndex(nd, ix.n)
+		outIx = &DynamicIndex{d: nd, g: outG}
 		if publish == nil {
 			return nil
 		}

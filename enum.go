@@ -106,13 +106,23 @@ func (o EnumOptions) core(dir graph.Direction) core.EnumOptions {
 	return core.EnumOptions{Direction: dir, Limit: o.Limit, SortByDistance: o.SortByDistance}
 }
 
-// ball converts core neighbors into the public result shape.
-func ball(source, effK int, epoch uint64, res []core.Neighbor, total int) *Ball {
+// enumerate is the body every ReachFrom and ReachInto shares once it has
+// validated the endpoint and resolved the bound effK: it borrows an
+// EnumScratch from core's pool for run, the variant's core enumeration,
+// and converts the ball before returning the scratch, since run's result
+// aliases the scratch's staging buffer.
+func enumerate(source, effK int, run func(*core.EnumScratch) ([]core.Neighbor, int, uint64, error)) (*Ball, error) {
+	sc := core.GetEnumScratch()
+	defer core.PutEnumScratch(sc)
+	res, total, epoch, err := run(sc)
+	if err != nil {
+		return nil, err
+	}
 	b := &Ball{Source: source, K: effK, Total: total, Epoch: epoch, Neighbors: make([]Neighbor, len(res))}
 	for i, nb := range res {
 		b.Neighbors[i] = Neighbor{ID: int(nb.V), Bucket: nb.Bucket}
 	}
-	return b
+	return b, nil
 }
 
 // ReachFrom implements NeighborEnumerator: the ball of vertices s reaches
@@ -134,16 +144,10 @@ func (ix *Index) enumerate(ctx context.Context, v, k int, opts EnumOptions, dir 
 	if err != nil {
 		return nil, err
 	}
-	sc := core.GetEnumScratch()
-	res, total, err := ix.ix.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
-	if err != nil {
-		core.PutEnumScratch(sc)
-		return nil, err
-	}
-	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, ix.Epoch(), res, total)
-	core.PutEnumScratch(sc)
-	return b, nil
+	return enumerate(v, effK, func(sc *core.EnumScratch) ([]core.Neighbor, int, uint64, error) {
+		res, total, err := ix.ix.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
+		return res, total, ix.Epoch(), err
+	})
 }
 
 // ReachFrom implements NeighborEnumerator for the (h,k) index (its own k
@@ -165,16 +169,10 @@ func (ix *HKIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions, di
 	if err != nil {
 		return nil, err
 	}
-	sc := core.GetEnumScratch()
-	res, total, err := ix.ix.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
-	if err != nil {
-		core.PutEnumScratch(sc)
-		return nil, err
-	}
-	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, ix.Epoch(), res, total)
-	core.PutEnumScratch(sc)
-	return b, nil
+	return enumerate(v, effK, func(sc *core.EnumScratch) ([]core.Neighbor, int, uint64, error) {
+		res, total, err := ix.ix.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
+		return res, total, ix.Epoch(), err
+	})
 }
 
 // ReachFrom implements NeighborEnumerator: a ladder answers any hop bound,
@@ -195,16 +193,10 @@ func (ix *MultiIndex) ReachInto(ctx context.Context, t, k int, opts EnumOptions)
 func (ix *MultiIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions, dir graph.Direction) (*Ball, error) {
 	ix.g.check(v)
 	effK := ix.NormalizeK(k)
-	sc := core.GetEnumScratch()
-	res, total, err := ix.m.Enumerate(ctx, graph.Vertex(v), effK, opts.core(dir), sc)
-	if err != nil {
-		core.PutEnumScratch(sc)
-		return nil, err
-	}
-	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, ix.Epoch(), res, total)
-	core.PutEnumScratch(sc)
-	return b, nil
+	return enumerate(v, effK, func(sc *core.EnumScratch) ([]core.Neighbor, int, uint64, error) {
+		res, total, err := ix.m.Enumerate(ctx, graph.Vertex(v), effK, opts.core(dir), sc)
+		return res, total, ix.Epoch(), err
+	})
 }
 
 // ReachFrom implements NeighborEnumerator against the live edge set (the
@@ -221,19 +213,12 @@ func (ix *DynamicIndex) ReachInto(ctx context.Context, t, k int, opts EnumOption
 }
 
 func (ix *DynamicIndex) enumerate(ctx context.Context, v, k int, opts EnumOptions, dir graph.Direction) (*Ball, error) {
-	ix.check(v)
+	ix.g.check(v)
 	effK, err := ResolveK(ix.K(), k)
 	if err != nil {
 		return nil, err
 	}
-	sc := core.GetEnumScratch()
-	res, total, epoch, err := ix.d.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
-	if err != nil {
-		core.PutEnumScratch(sc)
-		return nil, err
-	}
-	// Convert before returning the scratch: res aliases sc's staging buffer.
-	b := ball(v, effK, epoch, res, total)
-	core.PutEnumScratch(sc)
-	return b, nil
+	return enumerate(v, effK, func(sc *core.EnumScratch) ([]core.Neighbor, int, uint64, error) {
+		return ix.d.Enumerate(ctx, graph.Vertex(v), opts.core(dir), sc)
+	})
 }

@@ -45,8 +45,9 @@
 //
 // # Concurrency
 //
-// All query methods are safe for concurrent use provided each goroutine
-// owns its QueryScratch/HKQueryScratch; construction parallelizes across
+// All query methods are safe for concurrent use. A scratch passed to Reach
+// must belong to one goroutine; a nil one is borrowed from this package's
+// pools, and only by the cases that use it. Construction parallelizes across
 // cover vertices (Section 4.1.3). Built and loaded indexes are immutable,
 // which is what lets the serving layer swap them atomically under load; a
 // mutable index (NewMutable) leaves the exclusion of queries during its

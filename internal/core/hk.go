@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"kreach/internal/cover"
 	"kreach/internal/graph"
@@ -124,18 +125,9 @@ func (ix *HKIndex) SizeBytes() int {
 }
 
 func (ix *HKIndex) arcWeight(u, v int32) uint {
-	adj := ix.outAdj[ix.outHead[u]:ix.outHead[u+1]]
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(adj) && adj[lo] == v {
-		return ix.weights.get(int(ix.outHead[u]) + lo)
+	base := ix.outHead[u]
+	if p := searchInt32(ix.outAdj[base:ix.outHead[u+1]], v); p >= 0 {
+		return ix.weights.get(int(base) + p)
 	}
 	return notFound
 }
@@ -154,24 +146,30 @@ type HKQueryScratch struct {
 // index.
 func NewHKQueryScratch() *HKQueryScratch { return &HKQueryScratch{} }
 
-// Reach reports whether s →k t using Algorithm 3. scratch may be shared
-// across calls from one goroutine; pass nil to allocate internally.
+// hkQueryScratch lends an HKQueryScratch to a Reach called without one.
+var hkQueryScratch = sync.Pool{New: func() any { return NewHKQueryScratch() }}
+
+// Reach reports whether s →k t using Algorithm 3. Safe for concurrent use.
+// scratch may be nil: every case but Case 1 expands an h-hop neighborhood
+// and then borrows one from a package pool. A goroutine probing in a loop
+// may pass its own to skip the pool.
 func (ix *HKIndex) Reach(s, t graph.Vertex, scratch *HKQueryScratch) bool {
 	if s == t {
 		return true
 	}
+	cs, ct := ix.coverID[s], ix.coverID[t]
+	if cs >= 0 && ct >= 0 {
+		// Case 1.
+		return ix.arcWeight(cs, ct) != notFound
+	}
 	if scratch == nil {
-		scratch = NewHKQueryScratch()
+		scratch = hkQueryScratch.Get().(*HKQueryScratch)
+		defer hkQueryScratch.Put(scratch)
 	}
 	b := &scratch.bfs
-	cs, ct := ix.coverID[s], ix.coverID[t]
 	maxBudget := 2 * ix.h // stored weight w means dist ≤ k-2h+w; check w ≤ 2h-i-j
 
 	switch {
-	case cs >= 0 && ct >= 0:
-		// Case 1.
-		return ix.arcWeight(cs, ct) != notFound
-
 	case cs >= 0:
 		// Case 2: expand inNei_j(t) for j = 1..h; accept if s itself appears
 		// (a direct ≤h-hop path) or some cover vertex v at backward hop j

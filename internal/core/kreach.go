@@ -370,22 +370,22 @@ func (ix *Index) denseRow(s int32) bitvec.WeightRow {
 	return weightRow(ix.denseB0, ix.denseB1, ix.rowWords, s)
 }
 
-// bucketFor maps a BFS distance (1..k) to its 2-bit weight bucket. For the
-// unbounded (n-reach) index every reachable pair lands in the ≤k-2 bucket,
-// making all query-side weight comparisons trivially true.
-func (ix *Index) bucketFor(dist int32) uint8 {
-	if ix.k == Unbounded {
-		return weightLEKm2
-	}
+// WeightBucket maps a BFS distance (1..k) to its 2-bit weight bucket under
+// hop bound k. For the unbounded (n-reach) index every reachable pair lands
+// in the ≤k-2 bucket, making all query-side weight comparisons trivially
+// true. The dynamic index buckets the rows it maintains by the same rule.
+func WeightBucket(k int, dist int32) uint8 {
 	switch {
-	case int(dist) <= ix.k-2:
+	case k == Unbounded || int(dist) <= k-2:
 		return weightLEKm2
-	case int(dist) == ix.k-1:
+	case int(dist) == k-1:
 		return weightKm1
 	default:
 		return weightK
 	}
 }
+
+func (ix *Index) bucketFor(dist int32) uint8 { return WeightBucket(ix.k, dist) }
 
 // K returns the hop bound the index was built for (Unbounded for n-reach).
 func (ix *Index) K() int { return ix.k }

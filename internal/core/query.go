@@ -1,8 +1,9 @@
 package core
 
 import (
-	"kreach/internal/bitvec"
+	"sync"
 
+	"kreach/internal/bitvec"
 	"kreach/internal/graph"
 )
 
@@ -19,7 +20,8 @@ import (
 //
 // A mutable index (NewMutable) answers through the same code: its rows are
 // per-row arc slices searched one at a time, and the adjacency of a vertex
-// its overlay marks dirty is merged into the scratch.
+// its overlay marks dirty is merged into the scratch. Only that merge and
+// Case 4's bitmap use scratch, so only they borrow one from the pool.
 //
 // Two degenerate situations the paper's pseudocode leaves implicit are
 // handled explicitly (see DESIGN.md §5): s = t answers true for any k ≥ 0,
@@ -76,13 +78,15 @@ func (ix *Index) Classify(s, t graph.Vertex) QueryCase {
 	}
 }
 
-// QueryScratch holds reusable buffers so that Reach performs no allocation;
-// create one per goroutine. The mask is a bitmap over cover ids: Case 4
-// raises the bits of inNei(t)'s cover ids, intersects rows against it, and
-// lowers exactly those bits before returning, so the all-clear invariant
-// holds between queries (and across indexes of different cover sizes).
-// ReachBatch keeps its staged kernel's fixed-size queues here too, so a
-// worker's allocations do not grow with the batch.
+// QueryScratch holds the buffers of the probes that stage anything: Case
+// 4's mask and a dirty vertex's merged neighbor list (mutable index); Cases
+// 1–3 on clean lists use none of it. The mask is a bitmap over cover ids:
+// Case 4 raises the bits of inNei(t)'s cover ids, intersects rows against
+// it, and lowers exactly those bits before returning, so the all-clear
+// invariant holds between queries (and across indexes of different cover
+// sizes). ReachBatch keeps its staged kernel's fixed-size queues here too,
+// one scratch per worker, so a worker's allocations do not grow with the
+// batch.
 type QueryScratch struct {
 	in    []int32        // cover ids of inNei(t), deduplicated (Case 4)
 	mask  []uint64       // cover-id bitmap; all-zero between queries
@@ -93,90 +97,115 @@ type QueryScratch struct {
 // NewQueryScratch returns scratch space for queries against any index.
 func NewQueryScratch() *QueryScratch { return &QueryScratch{} }
 
+// queryScratch lends a QueryScratch to a Reach called without one, on the
+// probes that stage anything.
+var queryScratch = sync.Pool{New: func() any { return NewQueryScratch() }}
+
 // Reach reports whether s →k t, i.e. whether t is reachable from s within
 // the k the index was built for (any path length for n-reach), on a
-// mutable index over the live edge set. scratch may be shared across calls
-// from one goroutine; pass nil to allocate internally.
+// mutable index over the live edge set. Safe for concurrent use. scratch
+// may be nil, the cheap case: Cases 1–3 on clean lists need none, and Case
+// 4 or a dirty list borrows one from a package pool. A goroutine probing
+// in a loop may pass its own to skip the pool.
 func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 	if s == t {
 		return true
-	}
-	if scratch == nil {
-		scratch = NewQueryScratch()
 	}
 	cs, ct := ix.coverID[s], ix.coverID[t]
 	switch {
 	case cs >= 0 && ct >= 0:
 		// Case 1: a single index edge lookup; any weight bucket answers yes.
 		return ix.hasArc(cs, ct)
+	case cs >= 0 && !ix.ov.IsDirty(graph.Backward, t):
+		return ix.case2(s, cs, ix.g.InNeighbors(t))
+	case ct >= 0 && !ix.ov.IsDirty(graph.Forward, s):
+		return ix.case3(t, ct, ix.g.OutNeighbors(s))
+	}
+	if scratch != nil {
+		return ix.reachScratch(s, t, cs, ct, scratch)
+	}
+	scratch = queryScratch.Get().(*QueryScratch)
+	ok := ix.reachScratch(s, t, cs, ct, scratch)
+	queryScratch.Put(scratch)
+	return ok
+}
 
+// reachScratch answers the probes that need scratch: Case 4, and a
+// Case 2 or 3 whose neighbor list the overlay has dirtied (a Case 2 probe
+// fails Reach's Case 3 test too, having ct < 0).
+func (ix *Index) reachScratch(s, t graph.Vertex, cs, ct int32, scratch *QueryScratch) bool {
+	switch {
 	case cs >= 0:
-		// Case 2: every in-neighbor of t is in the cover; s reaches t within
-		// k iff it reaches one of them within k-1. A hub source answers each
-		// probe in one bitplane load.
-		in := ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs)
-		if ix.rows == nil && ix.denseID[cs] >= 0 {
-			row := ix.denseRow(ix.denseID[cs])
-			for _, v := range in {
-				if v == s {
-					return true // direct edge (s,t): 1 hop
-				}
-				if row.Get(int(ix.coverID[v])) <= weightKm1 {
-					return true
-				}
-			}
-			return false
+		return ix.case2(s, cs, ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs))
+	case ct >= 0:
+		return ix.case3(t, ct, ix.ov.Neighbors(ix.g, s, graph.Forward, &scratch.nbrs))
+	}
+	// Case 4: out-neighbors of s and in-neighbors of t are all cover
+	// vertices; s reaches t within k iff some pair (u,v) of them has
+	// dist(u,v) ≤ k-2 (the ≤k-2 weight bucket), including u = v with
+	// distance 0 (the path s→u→t). Stage inNei(t) as a cover-id bitmap,
+	// then intersect each u's row against it.
+	if need := ix.maskWords(); need > len(scratch.mask) {
+		scratch.mask = make([]uint64, need)
+	}
+	in := scratch.in[:0]
+	mask := scratch.mask
+	for _, v := range ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs) {
+		ci := int(ix.coverID[v])
+		if !bitvec.TestBit(mask, ci) {
+			bitvec.SetBit(mask, ci)
+			in = append(in, int32(ci))
 		}
+	}
+	scratch.in = in
+	if len(in) == 0 {
+		return false
+	}
+	hit := ix.case4(s, in, mask, &scratch.nbrs)
+	for _, ci := range in {
+		bitvec.ClearBit(mask, int(ci))
+	}
+	return hit
+}
+
+// case2 decides a Case 2 probe from t's live in-neighbors: every one is in
+// the cover, and s reaches t within k iff it reaches one of them within
+// k-1. A hub source answers each probe in one bitplane load.
+func (ix *Index) case2(s graph.Vertex, cs int32, in []graph.Vertex) bool {
+	if ix.rows == nil && ix.denseID[cs] >= 0 {
+		row := ix.denseRow(ix.denseID[cs])
 		for _, v := range in {
 			if v == s {
-				return true
+				return true // direct edge (s,t): 1 hop
 			}
-			if w, ok := ix.arcWeight(cs, ix.coverID[v]); ok && w <= weightKm1 {
-				return true
-			}
-		}
-		return false
-
-	case ct >= 0:
-		// Case 3: mirror image of Case 2 through out-neighbors of s.
-		for _, u := range ix.ov.Neighbors(ix.g, s, graph.Forward, &scratch.nbrs) {
-			if u == t {
-				return true
-			}
-			if w, ok := ix.arcWeight(ix.coverID[u], ct); ok && w <= weightKm1 {
+			if row.Get(int(ix.coverID[v])) <= weightKm1 {
 				return true
 			}
 		}
 		return false
-
-	default:
-		// Case 4: out-neighbors of s and in-neighbors of t are all cover
-		// vertices; s reaches t within k iff some pair (u,v) of them has
-		// dist(u,v) ≤ k-2 (the ≤k-2 weight bucket), including u = v with
-		// distance 0 (the path s→u→t). Stage inNei(t) as a cover-id bitmap,
-		// then intersect each u's row against it.
-		if need := ix.maskWords(); need > len(scratch.mask) {
-			scratch.mask = make([]uint64, need)
-		}
-		in := scratch.in[:0]
-		mask := scratch.mask
-		for _, v := range ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs) {
-			ci := int(ix.coverID[v])
-			if !bitvec.TestBit(mask, ci) {
-				bitvec.SetBit(mask, ci)
-				in = append(in, int32(ci))
-			}
-		}
-		scratch.in = in
-		if len(in) == 0 {
-			return false
-		}
-		hit := ix.case4(s, in, mask, &scratch.nbrs)
-		for _, ci := range in {
-			bitvec.ClearBit(mask, int(ci))
-		}
-		return hit
 	}
+	for _, v := range in {
+		if v == s {
+			return true
+		}
+		if w, ok := ix.arcWeight(cs, ix.coverID[v]); ok && w <= weightKm1 {
+			return true
+		}
+	}
+	return false
+}
+
+// case3 is the mirror image of case2 through the live out-neighbors of s.
+func (ix *Index) case3(t graph.Vertex, ct int32, out []graph.Vertex) bool {
+	for _, u := range out {
+		if u == t {
+			return true
+		}
+		if w, ok := ix.arcWeight(ix.coverID[u], ct); ok && w <= weightKm1 {
+			return true
+		}
+	}
+	return false
 }
 
 // case4 scans the out-neighbors of s for one whose index row intersects

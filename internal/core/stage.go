@@ -24,7 +24,7 @@ import (
 //     bounds of the whole group, then a fixed-trip binary search over all
 //     its CSR rows in lockstep, then the weights of only the probes that
 //     need a bucket (a mutable index searches each probe's row alone);
-//  5. answer the deferred pairs with scalar Reach.
+//  5. answer the deferred pairs with scalar Reach's scratch half.
 //
 // Go has no prefetch intrinsic. The overlap comes from each loop body
 // issuing loads that do not depend on one another, which the CPU keeps in
@@ -123,7 +123,7 @@ func (ix *Index) reachStaged(pairs []Pair, out []bool, sc *QueryScratch) {
 	ix.flush(st, out)
 
 	for _, i := range deferred {
-		out[i] = ix.Reach(pairs[i].S, pairs[i].T, sc)
+		out[i] = ix.reachScratch(pairs[i].S, pairs[i].T, cs[i], ct[i], sc)
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 	"kreach/internal/testgraph"
 )
 
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops
+// items on purpose and a pooled probe may allocate.
+var raceEnabled bool
+
 type namedGraph struct {
 	name string
 	g    *graph.Graph
@@ -193,7 +197,10 @@ func FuzzReachBatch(f *testing.F) {
 }
 
 // TestReachDoesNotAllocate pins scalar Reach at zero allocations in every
-// case once the scratch is warm (Case 4 sizes its bitmap on first use).
+// case once the scratch is warm (Case 4 sizes its bitmap on first use),
+// whether the caller passes one or nil and Case 4 borrows a pooled one.
+// The nil case is skipped under -race, where sync.Pool drops items on
+// purpose.
 func TestReachDoesNotAllocate(t *testing.T) {
 	g := testgraph.Lattice(2000, 1)
 	ix, err := Build(g, Options{K: 3, Seed: 1})
@@ -221,6 +228,13 @@ func TestReachDoesNotAllocate(t *testing.T) {
 		ix.Reach(p.S, p.T, sc)
 		if allocs := testing.AllocsPerRun(100, func() { ix.Reach(p.S, p.T, sc) }); allocs != 0 {
 			t.Errorf("%v query allocates %.1f objects", QueryCase(c), allocs)
+		}
+		if raceEnabled {
+			continue
+		}
+		ix.Reach(p.S, p.T, nil)
+		if allocs := testing.AllocsPerRun(100, func() { ix.Reach(p.S, p.T, nil) }); allocs != 0 {
+			t.Errorf("%v query with a nil scratch allocates %.1f objects", QueryCase(c), allocs)
 		}
 	}
 }

@@ -31,14 +31,6 @@ var (
 	CompactLatency = obs.NewHistogram()
 )
 
-// Weight buckets of Definition 1, mirrored from the static index: only the
-// bucket — not the exact distance — is needed by Algorithm 2.
-const (
-	wLEKm2 = 0 // shortest live distance ≤ k-2
-	wKm1   = 1 // shortest live distance = k-1
-	wK     = 2 // shortest live distance = k
-)
-
 // repairChunk is how many affected row ids a repair worker claims at a
 // time; a batch fans out to one worker per 2·repairChunk rows at most, so
 // small batches stay on the calling goroutine.
@@ -193,16 +185,8 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-func (ix *Index) bucketFor(dist int32) uint8 {
-	switch {
-	case int(dist) <= ix.k-2:
-		return wLEKm2
-	case int(dist) == ix.k-1:
-		return wKm1
-	default:
-		return wK
-	}
-}
+// bucketFor is the static index's weight-bucket rule at this index's k.
+func (ix *Index) bucketFor(dist int32) uint8 { return core.WeightBucket(ix.k, dist) }
 
 // K returns the hop bound.
 func (ix *Index) K() int { return ix.k }
@@ -240,7 +224,8 @@ func (ix *Index) NumVertices() int { return ix.dg.NumVertices() }
 
 // Reach reports whether t is reachable from s within k hops of the live
 // (overlay-applied) edge set, by core's Algorithm 2 over the maintained rows.
-// Safe for concurrent use; pass nil scratch to allocate internally.
+// Safe for concurrent use; a nil scratch is borrowed from core's pool only
+// on the cases that stage anything.
 func (ix *Index) Reach(s, t graph.Vertex, sc *core.QueryScratch) bool {
 	ix.rw.RLock()
 	defer ix.rw.RUnlock()

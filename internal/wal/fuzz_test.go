@@ -27,10 +27,12 @@ import (
 //   - DecodeLog returns a valid-prefix length within the input and an
 //     error drawn only from the documented set (nil, ErrTornTail,
 //     ErrBadRecord, ErrBadMagic).
-//   - Whatever records the decoder accepts survive a re-encode/re-decode
-//     round trip semantically intact (byte identity is NOT required: a
-//     hostile log can carry non-minimal varints that pass the CRC, and
-//     the canonical writer is entitled to re-encode them shorter).
+//   - Whatever records the decoder accepts re-encode byte for byte: the
+//     canonical writer's AppendLog of them equals the valid prefix
+//     whenever that prefix holds the magic. The decoder rejects every
+//     non-canonical form (non-minimal varints, trailing payload bytes), so
+//     a mutant that differs here is a decoder bug, not a writer's choice.
+//     The re-encoded log also decodes back to the same records.
 //   - DecodeSnapshot either rejects the input or returns a graph whose
 //     canonical re-encoding decodes back to the same epoch and edges.
 //   - Store.Recover over the input as a crashed wal.log either refuses
@@ -85,8 +87,12 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("undocumented DecodeLog error: %v", err)
 		}
 
-		// Accepted records must round-trip through the canonical writer.
+		// Accepted records must round-trip through the canonical writer,
+		// byte for byte.
 		re := wal.AppendLog(nil, recs)
+		if validLen >= 4 && !bytes.Equal(re, data[:validLen]) {
+			t.Fatalf("accepted prefix of %d bytes re-encodes to %d different bytes", validLen, len(re))
+		}
 		recs2, validLen2, err2 := wal.DecodeLog(re)
 		if err2 != nil || validLen2 != len(re) {
 			t.Fatalf("re-encoded log does not decode cleanly: %v (valid %d of %d)", err2, validLen2, len(re))

@@ -41,7 +41,11 @@
 // wrappers for callers that know their concrete type.
 //
 // All public query methods are safe for concurrent use; construction
-// parallelizes across cover vertices (Section 4.1.3 of the paper).
+// parallelizes across cover vertices (Section 4.1.3 of the paper). A
+// single probe takes its scratch inside the query engine, and only on the
+// cases that stage anything (Case 4 of Algorithm 2, a vertex a mutation
+// has touched, or an (h,k) expansion), so the indexes here hold no pools;
+// batch workers own one scratch each.
 package kreach
 
 import (
@@ -49,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"kreach/internal/core"
 	"kreach/internal/cover"
@@ -206,9 +209,8 @@ type IndexOptions struct {
 // Index answers k-hop reachability queries for the fixed k it was built
 // with. Queries are safe for concurrent use.
 type Index struct {
-	ix      *core.Index
-	g       *Graph
-	scratch sync.Pool
+	ix *core.Index
+	g  *Graph
 }
 
 // BuildIndex constructs the k-reach index of g (Algorithm 1 of the paper).
@@ -222,13 +224,7 @@ func BuildIndex(g *Graph, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(ix, g), nil
-}
-
-func newIndex(ix *core.Index, g *Graph) *Index {
-	idx := &Index{ix: ix, g: g}
-	idx.scratch.New = func() any { return core.NewQueryScratch() }
-	return idx
+	return &Index{ix: ix, g: g}, nil
 }
 
 // Pair is one (S, T) query of a batch. See the ReachBatch methods.
@@ -254,10 +250,7 @@ func checkPairs(g *Graph, pairs []Pair) []core.Pair {
 func (ix *Index) Reach(s, t int) bool {
 	ix.g.check(s)
 	ix.g.check(t)
-	sc := ix.scratch.Get().(*core.QueryScratch)
-	ok := ix.ix.Reach(graph.Vertex(s), graph.Vertex(t), sc)
-	ix.scratch.Put(sc)
-	return ok
+	return ix.ix.Reach(graph.Vertex(s), graph.Vertex(t), nil)
 }
 
 // K returns the hop bound (Unbounded for classic reachability).
@@ -295,7 +288,7 @@ func LoadIndex(r io.Reader, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(ix, g), nil
+	return &Index{ix: ix, g: g}, nil
 }
 
 // Internal exposes the underlying index for this module's benchmarks.
@@ -312,9 +305,8 @@ type HKOptions struct {
 // cover, it is smaller than the plain index but expands query-time
 // neighborhoods to h hops. Queries are safe for concurrent use.
 type HKIndex struct {
-	ix      *core.HKIndex
-	g       *Graph
-	scratch sync.Pool
+	ix *core.HKIndex
+	g  *Graph
 }
 
 // BuildHKIndex constructs the (h,k)-reach index of g.
@@ -325,19 +317,14 @@ func BuildHKIndex(g *Graph, opts HKOptions) (*HKIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &HKIndex{ix: ix, g: g}
-	idx.scratch.New = func() any { return core.NewHKQueryScratch() }
-	return idx, nil
+	return &HKIndex{ix: ix, g: g}, nil
 }
 
 // Reach reports whether t is reachable from s within k hops (Algorithm 3).
 func (ix *HKIndex) Reach(s, t int) bool {
 	ix.g.check(s)
 	ix.g.check(t)
-	sc := ix.scratch.Get().(*core.HKQueryScratch)
-	ok := ix.ix.Reach(graph.Vertex(s), graph.Vertex(t), sc)
-	ix.scratch.Put(sc)
-	return ok
+	return ix.ix.Reach(graph.Vertex(s), graph.Vertex(t), nil)
 }
 
 // H returns the hop-cover radius.
@@ -408,9 +395,7 @@ func LoadHKIndex(r io.Reader, g *Graph) (*HKIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &HKIndex{ix: ix, g: g}
-	idx.scratch.New = func() any { return core.NewHKQueryScratch() }
-	return idx, nil
+	return &HKIndex{ix: ix, g: g}, nil
 }
 
 // Internal exposes the underlying index for this module's benchmarks.
@@ -451,9 +436,8 @@ func ExactRungs(maxK int) []int { return core.AllKs(maxK) }
 
 // MultiIndex answers k-hop reachability for a general, per-query k.
 type MultiIndex struct {
-	m       *core.MultiIndex
-	g       *Graph
-	scratch sync.Pool
+	m *core.MultiIndex
+	g *Graph
 }
 
 // BuildMultiIndex constructs one k-reach index per rung plus an Unbounded
@@ -467,9 +451,7 @@ func BuildMultiIndex(g *Graph, opts MultiOptions) (*MultiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &MultiIndex{m: m, g: g}
-	idx.scratch.New = func() any { return core.NewQueryScratch() }
-	return idx, nil
+	return &MultiIndex{m: m, g: g}, nil
 }
 
 // Reach answers whether t is reachable from s within k hops (k < 0 means
@@ -482,9 +464,7 @@ func BuildMultiIndex(g *Graph, opts MultiOptions) (*MultiIndex, error) {
 func (ix *MultiIndex) Reach(s, t, k int) (Verdict, int) {
 	ix.g.check(s)
 	ix.g.check(t)
-	sc := ix.scratch.Get().(*core.QueryScratch)
-	res := ix.m.Reach(graph.Vertex(s), graph.Vertex(t), k, sc)
-	ix.scratch.Put(sc)
+	res := ix.m.Reach(graph.Vertex(s), graph.Vertex(t), k, nil)
 	return res.Verdict, res.EffectiveK
 }
 

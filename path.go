@@ -95,13 +95,13 @@ func (ix *MultiIndex) EnumPath(v, k int, forward bool) string {
 
 // ReachPath implements ExecPathReporter.
 func (ix *DynamicIndex) ReachPath(s, t, _ int) string {
-	ix.check(s)
-	ix.check(t)
+	ix.g.check(s)
+	ix.g.check(t)
 	return ix.d.ReachPath(graph.Vertex(s), graph.Vertex(t))
 }
 
 // EnumPath implements ExecPathReporter.
 func (ix *DynamicIndex) EnumPath(v, _ int, forward bool) string {
-	ix.check(v)
+	ix.g.check(v)
 	return ix.d.EnumPath(graph.Vertex(v), enumDir(forward))
 }

@@ -344,7 +344,7 @@ func (ix *DynamicIndex) ReachBatchAt(ctx context.Context, pairs []Pair, opts Bat
 	if err != nil {
 		return nil, 0, err
 	}
-	oks, epoch, err := ix.d.ReachBatch(ctx, ix.corePairs(pairs), opts.Parallelism)
+	oks, epoch, err := ix.d.ReachBatch(ctx, checkPairs(ix.g, pairs), opts.Parallelism)
 	return boolVerdicts(oks, effK), epoch, err
 }
 

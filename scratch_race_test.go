@@ -10,15 +10,18 @@ import (
 	"kreach"
 )
 
-// TestScratchPoolConcurrentNoContamination hammers ReachFrom/ReachInto and
-// ReachBatch concurrently across all four index variants and checks every
-// result against ground truth computed up front. The enumeration path
-// recycles pooled EnumScratch state — the BFS engine's visited bitmap and
-// visit order among it — between queries, and the batch path shares one
+// TestScratchPoolConcurrentNoContamination hammers ReachFrom/ReachInto,
+// scalar ReachK and ReachBatch concurrently across all four index variants
+// and checks every result against ground truth computed up front. The
+// enumeration path recycles pooled EnumScratch state — the BFS engine's
+// visited bitmap and visit order among it — between queries, a scalar
+// probe borrows pooled query scratch on Case 4 (its cover-id mask) and on
+// every (h,k) expansion, and the batch path shares one
 // QueryScratch per worker; under -race this test catches unsynchronized
 // pool use directly, and the oracle comparison catches the subtler failure
-// where a recycled scratch leaks marks from a previous query (wrong
-// membership or buckets) without any racy access.
+// where a recycled scratch leaks state from a previous query (wrong
+// membership or buckets, a mask returned with bits still set) without any
+// racy access.
 func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 	const (
 		n, m, k  = 80, 320, 3
@@ -46,11 +49,9 @@ func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 	}
 
 	type variant struct {
-		name  string
-		enum  kreach.NeighborEnumerator
-		batch interface {
-			ReachBatch(context.Context, []kreach.Pair, kreach.BatchOptions) ([]kreach.BatchVerdict, error)
-		}
+		name    string
+		enum    kreach.NeighborEnumerator
+		reacher kreach.Reacher
 	}
 	variants := []variant{
 		{"plain", plain, plain},
@@ -62,7 +63,8 @@ func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 	// Ground truth, computed before any concurrency: per-source oracle
 	// balls in both directions, and per-variant sequential batch verdicts
 	// (the variants legitimately disagree with each other — hk answers
-	// (1,k)-reach — so each is compared only against itself).
+	// (1,k)-reach — so each is compared only against itself; scalar ReachK
+	// must give the same verdicts).
 	fwd := make([]map[int]kreach.DistBucket, n)
 	bwd := make([]map[int]kreach.DistBucket, n)
 	for v := 0; v < n; v++ {
@@ -77,7 +79,7 @@ func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 	}
 	wantBatch := make([][]kreach.BatchVerdict, len(variants))
 	for i, va := range variants {
-		want, err := va.batch.ReachBatch(ctx, pairs, kreach.BatchOptions{Parallelism: 1})
+		want, err := va.reacher.ReachBatch(ctx, pairs, kreach.BatchOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,19 @@ func TestScratchPoolConcurrentNoContamination(t *testing.T) {
 						errc <- err
 						return
 					}
-					got, err := va.batch.ReachBatch(ctx, pairs, kreach.BatchOptions{Parallelism: 1 + it%4})
+					for i, p := range pairs {
+						v, effK, err := va.reacher.ReachK(ctx, p.S, p.T, kreach.UseIndexK)
+						if err != nil {
+							errc <- err
+							return
+						}
+						if got := (kreach.BatchVerdict{Verdict: v, EffectiveK: effK}); got != wantBatch[vi][i] {
+							errc <- fmt.Errorf("%s ReachK pair %+v = %+v, sequential batch said %+v",
+								va.name, p, got, wantBatch[vi][i])
+							return
+						}
+					}
+					got, err := va.reacher.ReachBatch(ctx, pairs, kreach.BatchOptions{Parallelism: 1 + it%4})
 					if err != nil {
 						errc <- err
 						return
