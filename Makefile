@@ -50,7 +50,10 @@ scorecard:
 # Reach in a loop against the staged batch kernel on one and on all workers
 # over a 300 k-vertex lattice, then of a dynamic index's scalar Reach and
 # one-worker batch on the same graph and pairs (the dynamic/ rungs, one
-# command timing both paths), core's BenchmarkEnumerate, ns per ball vertex
+# command timing both paths), and of that batch again once the index has
+# taken a sliding window of 32-add, 32-remove batches (dynamic/batch/p=1/
+# mutated: relaxed rows, dirty lists, promotions), core's
+# BenchmarkEnumerate, ns per ball vertex
 # of the cover-source walk and the BFS fallback on the lattice and a
 # hub-heavy stand-in, and dynamic's BenchmarkMutate, the local reproduction
 # of dynamic.mutate_us_per_edge (batch, collect, repair) — so bench-only

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -46,6 +48,41 @@ func TestLoadAutoIndex(t *testing.T) {
 	_, _, err = kreach.LoadAutoIndex(strings.NewReader("garbage"), g)
 	if err == nil || !strings.Contains(err.Error(), "neither") {
 		t.Errorf("garbage auto-load error = %v", err)
+	}
+}
+
+// TestLoadAutoIndexFromFile: loading from an *os.File goes through the
+// magic peek's buffer, which passes the file's Stat on to the loader so it
+// sizes its read by the file; both variants must still load from it.
+func TestLoadAutoIndexFromFile(t *testing.T) {
+	g := chain(8)
+	plain, err := kreach.BuildIndex(g, kreach.IndexOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk, err := kreach.BuildHKIndex(g, kreach.HKOptions{H: 1, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, save := range map[string]func(io.Writer) error{"plain": plain.Save, "hk": hk.Save} {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, hkLoaded, err := kreach.LoadAutoIndex(f, g)
+		f.Close()
+		if err != nil || (ix == nil) == (hkLoaded == nil) || (name == "plain") != (ix != nil) {
+			t.Fatalf("%s from a file: ix=%v hk=%v err=%v", name, ix, hkLoaded, err)
+		}
 	}
 }
 

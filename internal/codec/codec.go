@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"slices"
 )
 
@@ -54,11 +55,46 @@ func ReadSealed(r io.Reader, magic [4]byte, bad error) ([]byte, error) {
 	if [4]byte(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", bad)
 	}
-	payload, err := io.ReadAll(r)
+	payload, err := readRest(r)
 	if err != nil {
 		return nil, err
 	}
 	return checkSealed(hdr[4:], payload, bad)
+}
+
+// Stater is a reader that can report its size, as an *os.File does.
+// ReadSealed reads the payload from one into a buffer allocated once.
+type Stater interface {
+	Stat() (fs.FileInfo, error)
+}
+
+// readRest reads r to its end. A Stater's size bounds what is left to read
+// (the header is already consumed), so the buffer allocated at that size
+// holds the rest and the read that reports the end, as in os.ReadFile;
+// any other reader gets io.ReadAll's growing buffer.
+func readRest(r io.Reader) ([]byte, error) {
+	s, ok := r.(Stater)
+	if !ok {
+		return io.ReadAll(r)
+	}
+	fi, err := s.Stat()
+	if err != nil || fi.Size() <= 0 || int64(int(fi.Size())) != fi.Size() {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, 0, int(fi.Size()))
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) { // the file grew since Stat
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 func checkSealed(sum, payload []byte, bad error) ([]byte, error) {

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -89,6 +92,55 @@ func TestSealed(t *testing.T) {
 			if _, err := read(bad); !errors.Is(err, errBad) {
 				t.Errorf("%s: flip at %d: %v, want bad", name, i, err)
 			}
+		}
+	}
+}
+
+// statReader is a reader whose Stat reports size, true or not.
+type statReader struct {
+	*bytes.Reader
+	size int64
+}
+
+func (r statReader) Stat() (fs.FileInfo, error) { return sizeInfo{size: r.size}, nil }
+
+type sizeInfo struct {
+	fs.FileInfo
+	size int64
+}
+
+func (i sizeInfo) Size() int64 { return i.size }
+
+// TestReadSealedSizesByStat: a file's payload lands in one buffer allocated
+// at the file's size, and a Stater whose size is stale or missing still
+// yields the whole payload.
+func TestReadSealedSizesByStat(t *testing.T) {
+	magic := [4]byte{'T', 'E', 'S', 'T'}
+	want := make([]byte, 100_000)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	data := AppendSealed(nil, magic, appendBytes(want))
+	path := filepath.Join(t.TempDir(), "sealed")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	payload, err := ReadSealed(f, magic, errBad)
+	if err != nil || !bytes.Equal(payload, want) {
+		t.Fatalf("from a file: %d bytes, %v", len(payload), err)
+	}
+	if cap(payload) != len(data) {
+		t.Errorf("from a file of %d bytes: payload buffer of %d, want one at the file's size", len(data), cap(payload))
+	}
+	for _, size := range []int64{0, 10, int64(len(want)), int64(len(data)), 3 * int64(len(data))} {
+		payload, err := ReadSealed(statReader{bytes.NewReader(data), size}, magic, errBad)
+		if err != nil || !bytes.Equal(payload, want) {
+			t.Errorf("Stat size %d: %d bytes, %v", size, len(payload), err)
 		}
 	}
 }

@@ -21,8 +21,13 @@ import (
 // another; batch/p=1 and batch/p=max run ReachBatch on one worker and on
 // GOMAXPROCS. The dynamic/ rungs answer the same pairs with a mutable index
 // over the same graph and cover (dynamic.New, no mutations yet), whose rows
-// are per-row slices instead of the CSR, through the same two kernels.
-// Each reports ns/pair.
+// are per-row slices of packed arcs instead of the CSR, through the same
+// two kernels. dynamic/batch/p=1/mutated runs the one-worker batch again
+// after the index has taken the benchmark's write traffic: a live window
+// of liveBatches batches of 32 added edges, filled, then slid for
+// liveBatches more batches that also remove the window's oldest 32. Its
+// rows have been relaxed out of the build slab, its overlay carries dirty
+// lists and its cover has grown by promotion. Each reports ns/pair.
 func BenchmarkReachBatch(b *testing.B) {
 	const k = 4
 	g := testgraph.Lattice(300_000, 1)
@@ -72,14 +77,52 @@ func BenchmarkReachBatch(b *testing.B) {
 		}
 		perPair(b)
 	})
-	b.Run("dynamic/batch/p=1", func(b *testing.B) {
+	dynBatch := func(b *testing.B) {
 		for b.Loop() {
 			if _, _, err := dyn.ReachBatch(context.Background(), pairs, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 		perPair(b)
-	})
+	}
+	b.Run("dynamic/batch/p=1", dynBatch)
+	slideWindow(b, dyn, g, 32, liveBatches, 8)
+	b.Run("dynamic/batch/p=1/mutated", dynBatch)
+}
+
+// liveBatches is the benchmark's live window: how many mutation batches'
+// edges are live at once before the oldest batch is removed.
+const liveBatches = 64
+
+// slideWindow applies the benchmark's write traffic to dyn: window batches
+// of adds new uniform edges each, then window more that each also remove
+// the oldest live batch.
+func slideWindow(b *testing.B, dyn *dynamic.Index, g *graph.Graph, adds, window int, seed uint64) {
+	rng := rand.New(rand.NewPCG(seed, 0x3d17a7e))
+	n := g.NumVertices()
+	live := map[graph.Edge]bool{}
+	var recent [][]graph.Edge
+	for range 2 * window {
+		var add, remove []graph.Edge
+		for len(add) < adds {
+			e := graph.Edge{Src: graph.Vertex(rng.IntN(n)), Dst: graph.Vertex(rng.IntN(n))}
+			if e.Src == e.Dst || live[e] || g.HasEdge(e.Src, e.Dst) {
+				continue
+			}
+			live[e] = true
+			add = append(add, e)
+		}
+		if len(recent) == window {
+			remove, recent = recent[0], recent[1:]
+			for _, e := range remove {
+				delete(live, e)
+			}
+		}
+		recent = append(recent, add)
+		if _, err := dyn.Mutate(add, remove); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchPairs draws the benchmark's pair mix on g.

@@ -16,7 +16,9 @@
 //     Classify expose the case split for the Table 8 experiment. The same
 //     code answers for the dynamic index: NewMutable gives an Index a
 //     mutable row table and a graph.Overlay in place of the CSR, and every
-//     row read branches once on that table.
+//     row read branches once on that table. A row is a slice of Arc, one
+//     uint32 each (target cover id << 2 | weight bucket), so it is as
+//     dense as the CSR and sorted by target when sorted by arc.
 //   - hk.go — HKIndex, the (h,k)-reach variant: smaller index over an
 //     h-hop cover, queries expand h-hop neighborhoods (Algorithm 3).
 //   - enum.go — k-hop neighborhood enumeration: BFSFallback, the
@@ -31,8 +33,9 @@
 //     public library, kreachd's /v1/batch and the bench harness.
 //   - stage.go — the plain and mutable indexes' batch kernel: Cases 1–3
 //     of up to 64 pairs become index-arc probes, resolved 32 at a time in
-//     lockstep so their cache misses overlap; Case 4, and a Case 2–3 pair
-//     whose neighbour list the overlay changed, fall back to scalar Reach.
+//     lockstep so their cache misses overlap, over the CSR or over the
+//     group's mutable row slices; Case 4, and a Case 2–3 pair whose
+//     neighbour list the overlay changed, fall back to scalar Reach.
 //   - serial.go, hkserial.go — binary index serialization ("KRI1"/"KRH1"
 //     magics), sealed and decoded by internal/codec. Both formats share
 //     one cover-and-rows section (appendCoverRows/decodeCoverRows) after

@@ -121,11 +121,27 @@ type Index struct {
 	ov   *graph.Overlay
 }
 
-// Arc is one arc of a mutable row: a target cover id and its weight bucket.
-type Arc struct {
-	To int32
-	W  uint8
-}
+// Arc is one arc of a mutable row, packed into 4 bytes: its target cover id
+// above its 2-bit weight bucket. A row sorted by Arc is sorted by target,
+// and the weight arrives in the same load as the target.
+type Arc uint32
+
+// ArcTargets is how many cover ids an Arc's 30-bit target field can name.
+// Cover ids are graph vertices renumbered, so an index over at most
+// ArcTargets vertices fits.
+const ArcTargets = 1 << (32 - arcBucketBits)
+
+// arcBucketBits is the width of an Arc's weight field.
+const arcBucketBits = 2
+
+// MakeArc packs the arc to cover id to with weight bucket w.
+func MakeArc(to int32, w uint8) Arc { return Arc(uint32(to)<<arcBucketBits | uint32(w)) }
+
+// To returns the arc's target cover id.
+func (a Arc) To() int32 { return int32(a >> arcBucketBits) }
+
+// W returns the arc's weight bucket.
+func (a Arc) W() uint8 { return uint8(a & (1<<arcBucketBits - 1)) }
 
 // NewMutable returns an index that answers Reach and ReachBatch from state
 // a dynamic index owns: the adjacency of g with ov applied, the cover map
@@ -450,19 +466,23 @@ func (ix *Index) hasArc(u, v int32) bool {
 }
 
 // searchArcs returns the weight bucket of the arc to v in a mutable row,
-// and whether there is one.
+// and whether there is one. An arc sorts below key = MakeArc(v, 0) exactly
+// when its target is below v, and the first arc at or above key goes to v
+// exactly when it exceeds key by a bucket alone. It inlines into arcWeight
+// and hasArc, at 79 of the inliner's budget of 80 (go build -gcflags=-m=2).
 func searchArcs(row []Arc, v int32) (uint8, bool) {
+	key := MakeArc(v, 0)
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if row[mid].To < v {
+		if row[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(row) && row[lo].To == v {
-		return row[lo].W, true
+	if lo < len(row) && row[lo]-key < 1<<arcBucketBits {
+		return uint8(row[lo] - key), true
 	}
 	return 0, false
 }

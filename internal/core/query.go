@@ -136,9 +136,9 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 func (ix *Index) reachScratch(s, t graph.Vertex, cs, ct int32, scratch *QueryScratch) bool {
 	switch {
 	case cs >= 0:
-		return ix.case2(s, cs, ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs))
+		return ix.case2(s, cs, ix.ov.Live(ix.g, t, graph.Backward, &scratch.nbrs))
 	case ct >= 0:
-		return ix.case3(t, ct, ix.ov.Neighbors(ix.g, s, graph.Forward, &scratch.nbrs))
+		return ix.case3(t, ct, ix.ov.Live(ix.g, s, graph.Forward, &scratch.nbrs))
 	}
 	// Case 4: out-neighbors of s and in-neighbors of t are all cover
 	// vertices; s reaches t within k iff some pair (u,v) of them has
@@ -150,7 +150,11 @@ func (ix *Index) reachScratch(s, t graph.Vertex, cs, ct int32, scratch *QueryScr
 	}
 	in := scratch.in[:0]
 	mask := scratch.mask
-	for _, v := range ix.ov.Neighbors(ix.g, t, graph.Backward, &scratch.nbrs) {
+	nbrs, clean := ix.ov.Clean(ix.g, t, graph.Backward)
+	if !clean {
+		nbrs = ix.ov.Live(ix.g, t, graph.Backward, &scratch.nbrs)
+	}
+	for _, v := range nbrs {
 		ci := int(ix.coverID[v])
 		if !bitvec.TestBit(mask, ci) {
 			bitvec.SetBit(mask, ci)
@@ -216,14 +220,18 @@ func (ix *Index) case3(t graph.Vertex, ct int32, out []graph.Vertex) bool {
 // The rows of a mutable table are short and scanned against the bitmap.
 func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.Vertex) bool {
 	twoHopOK := ix.k == Unbounded || ix.k >= 2
-	for _, u := range ix.ov.Neighbors(ix.g, s, graph.Forward, buf) {
+	out, clean := ix.ov.Clean(ix.g, s, graph.Forward)
+	if !clean {
+		out = ix.ov.Live(ix.g, s, graph.Forward, buf)
+	}
+	for _, u := range out {
 		cu := ix.coverID[u]
 		if twoHopOK && bitvec.TestBit(mask, int(cu)) {
 			return true // s→u→t in 2 hops
 		}
 		if ix.rows != nil {
 			for _, a := range ix.rows[cu] {
-				if a.W == weightLEKm2 && bitvec.TestBit(mask, int(a.To)) {
+				if a.W() == weightLEKm2 && bitvec.TestBit(mask, int(a.To())) {
 					return true
 				}
 			}

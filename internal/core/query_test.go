@@ -74,7 +74,7 @@ func TestNilScratchReach(t *testing.T) {
 		bucket := func(d int32) uint8 { return WeightBucket(k, d) }
 		for _, key := range AppendRow(nil, &b, base, &ov, u, coverID, k, bucket) {
 			to, w := UnpackArc(key)
-			rows[i] = append(rows[i], Arc{To: to, W: uint8(w)})
+			rows[i] = append(rows[i], MakeArc(to, uint8(w)))
 		}
 	}
 	mutable := NewMutable(base, &ov, k, coverID, rows)

@@ -23,7 +23,9 @@ import (
 //  4. resolve the probes batchGroup at a time: the dense slots and CSR
 //     bounds of the whole group, then a fixed-trip binary search over all
 //     its CSR rows in lockstep, then the weights of only the probes that
-//     need a bucket (a mutable index searches each probe's row alone);
+//     need a bucket (a mutable index gathers the row slices of the whole
+//     group instead and searches them in the same lockstep, its packed
+//     arcs carrying the bucket);
 //  5. answer the deferred pairs with scalar Reach's scratch half.
 //
 // Go has no prefetch intrinsic. The overlap comes from each loop body
@@ -145,11 +147,7 @@ func (ix *Index) flush(st *stageScratch, out []bool) {
 // it overlap.
 func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
 	if ix.rows != nil {
-		for _, pr := range group {
-			if w, ok := searchArcs(ix.rows[pr.row], pr.col); ok && w <= pr.max {
-				out[pr.pair] = true
-			}
-		}
+		ix.resolveRowProbes(group, out)
 		return
 	}
 	var slot [batchGroup]int32
@@ -197,6 +195,48 @@ func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
 
 	for c := 0; c < n; c++ {
 		if p := base[c]; ix.outAdj[p] == col[c] && (limit[c] == weightK || ix.weights.Get(int(p)) <= limit[c]) {
+			out[pair[c]] = true
+		}
+	}
+}
+
+// resolveRowProbes is resolveProbes over a mutable row table: the same
+// lockstep search, each probe in its own row slice. A packed arc holds its
+// bucket beside its target, so the final check needs no second load.
+func (ix *Index) resolveRowProbes(group []arcProbe, out []bool) {
+	var (
+		rows                  [batchGroup][]Arc
+		base, span, col, pair [batchGroup]int32
+		limit                 [batchGroup]uint8
+	)
+	n, widest := 0, int32(1)
+	for j := range group {
+		pr := &group[j]
+		row := ix.rows[pr.row]
+		if len(row) == 0 {
+			continue
+		}
+		rows[n], span[n], col[n], pair[n], limit[n] = row, int32(len(row)), pr.col, pr.pair, pr.max
+		widest = max(widest, int32(len(row)))
+		n++
+	}
+
+	// The CSR branch's search, on targets: cover ids are below ArcTargets,
+	// so the difference cannot overflow either.
+	for trips := bits.Len32(uint32(widest - 1)); trips > 0; trips-- {
+		for c := 0; c < n; c++ {
+			half := span[c] >> 1
+			le := (rows[c][base[c]+half].To() - col[c] - 1) >> 31
+			base[c] += half & le
+			span[c] -= half
+		}
+	}
+
+	// The arc found has target col and a bucket ≤ limit exactly when it
+	// lies in [MakeArc(col, 0), MakeArc(col, limit)]; below that range the
+	// unsigned difference wraps.
+	for c := 0; c < n; c++ {
+		if a := rows[c][base[c]]; uint32(a-MakeArc(col[c], 0)) <= uint32(limit[c]) {
 			out[pair[c]] = true
 		}
 	}

@@ -72,16 +72,79 @@ func kernelPairs(g *graph.Graph, rng *rand.Rand) []Pair {
 	return pool
 }
 
+// mutableCopy returns a mutable index over ix's graph and cover whose rows
+// are ix's CSR rows, packed: the mutable kernels then face the same arcs
+// as the static ones.
+func mutableCopy(ix *Index) *Index {
+	rows := make([][]Arc, len(ix.outHead)-1)
+	for u := range rows {
+		for p := ix.outHead[u]; p < ix.outHead[u+1]; p++ {
+			rows[u] = append(rows[u], MakeArc(ix.outAdj[p], ix.weights.Get(int(p))))
+		}
+	}
+	return NewMutable(ix.g, nil, ix.k, ix.coverID, rows)
+}
+
+// rowProbeShapes tallies the row probes the staged kernel is sure to make
+// for pairs on a mutable index — every Case 1 probe and the first
+// neighbour's probe of every Case 2–3 list that is not the direct edge —
+// by the length of the row searched and where the column falls in it.
+type rowProbeShapes struct {
+	empty, single, wide int // rows of length 0, 1 and ≥ batchGroup
+	below, above        int // columns below a row's first target, above its last
+}
+
+func (sh *rowProbeShapes) add(ix *Index, pairs []Pair) {
+	probe := func(row, col int32) {
+		r := ix.rows[row]
+		switch {
+		case len(r) == 0:
+			sh.empty++
+			return
+		case len(r) == 1:
+			sh.single++
+		case len(r) >= batchGroup:
+			sh.wide++
+		}
+		if col < r[0].To() {
+			sh.below++
+		}
+		if col > r[len(r)-1].To() {
+			sh.above++
+		}
+	}
+	for _, p := range pairs {
+		cs, ct := ix.coverID[p.S], ix.coverID[p.T]
+		switch ix.Classify(p.S, p.T) {
+		case Case1:
+			probe(cs, ct)
+		case Case2:
+			if in := ix.g.InNeighbors(p.T); len(in) > 0 && in[0] != p.S {
+				probe(cs, ix.coverID[in[0]])
+			}
+		case Case3:
+			if out := ix.g.OutNeighbors(p.S); len(out) > 0 && out[0] != p.T {
+				probe(ix.coverID[out[0]], ct)
+			}
+		}
+	}
+}
+
 // TestReachBatchKernelMatchesReach is the staged kernel against scalar
 // Reach, the same differential shape as a plain-vs-accelerated Dijkstra
 // test: every graph × cover strategy × k, batch lengths around the group
 // and sub-range sizes, three worker counts, with and without a cancellable
-// context. It also checks that the suite reached every case and both row
-// layouts, so a shrinking fixture cannot hollow it out.
+// context. Every built index faces it twice, as built and as a mutable
+// copy (mutableCopy), so the lockstep searches over the CSR and over
+// packed row slices both answer every batch. It also checks that the suite
+// reached every case, both static row layouts and the mutable row shapes
+// the lockstep search has edges at, so a shrinking fixture cannot hollow
+// it out.
 func TestReachBatchKernelMatchesReach(t *testing.T) {
 	lengths := []int{0, 1, 31, 32, 33, 64, 65, 1000}
 	var cases [Case4 + 1]int
 	var denseRows, csrRows, directEdges int
+	var shapes rowProbeShapes
 	for _, tg := range kernelGraphs() {
 		for _, strat := range []cover.Strategy{cover.RandomEdge, cover.DegreePrioritized} {
 			for _, k := range []int{1, 2, 3, 4, Unbounded} {
@@ -89,12 +152,17 @@ func TestReachBatchKernelMatchesReach(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				mut := mutableCopy(ix)
 				rng := rand.New(rand.NewPCG(uint64(k+10), uint64(strat)))
 				pool := kernelPairs(tg.g, rng)
+				shapes.add(mut, pool[:min(len(pool), lengths[len(lengths)-1])])
 				sc := NewQueryScratch()
 				want := make([]bool, len(pool))
 				for i, p := range pool {
 					want[i] = ix.Reach(p.S, p.T, sc)
+					if got := mut.Reach(p.S, p.T, sc); got != want[i] {
+						t.Fatalf("%s %v k=%d: mutable copy's Reach(%v) = %v, built index's %v", tg.name, strat, k, p, got, want[i])
+					}
 					c := ix.Classify(p.S, p.T)
 					cases[c]++
 					if c == Case1 || c == Case2 {
@@ -116,19 +184,24 @@ func TestReachBatchKernelMatchesReach(t *testing.T) {
 					}
 					for _, par := range []int{1, 2, 7} {
 						for _, cancellable := range []bool{false, true} {
-							ctx, cancel := context.Background(), context.CancelFunc(func() {})
-							if cancellable {
-								ctx, cancel = context.WithCancel(ctx)
-							}
-							got, err := ix.ReachBatch(ctx, pairs, par)
-							cancel()
-							if err != nil {
-								t.Fatal(err)
-							}
-							for i := range got {
-								if got[i] != wantN[i] {
-									t.Fatalf("%s %v k=%d n=%d par=%d cancellable=%v: pair %v (%v) = %v, Reach says %v",
-										tg.name, strat, k, n, par, cancellable, pairs[i], ix.Classify(pairs[i].S, pairs[i].T), got[i], wantN[i])
+							for _, kind := range []struct {
+								name string
+								ix   *Index
+							}{{"built", ix}, {"mutable", mut}} {
+								ctx, cancel := context.Background(), context.CancelFunc(func() {})
+								if cancellable {
+									ctx, cancel = context.WithCancel(ctx)
+								}
+								got, err := kind.ix.ReachBatch(ctx, pairs, par)
+								cancel()
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i := range got {
+									if got[i] != wantN[i] {
+										t.Fatalf("%s %s %v k=%d n=%d par=%d cancellable=%v: pair %v (%v) = %v, Reach says %v",
+											kind.name, tg.name, strat, k, n, par, cancellable, pairs[i], ix.Classify(pairs[i].S, pairs[i].T), got[i], wantN[i])
+									}
 								}
 							}
 						}
@@ -146,11 +219,15 @@ func TestReachBatchKernelMatchesReach(t *testing.T) {
 	if denseRows == 0 || csrRows == 0 || directEdges == 0 {
 		t.Errorf("dense-row %d, CSR-row %d, direct-edge %d pairs: every kind must occur", denseRows, csrRows, directEdges)
 	}
+	t.Logf("mutable row probes: %+v", shapes)
+	if shapes.empty == 0 || shapes.single == 0 || shapes.wide == 0 || shapes.below == 0 || shapes.above == 0 {
+		t.Errorf("mutable row probes %+v: rows of length 0, 1 and ≥ %d, and columns below and above a row, must all occur", shapes, batchGroup)
+	}
 }
 
 // FuzzReachBatch turns bytes into a small graph, a hop bound, a cover
-// strategy and a pair list, and requires ReachBatch to answer every pair as
-// scalar Reach does. Layout: n-1, k selector, strategy, edge count E, then
+// strategy and a pair list, and requires ReachBatch on the built index and
+// on its mutable copy to answer every pair as scalar Reach does. Layout: n-1, k selector, strategy, edge count E, then
 // E (u, v) byte pairs, then (s, t) byte pairs; ids are taken mod n.
 func FuzzReachBatch(f *testing.F) {
 	f.Add([]byte{9, 2, 0, 9, 0, 1, 2, 1, 1, 3, 3, 4, 3, 5, 4, 6, 6, 7, 6, 8, 8, 9, 0, 3, 2, 3, 0, 9, 5, 5, 4, 7})
@@ -182,14 +259,17 @@ func FuzzReachBatch(f *testing.F) {
 			pairs = append(pairs, Pair{S: graph.Vertex(int(data[0]) % n), T: graph.Vertex(int(data[1]) % n)})
 		}
 		sc := NewQueryScratch()
+		mut := mutableCopy(ix)
 		for _, par := range []int{1, 3} {
-			got, err := ix.ReachBatch(context.Background(), pairs, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range pairs {
-				if want := ix.Reach(p.S, p.T, sc); got[i] != want {
-					t.Fatalf("k=%d par=%d: pair %v (%v) = %v, Reach says %v", k, par, p, ix.Classify(p.S, p.T), got[i], want)
+			for _, kind := range []*Index{ix, mut} {
+				got, err := kind.ReachBatch(context.Background(), pairs, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range pairs {
+					if want := ix.Reach(p.S, p.T, sc); got[i] != want {
+						t.Fatalf("k=%d par=%d mutable=%v: pair %v (%v) = %v, Reach says %v", k, par, kind == mut, p, ix.Classify(p.S, p.T), got[i], want)
+					}
 				}
 			}
 		}

@@ -141,7 +141,7 @@ func TestDeltaGraphMatchesMaterialized(t *testing.T) {
 // removals, un-removes and un-adds — and checks after every step that a
 // vertex's dirty bit is set exactly when that side's delta lists are not
 // both empty (a clear bit means the base slice is the live list), and that
-// the map-free neighbor path (graph.Overlay.Neighbors) and one level of
+// the map-free neighbor path (graph.Overlay.Clean, then Live) and one level of
 // the BFS engine over the overlay agree with the merging
 // AppendOutNeighbors/AppendInNeighbors for every vertex, without writing
 // into a clean vertex's base slice.
@@ -211,7 +211,13 @@ func checkDirtyBitmaps(t *testing.T, d *DeltaGraph, step int) {
 			}
 			want = side.appendN(v, want[:0])
 			buf = append(buf[:0], -1)
-			got := d.ov.Neighbors(d.base, v, side.dir, &buf)
+			got, clean := d.ov.Clean(d.base, v, side.dir)
+			if clean == dirty {
+				t.Fatalf("step %d: Clean(%d) on the %s-side reports clean %v with the bit %v", step, v, side.name, clean, dirty)
+			}
+			if !clean {
+				got = d.ov.Live(d.base, v, side.dir, &buf)
+			}
 			if !vertexSlicesEqual(got, want) {
 				t.Fatalf("step %d: %s(%d) direct %v, merged %v", step, side.name, v, got, want)
 			}

@@ -145,10 +145,13 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
 	}
+	n := base.NumVertices()
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
 	if opts.CompactRatio <= 0 {
 		opts.CompactRatio = DefaultCompactRatio
 	}
-	n := base.NumVertices()
 	cov := cover.VertexCover(base, opts.Strategy, opts.Seed)
 	ix := &Index{
 		dg:        NewDeltaGraph(base),
@@ -173,7 +176,7 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	ix.arcCount = int(rows.Head[len(ix.coverList)])
 	slab := make([]core.Arc, 0, ix.arcCount)
 	for to, w := range rows.Arcs() {
-		slab = append(slab, core.Arc{To: to, W: uint8(w)})
+		slab = append(slab, core.MakeArc(to, uint8(w)))
 	}
 	table := make([][]core.Arc, len(ix.coverList))
 	for ui := range table {
@@ -183,6 +186,15 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	ix.core = core.NewMutable(base, &ix.dg.ov, ix.k, ix.coverID, table)
 	ix.epoch.Store(core.NextGeneration())
 	return ix, nil
+}
+
+// checkVertexCount rejects a base graph with more vertices than a row arc
+// can name as its target (core.ArcTargets): cover ids past it would wrap.
+func checkVertexCount(n int) error {
+	if n > core.ArcTargets {
+		return fmt.Errorf("dynamic: %d vertices exceed the %d cover ids a row arc can name", n, core.ArcTargets)
+	}
+	return nil
 }
 
 // bucketFor is the static index's weight-bucket rule at this index's k.
@@ -649,7 +661,7 @@ func (ix *Index) recomputeRow(id int32, sc *rowScratch) int {
 	row := old[:0]
 	for _, key := range sc.keys {
 		to, w := core.UnpackArc(key)
-		row = append(row, core.Arc{To: to, W: uint8(w)})
+		row = append(row, core.MakeArc(to, uint8(w)))
 	}
 	ix.core.SetRow(id, row)
 	return len(row) - len(old)
@@ -692,14 +704,14 @@ func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, cha
 			continue
 		}
 		prev = to
-		for i < len(row) && row[i].To < to {
+		for i < len(row) && row[i].To() < to {
 			i++
 		}
 		switch {
-		case i == len(row) || row[i].To != to:
+		case i == len(row) || row[i].To() != to:
 			fresh = append(fresh, key)
-		case w < row[i].W:
-			row[i].W = w
+		case w < row[i].W():
+			row[i] = core.MakeArc(to, w)
 			changed = true
 		}
 	}
@@ -710,11 +722,11 @@ func (ix *Index) relaxRow(p *relaxPlan, run int, sc *rowScratch) (delta int, cha
 	i = len(row) - 1
 	row = slices.Grow(row, len(fresh))[:len(row)+len(fresh)]
 	for o, j := len(row)-1, len(fresh)-1; j >= 0; o-- {
-		if to := int32(fresh[j] >> 8); i >= 0 && row[i].To > to {
+		if to := int32(fresh[j] >> 8); i >= 0 && row[i].To() > to {
 			row[o] = row[i]
 			i--
 		} else {
-			row[o] = core.Arc{To: to, W: uint8(fresh[j])}
+			row[o] = core.MakeArc(to, uint8(fresh[j]))
 			j--
 		}
 	}
@@ -853,7 +865,7 @@ func (ix *Index) SizeBytes() int {
 	const (
 		idBytes     = int(unsafe.Sizeof(int32(0)))
 		vertexBytes = int(unsafe.Sizeof(graph.Vertex(0)))
-		arcBytes    = int(unsafe.Sizeof(core.Arc{}))
+		arcBytes    = int(unsafe.Sizeof(core.Arc(0)))
 		rowBytes    = int(unsafe.Sizeof([]core.Arc(nil)))
 		wordBytes   = int(unsafe.Sizeof(uint64(0)))
 	)

@@ -95,6 +95,21 @@ func TestNewRejectsBadK(t *testing.T) {
 	}
 }
 
+// TestVertexCountFitsArcs: New's guard admits a graph whose every cover id
+// fits a row arc's target field and rejects one vertex more, so an id past
+// the field cannot wrap. It checks the helper, not a 2^30-vertex graph.
+func TestVertexCountFitsArcs(t *testing.T) {
+	if err := checkVertexCount(core.ArcTargets); err != nil {
+		t.Errorf("%d vertices: %v", core.ArcTargets, err)
+	}
+	if err := checkVertexCount(core.ArcTargets + 1); err == nil {
+		t.Errorf("%d vertices: no error", core.ArcTargets+1)
+	}
+	if id := core.ArcTargets - 1; core.MakeArc(int32(id), 2).To() != int32(id) {
+		t.Errorf("the largest cover id %d does not survive packing", id)
+	}
+}
+
 func TestStaticMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 0xfeed))
 	for _, k := range []int{1, 2, 3, 5} {
@@ -513,8 +528,8 @@ func TestNewMatchesReferenceRows(t *testing.T) {
 					t.Fatalf("k=%d workers=%d: row %d has %d arcs, reference %d", k, workers, u, len(ix.core.Row(int32(u))), len(row))
 				}
 				for i, a := range row {
-					if got := ix.core.Row(int32(u))[i]; got.To != a.To || got.W != ix.bucketFor(a.Dist) {
-						t.Fatalf("k=%d workers=%d: row %d arc %d is %+v, reference %+v", k, workers, u, i, got, a)
+					if got := ix.core.Row(int32(u))[i]; got.To() != a.To || got.W() != ix.bucketFor(a.Dist) {
+						t.Fatalf("k=%d workers=%d: row %d arc %d is (%d, bucket %d), reference %+v", k, workers, u, i, got.To(), got.W(), a)
 					}
 				}
 				arcs += len(row)
@@ -620,7 +635,7 @@ func TestSizeBytesCountsRows(t *testing.T) {
 		n := 0
 		for u := range ix.coverList {
 			row := ix.core.Row(int32(u))
-			n += int(unsafe.Sizeof(row)) + cap(row)*int(unsafe.Sizeof(core.Arc{}))
+			n += int(unsafe.Sizeof(row)) + cap(row)*int(unsafe.Sizeof(core.Arc(0)))
 		}
 		return n
 	}

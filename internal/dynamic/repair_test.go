@@ -146,7 +146,7 @@ func bucketRows(ix *Index, ref [][]testgraph.CoverArc) [][]core.Arc {
 	rows := make([][]core.Arc, len(ref))
 	for u, row := range ref {
 		for _, a := range row {
-			rows[u] = append(rows[u], core.Arc{To: a.To, W: ix.bucketFor(a.Dist)})
+			rows[u] = append(rows[u], core.MakeArc(a.To, ix.bucketFor(a.Dist)))
 		}
 	}
 	return rows

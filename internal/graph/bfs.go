@@ -51,20 +51,35 @@ func (ov *Overlay) IsDirty(dir Direction, v Vertex) bool {
 	return ov != nil && ov.Dirty[dir][v>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// Neighbors returns v's adjacency in g following dir with ov applied. It is
-// g's own list when v is clean on that side (always, for a nil overlay);
-// a dirty vertex's live list is merged into *buf. The result may alias g
-// and must not be modified.
-func (ov *Overlay) Neighbors(g *Graph, v Vertex, dir Direction, buf *[]Vertex) []Vertex {
+// Clean returns v's adjacency in g following dir and true when v is clean
+// on that side (always, for a nil overlay): g's own list, which must not be
+// modified. For a dirty v it returns false, and the caller reads Live.
+//
+// The read is split in two so that the clean half inlines into its callers
+// and a built or loaded index, whose overlay is nil, reads its adjacency
+// without a call: go build -gcflags=-m must keep reporting "can inline
+// (*Overlay).Clean". A function that also made the merge call could not
+// inline, the call alone costing 57 of the inliner's budget of 80.
+func (ov *Overlay) Clean(g *Graph, v Vertex, dir Direction) ([]Vertex, bool) {
+	if ov.IsDirty(dir, v) {
+		return nil, false
+	}
+	if dir == Backward {
+		return g.InNeighbors(v), true
+	}
+	return g.OutNeighbors(v), true
+}
+
+// Live returns v's adjacency in g following dir with the non-nil overlay ov
+// applied, merged into *buf. It is the outlined half of the read Clean
+// starts; on a clean v it returns a copy of g's list.
+func (ov *Overlay) Live(g *Graph, v Vertex, dir Direction, buf *[]Vertex) []Vertex {
 	nbrs := g.OutNeighbors(v)
 	if dir == Backward {
 		nbrs = g.InNeighbors(v)
 	}
-	if ov.IsDirty(dir, v) {
-		*buf = AppendLive((*buf)[:0], nbrs, ov.Add[dir][v], ov.Rem[dir][v])
-		return *buf
-	}
-	return nbrs
+	*buf = AppendLive((*buf)[:0], nbrs, ov.Add[dir][v], ov.Rem[dir][v])
+	return *buf
 }
 
 // AppendLive appends to buf the live adjacency of a vertex whose base list

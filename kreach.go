@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 
+	"kreach/internal/codec"
 	"kreach/internal/core"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
@@ -362,12 +363,21 @@ func LoadAutoIndex(r io.Reader, g *Graph) (*Index, *HKIndex, error) {
 		}
 		return nil, nil, fmt.Errorf("kreach: reading index magic: %w", err)
 	}
+	// The loaders size their read by the file's Stat when they can see it
+	// (codec.ReadSealed), so the peek's buffer passes it through.
+	var rest io.Reader = br
+	if f, ok := r.(codec.Stater); ok {
+		rest = struct {
+			*bufio.Reader
+			codec.Stater
+		}{br, f}
+	}
 	switch core.SniffIndexMagic([4]byte(head)) {
 	case "kreach":
-		ix, err := LoadIndex(br, g)
+		ix, err := LoadIndex(rest, g)
 		return ix, nil, err
 	case "hkreach":
-		hk, err := LoadHKIndex(br, g)
+		hk, err := LoadHKIndex(rest, g)
 		return nil, hk, err
 	}
 	return nil, nil, fmt.Errorf("kreach: magic %q is neither a plain nor an (h,k) index", head)
