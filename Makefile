@@ -18,13 +18,32 @@ test:
 race:
 	$(GO) test -race ./...
 
+# INLINE_PINS are the inlining decisions the query path's speed rests on,
+# as caller:callee in the names `go build -gcflags=-m=2` prints: the row
+# pick and the arc search inline into arcWeight, and the overlay and
+# adjacency reads into Reach and its scratch half (reachScratch, case4).
+# searchArcs sits at 79 of the inliner's budget of 80, so one token more
+# stops it silently. INLINE_CALLERS maps each "inlining call to" line to
+# the function whose "can inline"/"cannot inline" line comes last before
+# it in the same file, so the pins name functions, not line numbers.
+INLINE_PINS = '(*Index).arcWeight:(*Index).row' '(*Index).arcWeight:searchArcs' \
+	'(*Index).Reach:graph.(*Overlay).IsDirty' '(*Index).Reach:graph.(*Graph).InNeighbors' \
+	'(*Index).Reach:graph.(*Graph).OutNeighbors' '(*Index).reachScratch:graph.(*Overlay).Clean' \
+	'(*Index).case4:graph.(*Overlay).Clean'
+INLINE_CALLERS = / (can|cannot) inline / { split($$1, a, ":"); fn = $$0; sub(/.* inline /, "", fn); \
+	sub(/(:| with cost).*/, "", fn); decl[a[1] SUBSEP a[2]] = fn } \
+	/: inlining call to / { split($$1, a, ":"); n++; file[n] = a[1]; line[n] = a[2] + 0; callee[n] = $$NF } \
+	END { for (i = 1; i <= n; i++) { best = 0; caller = ""; for (k in decl) { split(k, b, SUBSEP); \
+	if (b[1] == file[i] && b[2] + 0 <= line[i] && b[2] + 0 > best) { best = b[2] + 0; caller = decl[k] } } \
+	print caller ":" callee[i] } }
+
 # lint is the fast CI job, run as is: gofmt must produce no diff, vet must
 # pass, and only internal/codec may checksum or decode varints in non-test
 # code, so the binary formats keep one framing and one decoder. Query
 # scratch is internal/core's to take, so no non-test file of the root
 # package may name QueryScratch, HKQueryScratch or sync.Pool. Both searches
 # end in `|| true` because a clean tree matches nothing, and grep exits 1
-# on no match.
+# on no match. Every INLINE_PINS call site must still inline.
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -36,6 +55,10 @@ lint:
 	@scratch="$$(grep -nE 'QueryScratch|sync\.Pool' $$(ls *.go | grep -v '_test\.go$$') || true)"; \
 	if [ -n "$$scratch" ]; then \
 		echo "query scratch or a pool in package kreach (internal/core owns it):"; echo "$$scratch"; exit 1; fi
+	@inlined="$$($(GO) build -gcflags=-m=2 ./internal/core ./internal/graph 2>&1 | awk '$(INLINE_CALLERS)')"; \
+	missing=""; for pin in $(INLINE_PINS); do \
+		printf '%s\n' "$$inlined" | grep -qxF "$$pin" || missing="$$missing $$pin"; done; \
+	if [ -n "$$missing" ]; then echo "no longer inlined (caller:callee):$$missing"; exit 1; fi
 
 # scorecard runs the paper's §6 claims on the 1/20-scale stand-ins and
 # logs one reading per claim; docs/PAPER.md holds the verdict table it
@@ -94,9 +117,12 @@ repl-smoke:
 # kernel must answer byte-built graphs and pair lists as scalar Reach does;
 # the dynamic index's rows must equal a from-scratch derivation after every
 # byte-built mutation batch.
-# (Go allows one -fuzz pattern per package invocation.)
+# (Go allows one -fuzz pattern per package invocation.) FuzzLoadAutoIndex
+# reseals every input, so most mutants reach the decoders and many add
+# coverage; minimizing each new input for the default 60 s would spend
+# the whole budget on a handful of them, so it gets 1 s.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -run='^$$' .
+	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' .
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/graph
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal

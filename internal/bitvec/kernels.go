@@ -1,8 +1,7 @@
 // Word-parallel kernels shared by the query hot paths. The WAH vectors in
 // wah.go serve the PWAH baseline; this file is the kernel home for the
 // k-reach index itself: uncompressed bitset primitives (AndCount, AndAny,
-// IterateSetBits), a flat 2-bit packed array (Packed2, the CSR-aligned
-// weight storage), and a bitplane view of dense 2-bit weight rows
+// IterateSetBits) and a bitplane view of dense 2-bit weight rows
 // (WeightRow) whose lane predicates evaluate 64 cover vertices per
 // instruction instead of one per probe.
 //
@@ -65,45 +64,6 @@ func ClearBit(words []uint64, i int) { words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // TestBit reports whether bit i of the uncompressed bitset is set.
 func TestBit(words []uint64, i int) bool { return words[i>>6]>>(uint(i)&63)&1 == 1 }
-
-// Packed2 is a flat array of 2-bit values, 32 per 64-bit word, entry i at
-// bits [2(i mod 32), 2(i mod 32)+1] of word i/32. The layout matches the
-// KRI1 weight block byte-for-byte, and Get compiles to a constant shift and
-// mask — no division — which matters when a query decodes one weight per
-// index arc it touches.
-type Packed2 struct {
-	words []uint64
-	n     int
-}
-
-// NewPacked2 returns a zeroed array of n 2-bit entries.
-func NewPacked2(n int) Packed2 {
-	return Packed2{words: make([]uint64, (n+31)/32), n: n}
-}
-
-// Packed2FromWords wraps an existing word slice (e.g. a deserialized weight
-// block) as n 2-bit entries without copying.
-func Packed2FromWords(words []uint64, n int) Packed2 { return Packed2{words: words, n: n} }
-
-// Len returns the number of entries.
-func (p Packed2) Len() int { return p.n }
-
-// Words exposes the backing words (serialization; aliases the array).
-func (p Packed2) Words() []uint64 { return p.words }
-
-// SizeBytes is the storage footprint of the packed payload.
-func (p Packed2) SizeBytes() int { return 8 * len(p.words) }
-
-// Get returns entry i.
-func (p Packed2) Get(i int) uint8 {
-	return uint8(p.words[i>>5]>>((uint(i)&31)*2)) & 3
-}
-
-// Set stores v (0..3) at entry i.
-func (p Packed2) Set(i int, v uint8) {
-	shift := (uint(i) & 31) * 2
-	p.words[i>>5] = p.words[i>>5]&^(3<<shift) | uint64(v&3)<<shift
-}
 
 // WeightRow is a dense row of 2-bit weights over lanes [0, n), stored as
 // two bitplanes: B0 holds bit 0 of every lane, B1 bit 1. Lane value

@@ -47,22 +47,6 @@ func BenchmarkIterateSetBits(b *testing.B) {
 	}
 }
 
-func BenchmarkPacked2Get(b *testing.B) {
-	p := NewPacked2(benchWords * 32)
-	rng := rand.New(rand.NewPCG(44, 45))
-	for i := 0; i < p.Len(); i++ {
-		p.Set(i, uint8(rng.IntN(4)))
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		total := 0
-		for i := 0; i < p.Len(); i++ {
-			total += int(p.Get(i))
-		}
-		sinkInt = total
-	}
-}
-
 func benchRow() (WeightRow, []uint64) {
 	rng := rand.New(rand.NewPCG(46, 47))
 	n := benchWords * 64

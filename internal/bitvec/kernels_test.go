@@ -84,35 +84,6 @@ func TestBitOps(t *testing.T) {
 	}
 }
 
-func TestPacked2RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for _, n := range []int{0, 1, 31, 32, 33, 100, 1000} {
-		p := NewPacked2(n)
-		ref := make([]uint8, n)
-		for pass := 0; pass < 3; pass++ {
-			for i := 0; i < n; i++ {
-				v := uint8(rng.IntN(4))
-				p.Set(i, v)
-				ref[i] = v
-			}
-			for i := 0; i < n; i++ {
-				if p.Get(i) != ref[i] {
-					t.Fatalf("n=%d entry %d: got %d, want %d", n, i, p.Get(i), ref[i])
-				}
-			}
-		}
-		if p.Len() != n {
-			t.Fatalf("Len = %d, want %d", p.Len(), n)
-		}
-		q := Packed2FromWords(p.Words(), n)
-		for i := 0; i < n; i++ {
-			if q.Get(i) != ref[i] {
-				t.Fatalf("FromWords entry %d: got %d, want %d", i, q.Get(i), ref[i])
-			}
-		}
-	}
-}
-
 // randRow fills a WeightRow of n lanes, biasing some lanes to LaneAbsent,
 // and returns the per-lane reference values.
 func randRow(rng *rand.Rand, n int) (WeightRow, []uint8) {

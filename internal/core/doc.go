@@ -7,7 +7,8 @@
 // # Layout
 //
 //   - kreach.go — Index construction (Algorithm 1): vertex cover, CSR
-//     index graph with 2-bit bucketed weights, derived query-time layouts.
+//     index graph of packed Arcs (target cover id << 2 | 2-bit weight
+//     bucket), derived query-time layouts.
 //   - rows.go — BuildRows and its per-row body AppendRow, the
 //     per-cover-vertex k-hop BFS of Algorithm 1, shared by the plain, (h,k)
 //     and dynamic builds and by the dynamic index's row repair.
@@ -16,9 +17,8 @@
 //     Classify expose the case split for the Table 8 experiment. The same
 //     code answers for the dynamic index: NewMutable gives an Index a
 //     mutable row table and a graph.Overlay in place of the CSR, and every
-//     row read branches once on that table. A row is a slice of Arc, one
-//     uint32 each (target cover id << 2 | weight bucket), so it is as
-//     dense as the CSR and sorted by target when sorted by arc.
+//     row read branches once on that table. A row is a slice of Arc, the
+//     CSR's own arc type, sorted by target when sorted by arc.
 //   - hk.go — HKIndex, the (h,k)-reach variant: smaller index over an
 //     h-hop cover, queries expand h-hop neighborhoods (Algorithm 3).
 //   - enum.go — k-hop neighborhood enumeration: BFSFallback, the
@@ -44,7 +44,9 @@
 //   - epoch.go — process-unique generation numbers for every built or
 //     loaded index, the cache-epoch mechanism behind kreachd's
 //     hot-swappable datasets.
-//   - weights.go — the packed 2-bit (and ⌈lg(2h+1)⌉-bit) weight arrays.
+//   - weights.go — the packed ⌈lg(2h+1)⌉-bit weight array of the (h,k)
+//     index. The plain index keeps each 2-bit bucket inside its packed
+//     Arc, in the CSR and the mutable rows alike.
 //
 // # Concurrency
 //

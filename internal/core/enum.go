@@ -221,13 +221,13 @@ func (ix *Index) Enumerate(ctx context.Context, src graph.Vertex, opts EnumOptio
 func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph.Direction, sc *EnumScratch) error {
 	sc.reset(ix.g.NumVertices())
 	// The per-direction view: the index CSR (forward rows, or the
-	// transposed in-rows) with its weights, vertex mirror and dense
-	// bitplanes, and the graph's fringe CSR in the same direction.
-	head, adj, w, vtx := ix.outHead, ix.outAdj, ix.weights, ix.outVtx
+	// transposed in-rows) with its vertex mirror and dense bitplanes, and
+	// the graph's fringe CSR in the same direction.
+	head, arcs, vtx := ix.outHead, ix.outArc, ix.outVtx
 	denseID, b0, b1 := ix.denseID, ix.denseB0, ix.denseB1
 	fringeHead, fringeAdj := ix.fringeOutHead, ix.fringeOutAdj
 	if dir == graph.Backward {
-		head, adj, w, vtx = ix.inHead, ix.inAdj, ix.inW, ix.inVtx
+		head, arcs, vtx = ix.inHead, ix.inArc, ix.inVtx
 		denseID, b0, b1 = ix.inDenseID, ix.inDenseB0, ix.inDenseB1
 		fringeHead, fringeAdj = ix.fringeInHead, ix.fringeInAdj
 	}
@@ -236,8 +236,8 @@ func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph
 	list := ix.coverSet.List()
 
 	// Phase 1: the row is the ball's cover portion, buckets straight from
-	// the 2-bit weights — one pass. Fringe sweep sources are staged as we
-	// go: sc.near the ≤k-2 sources for Phase 2a, sc.rim the =k-1 rim
+	// its arcs' 2-bit weights — one pass. Fringe sweep sources are staged
+	// as we go: sc.near the ≤k-2 sources for Phase 2a, sc.rim the =k-1 rim
 	// sources for Phase 2b. Cover members are never marked in the visited
 	// bitmap: the fringe sweeps only ever meet non-cover vertices, so only
 	// those need dedup bits. A hub row expands bucket-by-bucket through the
@@ -266,13 +266,13 @@ func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph
 	} else {
 		sc.tally.bump(pathIdxCoverRow)
 		base := int(head[c])
-		for p, cu := range adj[base:head[c+1]] {
+		for p, a := range arcs[base:head[c+1]] {
 			bucket := BucketWithin
-			switch w.Get(base + p) {
+			switch a.W() {
 			case weightLEKm2: // the unbounded index stores only this bucket
-				sc.near = append(sc.near, cu)
+				sc.near = append(sc.near, a.To())
 			case weightKm1:
-				sc.rim = append(sc.rim, cu)
+				sc.rim = append(sc.rim, a.To())
 			default:
 				if ix.k != Unbounded {
 					bucket = BucketFrontier

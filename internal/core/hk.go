@@ -80,14 +80,10 @@ func BuildHKWithCover(g *graph.Graph, opts HKOptions, s *cover.Set) (*HKIndex, e
 }
 
 func buildHKWithCover(g *graph.Graph, opts HKOptions, s *cover.Set) (*HKIndex, error) {
-	n := g.NumVertices()
-	ix := &HKIndex{g: g, h: opts.H, k: opts.K, gen: nextGeneration(), coverSet: s, coverID: make([]int32, n)}
-	for i := range ix.coverID {
-		ix.coverID[i] = -1
+	if err := CheckVertexCount(g.NumVertices()); err != nil {
+		return nil, err // KRH1's writer packs cover ids into Arcs
 	}
-	for i, v := range s.List() {
-		ix.coverID[v] = int32(i)
-	}
+	ix := &HKIndex{g: g, h: opts.H, k: opts.K, gen: nextGeneration(), coverSet: s, coverID: s.IDs()}
 
 	floor := int32(ix.k - 2*ix.h) // distances at or below this share bucket 0
 	rows := BuildRows(g, s.List(), ix.coverID, ix.k, opts.workers(), func(dist int32) uint16 {

@@ -17,10 +17,14 @@ var hkMagic = [4]byte{'K', 'R', 'H', '1'}
 
 // WriteBinary writes the (h,k)-reach index (without its graph) to w.
 func (ix *HKIndex) WriteBinary(w io.Writer) error {
+	arcs := make([]Arc, len(ix.outAdj))
+	for p, v := range ix.outAdj {
+		arcs[p] = MakeArc(v, 0)
+	}
 	_, err := w.Write(codec.AppendSealed(nil, hkMagic, func(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(ix.h))
 		buf = binary.AppendUvarint(buf, uint64(ix.k))
-		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, ix.outAdj, ix.weights.data)
+		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, arcs, ix.weights.data)
 	}))
 	return err
 }
@@ -52,8 +56,11 @@ func ReadBinaryHKIndex(r io.Reader, g *graph.Graph) (*HKIndex, error) {
 		coverSet: rows.set,
 		coverID:  rows.coverID,
 		outHead:  rows.outHead,
-		outAdj:   rows.outAdj,
-		weights:  newPackedArray(len(rows.outAdj), bitsFor(uint(2*h))),
+		outAdj:   make([]int32, len(rows.outArc)),
+		weights:  newPackedArray(len(rows.outArc), bitsFor(uint(2*h))),
+	}
+	for p, a := range rows.outArc {
+		ix.outAdj[p] = a.To()
 	}
 	if err := decodeWeightWords(d, ix.weights.data); err != nil {
 		return nil, err

@@ -62,10 +62,9 @@ type Index struct {
 	coverSet *cover.Set
 	coverID  []int32 // graph vertex → dense cover id, -1 if not in cover
 
-	// Index graph in CSR over cover ids, adjacency sorted by cover id.
+	// Index graph in CSR over cover ids, each row's arcs sorted by target.
 	outHead []int32
-	outAdj  []int32
-	weights bitvec.Packed2 // 2-bit weight bucket per arc, CSR-aligned
+	outArc  []Arc
 
 	// Dense bitplane rows for hub cover vertices (finalize). A row long
 	// enough that a bitmap over all cover ids costs no more than a small
@@ -78,21 +77,20 @@ type Index struct {
 	denseB0  []uint64
 	denseB1  []uint64
 
-	// Transposed index CSR (finalize): in-rows over cover ids with the same
-	// 2-bit weights, so backward enumeration from a cover target mirrors the
-	// forward accelerated path instead of falling back to BFS. Derived like
-	// the dense rows: never serialized, rebuilt after every load, and not
-	// part of SizeBytes.
+	// Transposed index CSR (finalize): in-rows over cover ids, each arc to
+	// its source with the same weight bucket, so backward enumeration from a
+	// cover target mirrors the forward accelerated path instead of falling
+	// back to BFS. Derived like the dense rows: never serialized, rebuilt
+	// after every load, and not part of SizeBytes.
 	inHead []int32
-	inAdj  []int32
-	inW    bitvec.Packed2
+	inArc  []Arc
 	// Dense bitplane rows over the transposed CSR, same threshold and
 	// lifecycle as the forward ones.
 	inDenseID []int32
 	inDenseB0 []uint64
 	inDenseB1 []uint64
 
-	// Graph-vertex mirrors of the two adjacency arrays (finalize): the
+	// Graph-vertex mirrors of the two arc arrays (finalize): the
 	// enumeration row scans emit graph vertices, and resolving each cover
 	// id through the cover list is a dependent random load per arc —
 	// mirroring the resolved ids CSR-aligned turns that into a second
@@ -121,15 +119,25 @@ type Index struct {
 	ov   *graph.Overlay
 }
 
-// Arc is one arc of a mutable row, packed into 4 bytes: its target cover id
-// above its 2-bit weight bucket. A row sorted by Arc is sorted by target,
-// and the weight arrives in the same load as the target.
+// Arc is one index arc, packed into 4 bytes: its target cover id above its
+// 2-bit weight bucket. The CSR of a built or loaded index and the rows of a
+// mutable one both hold Arcs. A row sorted by Arc is sorted by target, and
+// the weight arrives in the same load as the target.
 type Arc uint32
 
 // ArcTargets is how many cover ids an Arc's 30-bit target field can name.
 // Cover ids are graph vertices renumbered, so an index over at most
 // ArcTargets vertices fits.
 const ArcTargets = 1 << (32 - arcBucketBits)
+
+// CheckVertexCount rejects a graph with more vertices than an Arc can name
+// as its target, whose cover ids would wrap; every index storing Arcs runs it.
+func CheckVertexCount(n int) error {
+	if n > ArcTargets {
+		return fmt.Errorf("core: %d vertices exceed the %d cover ids an index arc can name", n, ArcTargets)
+	}
+	return nil
+}
 
 // arcBucketBits is the width of an Arc's weight field.
 const arcBucketBits = 2
@@ -175,8 +183,8 @@ var ErrBadK = errors.New("core: k must be >= 1 or Unbounded")
 // cover S, then run a k-hop BFS from every u ∈ S and record, for every
 // cover vertex v reached, the edge (u,v) with its weight bucket.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
-	if opts.K == 0 || (opts.K < 0 && opts.K != Unbounded) {
-		return nil, fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
+	if err := checkBuild(g, opts); err != nil {
+		return nil, err
 	}
 	s := cover.VertexCover(g, opts.Strategy, opts.Seed)
 	return buildWithCover(g, opts, s)
@@ -186,8 +194,8 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 // The cover is validated; supplying a precomputed cover lets experiments
 // share one cover across many k values (as the Table 7 sweep does).
 func BuildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) {
-	if opts.K == 0 || (opts.K < 0 && opts.K != Unbounded) {
-		return nil, fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
+	if err := checkBuild(g, opts); err != nil {
+		return nil, err
 	}
 	if !cover.IsVertexCover(g, s) {
 		return nil, errors.New("core: supplied set is not a vertex cover")
@@ -195,27 +203,19 @@ func BuildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) 
 	return buildWithCover(g, opts, s)
 }
 
+// checkBuild validates the hop bound and the graph's size for a build.
+func checkBuild(g *graph.Graph, opts Options) error {
+	if opts.K == 0 || (opts.K < 0 && opts.K != Unbounded) {
+		return fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
+	}
+	return CheckVertexCount(g.NumVertices())
+}
+
 func buildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) {
-	n := g.NumVertices()
-	ix := &Index{g: g, k: opts.K, gen: nextGeneration(), coverSet: s, coverID: make([]int32, n)}
-	for i := range ix.coverID {
-		ix.coverID[i] = -1
-	}
-	for i, v := range s.List() {
-		ix.coverID[v] = int32(i)
-	}
+	ix := &Index{g: g, k: opts.K, gen: nextGeneration(), coverSet: s, coverID: s.IDs()}
 
 	rows := BuildRows(g, s.List(), ix.coverID, ix.k, opts.workers(), ix.bucketFor)
-	ix.outHead = rows.Head
-	total := int(rows.Head[s.Len()])
-	ix.outAdj = make([]int32, total)
-	ix.weights = bitvec.NewPacked2(total)
-	pos := 0
-	for to, w := range rows.Arcs() {
-		ix.outAdj[pos] = to
-		ix.weights.Set(pos, uint8(w))
-		pos++
-	}
+	ix.outHead, ix.outArc = rows.Head, rows.Packed()
 	ix.finalize(opts.workers())
 	return ix, nil
 }
@@ -243,11 +243,11 @@ func (ix *Index) finalize(workers int) {
 	tasks := []func(){
 		func() {
 			ix.buildTransposed()
-			ix.inVtx = ix.coverVertices(ix.inAdj)
-			ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inAdj, ix.inW)
+			ix.inVtx = ix.coverVertices(ix.inArc)
+			ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inArc)
 		},
-		func() { ix.outVtx = ix.coverVertices(ix.outAdj) },
-		func() { ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outAdj, ix.weights) },
+		func() { ix.outVtx = ix.coverVertices(ix.outArc) },
+		func() { ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outArc) },
 		func() { ix.fringeOutHead, ix.fringeOutAdj = ix.buildFringe(ix.g.OutNeighbors) },
 		func() { ix.fringeInHead, ix.fringeInAdj = ix.buildFringe(ix.g.InNeighbors) },
 	}
@@ -269,12 +269,12 @@ func (ix *Index) finalize(workers int) {
 	wg.Wait()
 }
 
-// coverVertices resolves an adjacency array of cover ids to graph vertices.
-func (ix *Index) coverVertices(adj []int32) []graph.Vertex {
+// coverVertices resolves the targets of an arc array to graph vertices.
+func (ix *Index) coverVertices(arcs []Arc) []graph.Vertex {
 	list := ix.coverSet.List()
-	vtx := make([]graph.Vertex, len(adj))
-	for p, c := range adj {
-		vtx[p] = list[c]
+	vtx := make([]graph.Vertex, len(arcs))
+	for p, a := range arcs {
+		vtx[p] = list[a.To()]
 	}
 	return vtx
 }
@@ -310,7 +310,7 @@ func (ix *Index) buildFringe(neighbors func(graph.Vertex) []graph.Vertex) ([]int
 // buildDenseRows scans one CSR (forward or transposed) and materializes a
 // bitplane WeightRow for every row past the dense threshold. Returns the
 // cover-id → dense-slot map (-1 = CSR-only) and the two packed planes.
-func (ix *Index) buildDenseRows(head, adj []int32, w bitvec.Packed2) (id []int32, b0, b1 []uint64) {
+func (ix *Index) buildDenseRows(head []int32, arcs []Arc) (id []int32, b0, b1 []uint64) {
 	nc := ix.coverSet.Len()
 	id = make([]int32, nc)
 	slots := 0
@@ -336,40 +336,35 @@ func (ix *Index) buildDenseRows(head, adj []int32, w bitvec.Packed2) (id []int32
 			continue
 		}
 		row := weightRow(b0, b1, ix.rowWords, slot)
-		base := int(head[u])
-		for p, v := range adj[base:head[u+1]] {
-			row.Set(int(v), w.Get(base+p))
+		for _, a := range arcs[head[u]:head[u+1]] {
+			row.Set(int(a.To()), a.W())
 		}
 	}
 	return id, b0, b1
 }
 
-// buildTransposed derives the in-row CSR from the forward CSR: inAdj lists,
-// for every cover vertex v, the cover sources u with u →k v, ascending (the
-// counting sort visits sources in order), with the arc's weight bucket
-// copied alongside. It is dist(u, v) either way — the transposition changes
-// which endpoint indexes the row, not the weight.
+// buildTransposed derives the in-row CSR from the forward CSR: inArc lists,
+// for every cover vertex v, an arc to each cover source u with u →k v,
+// ascending (the counting sort visits sources in order), with the forward
+// arc's weight bucket. It is dist(u, v) either way — the transposition
+// changes which endpoint indexes the row, not the weight.
 func (ix *Index) buildTransposed() {
 	nc := ix.coverSet.Len()
-	total := len(ix.outAdj)
 	ix.inHead = make([]int32, nc+1)
-	for _, v := range ix.outAdj {
-		ix.inHead[v+1]++
+	for _, a := range ix.outArc {
+		ix.inHead[a.To()+1]++
 	}
 	for v := 0; v < nc; v++ {
 		ix.inHead[v+1] += ix.inHead[v]
 	}
-	ix.inAdj = make([]int32, total)
-	ix.inW = bitvec.NewPacked2(total)
+	ix.inArc = make([]Arc, len(ix.outArc))
 	next := make([]int32, nc)
 	copy(next, ix.inHead[:nc])
 	for u := 0; u < nc; u++ {
-		for p := ix.outHead[u]; p < ix.outHead[u+1]; p++ {
-			v := ix.outAdj[p]
-			pos := next[v]
+		for _, a := range ix.outArc[ix.outHead[u]:ix.outHead[u+1]] {
+			v := a.To()
+			ix.inArc[next[v]] = MakeArc(int32(u), a.W())
 			next[v]++
-			ix.inAdj[pos] = int32(u)
-			ix.inW.Set(int(pos), ix.weights.Get(int(p)))
 		}
 	}
 }
@@ -413,63 +408,50 @@ func (ix *Index) Graph() *graph.Graph { return ix.g }
 func (ix *Index) Cover() *cover.Set { return ix.coverSet }
 
 // NumIndexEdges returns |E_I|.
-func (ix *Index) NumIndexEdges() int { return len(ix.outAdj) }
+func (ix *Index) NumIndexEdges() int { return len(ix.outArc) }
 
 // InCover reports whether v ∈ V_I, i.e. membership in the vertex cover.
 func (ix *Index) InCover(v graph.Vertex) bool { return ix.coverID[v] >= 0 }
 
 // SizeBytes estimates the on-disk size of the index: the cover id map, the
-// CSR offsets and adjacency, and the 2-bit packed weights. This matches how
-// Table 4 of the paper accounts index size (the input graph is not part of
-// the index).
+// CSR offsets and targets, and the weights packed 2 bits each, as KRI1's
+// weight block stores them. This matches how Table 4 of the paper accounts
+// index size (the input graph is not part of the index).
 func (ix *Index) SizeBytes() int {
 	size := 4 * len(ix.coverSet.List()) // cover membership as a sorted id list
 	size += 4 * len(ix.outHead)
-	size += 4 * len(ix.outAdj)
-	size += ix.weights.SizeBytes()
+	size += 4 * len(ix.outArc)
+	size += 8 * weightWords(len(ix.outArc))
 	return size
 }
 
 // notFound marks an absent index edge in (h,k) arc lookups.
 const notFound = uint(0xFF)
 
+// row returns the arcs of cover id u: a CSR row, or a mutable table's row.
+func (ix *Index) row(u int32) []Arc {
+	if ix.rows != nil {
+		return ix.rows[u]
+	}
+	return ix.outArc[ix.outHead[u]:ix.outHead[u+1]]
+}
+
 // arcWeight returns the weight bucket of the index edge (u,v) given by
 // cover ids, and whether the edge exists. Hub rows answer in one bitplane
-// load; CSR-only rows binary-search the sorted adjacency, and so do the
-// rows of a mutable table.
+// load; every other row, a mutable table's included, is binary-searched.
 func (ix *Index) arcWeight(u, v int32) (uint8, bool) {
-	if ix.rows != nil {
-		return searchArcs(ix.rows[u], v)
-	}
-	if slot := ix.denseID[u]; slot >= 0 {
-		w := ix.denseRow(slot).Get(int(v))
+	if ix.rows == nil && ix.denseID[u] >= 0 {
+		w := ix.denseRow(ix.denseID[u]).Get(int(v))
 		return w, w != bitvec.LaneAbsent
 	}
-	base := ix.outHead[u]
-	if p := searchInt32(ix.outAdj[base:ix.outHead[u+1]], v); p >= 0 {
-		return ix.weights.Get(int(base) + p), true
-	}
-	return 0, false
+	return searchArcs(ix.row(u), v)
 }
 
-// hasArc reports whether the index edge (u,v) exists without decoding its
-// weight, which is all Case 1 asks.
-func (ix *Index) hasArc(u, v int32) bool {
-	if ix.rows != nil {
-		_, ok := searchArcs(ix.rows[u], v)
-		return ok
-	}
-	if slot := ix.denseID[u]; slot >= 0 {
-		return ix.denseRow(slot).Get(int(v)) != bitvec.LaneAbsent
-	}
-	return searchInt32(ix.outAdj[ix.outHead[u]:ix.outHead[u+1]], v) >= 0
-}
-
-// searchArcs returns the weight bucket of the arc to v in a mutable row,
-// and whether there is one. An arc sorts below key = MakeArc(v, 0) exactly
+// searchArcs returns the weight bucket of the arc to v in a row, and
+// whether there is one. An arc sorts below key = MakeArc(v, 0) exactly
 // when its target is below v, and the first arc at or above key goes to v
-// exactly when it exceeds key by a bucket alone. It inlines into arcWeight
-// and hasArc, at 79 of the inliner's budget of 80 (go build -gcflags=-m=2).
+// exactly when it exceeds key by a bucket alone. It inlines into arcWeight,
+// and so does row; make lint fails if either stops.
 func searchArcs(row []Arc, v int32) (uint8, bool) {
 	key := MakeArc(v, 0)
 	lo, hi := 0, len(row)

@@ -115,7 +115,8 @@ func (ix *Index) Reach(s, t graph.Vertex, scratch *QueryScratch) bool {
 	switch {
 	case cs >= 0 && ct >= 0:
 		// Case 1: a single index edge lookup; any weight bucket answers yes.
-		return ix.hasArc(cs, ct)
+		_, ok := ix.arcWeight(cs, ct)
+		return ok
 	case cs >= 0 && !ix.ov.IsDirty(graph.Backward, t):
 		return ix.case2(s, cs, ix.g.InNeighbors(t))
 	case ct >= 0 && !ix.ov.IsDirty(graph.Forward, s):
@@ -215,9 +216,9 @@ func (ix *Index) case3(t graph.Vertex, ct int32, out []graph.Vertex) bool {
 // case4 scans the out-neighbors of s for one whose index row intersects
 // the staged in-neighbor bitmap at weight ≤ k-2. Hub rows use the
 // word-parallel kernel (or O(1) lane probes when the neighbor list is much
-// smaller than the row bitmap); CSR-only rows pick probe direction by
-// relative size, with bitmap membership replacing the old sorted search.
-// The rows of a mutable table are short and scanned against the bitmap.
+// smaller than the row bitmap); every other row, a mutable table's
+// included, picks the probe direction by relative size: search the row for
+// each staged id, or scan it against the bitmap.
 func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.Vertex) bool {
 	twoHopOK := ix.k == Unbounded || ix.k >= 2
 	out, clean := ix.ov.Clean(ix.g, s, graph.Forward)
@@ -229,16 +230,8 @@ func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.V
 		if twoHopOK && bitvec.TestBit(mask, int(cu)) {
 			return true // s→u→t in 2 hops
 		}
-		if ix.rows != nil {
-			for _, a := range ix.rows[cu] {
-				if a.W() == weightLEKm2 && bitvec.TestBit(mask, int(a.To())) {
-					return true
-				}
-			}
-			continue
-		}
-		if slot := ix.denseID[cu]; slot >= 0 {
-			row := ix.denseRow(slot)
+		if ix.rows == nil && ix.denseID[cu] >= 0 {
+			row := ix.denseRow(ix.denseID[cu])
 			if len(in)*4 < ix.rowWords {
 				for _, v := range in {
 					if row.Get(int(v)) == weightLEKm2 {
@@ -250,17 +243,16 @@ func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.V
 			}
 			continue
 		}
-		base := int(ix.outHead[cu])
-		adj := ix.outAdj[base:ix.outHead[cu+1]]
-		if len(in)*8 < len(adj) {
+		row := ix.row(cu)
+		if len(in)*8 < len(row) {
 			for _, v := range in {
-				if p := searchInt32(adj, v); p >= 0 && ix.weights.Get(base+p) == weightLEKm2 {
+				if w, ok := searchArcs(row, v); ok && w == weightLEKm2 {
 					return true
 				}
 			}
 		} else {
-			for p, v := range adj {
-				if ix.weights.Get(base+p) == weightLEKm2 && bitvec.TestBit(mask, int(v)) {
+			for _, a := range row {
+				if a.W() == weightLEKm2 && bitvec.TestBit(mask, int(a.To())) {
 					return true
 				}
 			}

@@ -48,6 +48,16 @@ func (r Rows) Arcs() iter.Seq2[int32, uint16] {
 	}
 }
 
+// Packed returns the arcs as Arcs, in the order Head indexes them, each
+// weight taken as a 2-bit bucket: the plain and dynamic indexes' rows.
+func (r Rows) Packed() []Arc {
+	arcs := make([]Arc, 0, r.Head[len(r.Head)-1])
+	for to, w := range r.Arcs() {
+		arcs = append(arcs, MakeArc(to, uint8(w)))
+	}
+	return arcs
+}
+
 // BuildRows derives the row of every vertex of list — the cover, ascending,
 // with coverID its inverse — with AppendRow (k < 0: unbounded), on up to
 // workers goroutines that claim chunks of cover ids from a shared cursor.

@@ -43,8 +43,8 @@ func TestBuildsMatchReferenceRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareRows(t, label, testgraph.ReferenceRows(g, ix.coverSet.List(), k), ix.outHead, ix.outAdj,
-					func(p int) uint { return uint(ix.weights.Get(p)) },
+				compareRows(t, label, testgraph.ReferenceRows(g, ix.coverSet.List(), k), ix.outHead, len(ix.outArc),
+					func(p int) (int32, uint) { return ix.outArc[p].To(), uint(ix.outArc[p].W()) },
 					func(d int32) uint { return uint(ix.bucketFor(d)) })
 			}
 			for _, hk := range [][2]int{{1, 3}, {2, 5}, {2, 7}} {
@@ -54,15 +54,17 @@ func TestBuildsMatchReferenceRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareRows(t, label, testgraph.ReferenceRows(g, ix.coverSet.List(), k), ix.outHead, ix.outAdj,
-					ix.weights.get,
+				compareRows(t, label, testgraph.ReferenceRows(g, ix.coverSet.List(), k), ix.outHead, len(ix.outAdj),
+					func(p int) (int32, uint) { return ix.outAdj[p], ix.weights.get(p) },
 					func(d int32) uint { return uint(max(int(d)-(k-2*h), 0)) })
 			}
 		}
 	}
 }
 
-func compareRows(t *testing.T, label string, want [][]testgraph.CoverArc, head, adj []int32, weightAt func(p int) uint, weightOf func(dist int32) uint) {
+// compareRows checks a CSR of arcs arcs long, arc p read by arcAt as its
+// target and stored weight, against the reference rows.
+func compareRows(t *testing.T, label string, want [][]testgraph.CoverArc, head []int32, arcs int, arcAt func(p int) (int32, uint), weightOf func(dist int32) uint) {
 	t.Helper()
 	if len(head) != len(want)+1 || head[0] != 0 {
 		t.Fatalf("%s: %d offsets starting at %d for %d rows", label, len(head), head[0], len(want))
@@ -73,13 +75,13 @@ func compareRows(t *testing.T, label string, want [][]testgraph.CoverArc, head, 
 			t.Fatalf("%s: row %d has %d arcs, reference %d", label, u, hi-lo, len(row))
 		}
 		for i, a := range row {
-			if adj[lo+i] != a.To || weightAt(lo+i) != weightOf(a.Dist) {
+			if to, w := arcAt(lo + i); to != a.To || w != weightOf(a.Dist) {
 				t.Fatalf("%s: row %d arc %d is (%d, w%d), reference (%d, w%d at distance %d)",
-					label, u, i, adj[lo+i], weightAt(lo+i), a.To, weightOf(a.Dist), a.Dist)
+					label, u, i, to, w, a.To, weightOf(a.Dist), a.Dist)
 			}
 		}
 	}
-	if int(head[len(want)]) != len(adj) {
-		t.Fatalf("%s: offsets end at %d, %d arcs stored", label, head[len(want)], len(adj))
+	if int(head[len(want)]) != arcs {
+		t.Fatalf("%s: offsets end at %d, %d arcs stored", label, head[len(want)], arcs)
 	}
 }

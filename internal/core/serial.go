@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 
-	"kreach/internal/bitvec"
 	"kreach/internal/codec"
 	"kreach/internal/cover"
 	"kreach/internal/graph"
@@ -21,7 +20,8 @@ import (
 //	  varint n | varint coverLen | cover vertex ids (varint deltas,
 //	  ascending) | varint totalArcs | per cover vertex: varint deg, adj
 //	  cover ids (varint deltas, ascending) | packed weight words (varint
-//	  count, 8 bytes each)
+//	  count, 8 bytes each; arc p's 2-bit bucket at bit 2(p mod 32) of
+//	  word p/32, derived from and ORed back into the index's packed arcs)
 //
 // The graph itself is serialized separately (graph.WriteBinary); on load
 // the caller re-attaches it and the reader validates n.
@@ -35,14 +35,51 @@ var ErrBadIndexFormat = errors.New("core: bad index format")
 func (ix *Index) WriteBinary(w io.Writer) error {
 	_, err := w.Write(codec.AppendSealed(nil, indexMagic, func(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(ix.k<<1)^uint64(ix.k>>63)) // zigzag
-		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, ix.outAdj, ix.weights.Words())
+		return appendCoverRows(buf, ix.coverID, ix.coverSet.List(), ix.outHead, ix.outArc, packBuckets(ix.outArc))
 	}))
 	return err
 }
 
+// weightWords is the length of KRI1's weight block for n arcs.
+func weightWords(n int) int { return (n + 31) / 32 }
+
+// packBuckets packs the arcs' buckets into KRI1's weight words.
+func packBuckets(arcs []Arc) []uint64 {
+	words := make([]uint64, weightWords(len(arcs)))
+	for p, a := range arcs {
+		words[p/32] |= uint64(a.W()) << (uint(p) % 32 * 2)
+	}
+	return words
+}
+
+// decodeBuckets decodes KRI1's weight block and ORs each arc's bucket into
+// arcs, whose buckets are zero. A bucket of 3, which the dense rows read
+// as bitvec.LaneAbsent, and a set bit past the last arc are rejected:
+// packBuckets writes neither, so the stream would not re-save as read.
+func decodeBuckets(d *codec.Decoder, arcs []Arc) error {
+	words := make([]uint64, weightWords(len(arcs)))
+	if err := decodeWeightWords(d, words); err != nil {
+		return err
+	}
+	for i, word := range words {
+		if word&(word>>1)&0x5555555555555555 != 0 { // a lane with both bits set
+			return d.Fail("weight bucket 3 in word %d", i)
+		}
+		chunk := arcs[i*32 : min(i*32+32, len(arcs))]
+		if len(chunk) < 32 && word>>(2*len(chunk)) != 0 {
+			return d.Fail("weight bits set past the last arc")
+		}
+		for j := range chunk {
+			chunk[j] |= Arc(word >> (2 * j) & 3)
+		}
+	}
+	return nil
+}
+
 // ReadBinaryIndex reads an index written by WriteBinary and attaches it to
-// g, which must be the graph the index was built from (vertex count is
-// validated; callers are responsible for supplying the same graph).
+// g, which must be the graph the index was built from (the vertex count is
+// validated, and so is that the cover covers every edge of g; callers are
+// responsible for supplying the same graph).
 func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	payload, err := codec.ReadSealed(r, indexMagic, ErrBadIndexFormat)
 	if err != nil {
@@ -57,6 +94,14 @@ func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := decodeBuckets(d, rows.outArc); err != nil {
+		return nil, err
+	}
+	// Queries read every neighbour of a vertex outside the cover as a cover
+	// id, so a cover that misses an edge of g would index out of range.
+	if !cover.IsVertexCover(g, rows.set) {
+		return nil, d.Fail("cover misses an edge of the graph")
+	}
 	ix := &Index{
 		g:        g,
 		k:        k,
@@ -64,28 +109,25 @@ func ReadBinaryIndex(r io.Reader, g *graph.Graph) (*Index, error) {
 		coverSet: rows.set,
 		coverID:  rows.coverID,
 		outHead:  rows.outHead,
-		outAdj:   rows.outAdj,
-		weights:  bitvec.NewPacked2(len(rows.outAdj)),
-	}
-	if err := decodeWeightWords(d, ix.weights.Words()); err != nil {
-		return nil, err
+		outArc:   rows.outArc,
 	}
 	ix.finalize(runtime.GOMAXPROCS(0))
 	return ix, nil
 }
 
 // coverRows is the decoded section KRI1 and KRH1 share: the cover, its
-// graph-to-cover id map and the CSR rows over cover ids.
+// graph-to-cover id map and the CSR rows over cover ids, their arcs' weight
+// buckets still zero.
 type coverRows struct {
 	set     *cover.Set
 	coverID []int32
 	outHead []int32
-	outAdj  []int32
+	outArc  []Arc
 }
 
 // appendCoverRows appends the shared section: n (the length of coverID),
-// the cover, each row, then the packed weight words.
-func appendCoverRows(buf []byte, coverID []int32, list []graph.Vertex, outHead, outAdj []int32, words []uint64) []byte {
+// the cover, the targets of each row's arcs, then the packed weight words.
+func appendCoverRows(buf []byte, coverID []int32, list []graph.Vertex, outHead []int32, outArc []Arc, words []uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(coverID)))
 	buf = binary.AppendUvarint(buf, uint64(len(list)))
 	prev := graph.Vertex(0)
@@ -93,14 +135,14 @@ func appendCoverRows(buf []byte, coverID []int32, list []graph.Vertex, outHead, 
 		buf = binary.AppendUvarint(buf, uint64(v-prev))
 		prev = v
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(outAdj)))
+	buf = binary.AppendUvarint(buf, uint64(len(outArc)))
 	for u := range list {
-		adj := outAdj[outHead[u]:outHead[u+1]]
-		buf = binary.AppendUvarint(buf, uint64(len(adj)))
+		row := outArc[outHead[u]:outHead[u+1]]
+		buf = binary.AppendUvarint(buf, uint64(len(row)))
 		p := int32(0)
-		for _, v := range adj {
-			buf = binary.AppendUvarint(buf, uint64(v-p))
-			p = v
+		for _, a := range row {
+			buf = binary.AppendUvarint(buf, uint64(a.To()-p))
+			p = a.To()
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(words)))
@@ -115,6 +157,9 @@ func appendCoverRows(buf []byte, coverID []int32, list []graph.Vertex, outHead, 
 // every row must be strictly ascending and in range, and the rows must
 // hold exactly the declared arc total.
 func decodeCoverRows(d *codec.Decoder, n int) (coverRows, error) {
+	if err := CheckVertexCount(n); err != nil {
+		return coverRows{}, err
+	}
 	if got := d.Uvarint(); d.Err() == nil && got != uint64(n) {
 		return coverRows{}, d.Fail("index built for n=%d, graph has n=%d", got, n)
 	}
@@ -136,16 +181,10 @@ func decodeCoverRows(d *codec.Decoder, n int) (coverRows, error) {
 	}
 	rows := coverRows{
 		set:     cover.NewSet(n, list),
-		coverID: make([]int32, n),
 		outHead: make([]int32, coverLen+1),
-		outAdj:  make([]int32, total),
+		outArc:  make([]Arc, total),
 	}
-	for i := range rows.coverID {
-		rows.coverID[i] = -1
-	}
-	for i, v := range list {
-		rows.coverID[v] = int32(i)
-	}
+	rows.coverID = rows.set.IDs()
 	pos := 0
 	for u := 0; u < coverLen; u++ {
 		rows.outHead[u] = int32(pos)
@@ -153,7 +192,7 @@ func decodeCoverRows(d *codec.Decoder, n int) (coverRows, error) {
 		p := int32(0)
 		for j := 0; j < deg; j++ {
 			p = d.NextID(p, j == 0, coverLen)
-			rows.outAdj[pos] = p
+			rows.outArc[pos] = MakeArc(p, 0)
 			pos++
 		}
 		if d.Err() != nil {

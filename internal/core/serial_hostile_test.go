@@ -36,8 +36,18 @@ func zz(buf []byte, v int64) []byte {
 	return binary.AppendUvarint(buf, uint64(v<<1)^uint64(v>>63))
 }
 
+// pairGraph has 10 vertices and the edges 0→1 and 1→0: the cover {0,1}
+// of the hand-built KRI1 streams below covers it, so a stream is rejected
+// for its named defect alone.
+func pairGraph() *graph.Graph {
+	b := graph.NewBuilder(10)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 0)
+	return b.Build()
+}
+
 func TestReadBinaryIndexHostile(t *testing.T) {
-	g := testgraph.PaperFigure1() // n = 10
+	g := pairGraph()
 	n := uint64(g.NumVertices())
 	cases := map[string][]byte{
 		// k = 0 and k = -5 are bounds no writer produces.
@@ -59,6 +69,14 @@ func TestReadBinaryIndexHostile(t *testing.T) {
 		"arc delta overflow": uv(zz(nil, 3), n, 2, 0, 1, 2, 2, 1<<34, 0),
 		// Truncated mid-stream (valid CRC over the truncation).
 		"truncated": uv(zz(nil, 3), n, 2, 0),
+		// An empty cover, which misses every edge of the graph: a Case 4
+		// query would read a non-cover neighbour as cover id -1.
+		"cover misses an edge": uv(zz(nil, 3), n, 0, 0, 0),
+		// Cover {0,1}, arcs 0→1 and 1→0, then a weight word whose first
+		// lane holds 3, the code dense rows read as "no arc"...
+		"weight bucket 3": binary.LittleEndian.AppendUint64(uv(zz(nil, 3), n, 2, 0, 1, 2, 1, 1, 1, 0, 1), 3),
+		// ...and one with a bit set in its third lane, past the last arc.
+		"weight bits past the last arc": binary.LittleEndian.AppendUint64(uv(zz(nil, 3), n, 2, 0, 1, 2, 1, 1, 1, 0, 1), 1<<4),
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -130,7 +148,7 @@ func TestReadBinaryGraphHostile(t *testing.T) {
 // is built from a stream that loads, so only the named defect is
 // rejected.
 func TestReadBinaryIndexRejectsNonCanonical(t *testing.T) {
-	g := testgraph.PaperFigure1()
+	g := pairGraph()
 	n := uint64(g.NumVertices())
 	// Cover {0,1} with 2 arcs, the rows as raw bytes (one byte per
 	// varint: degree, then gaps), then one zero weight word.

@@ -8,8 +8,8 @@ import (
 
 // This file is Index.ReachBatch's kernel. Scalar Reach walks one pair's
 // chain of dependent cache misses — coverID, denseID, outHead, a binary
-// search into outAdj, weights — before it starts the next pair, so on an
-// index larger than the cache a core has one miss in flight at a time.
+// search into outArc — before it starts the next pair, so on an index
+// larger than the cache a core has one miss in flight at a time.
 // The pairs of a batch do not depend on each other, so the staged kernel
 // advances many of them one step per loop instead (group prefetching):
 //
@@ -22,10 +22,10 @@ import (
 //     list per round (a direct edge answers on the spot);
 //  4. resolve the probes batchGroup at a time: the dense slots and CSR
 //     bounds of the whole group, then a fixed-trip binary search over all
-//     its CSR rows in lockstep, then the weights of only the probes that
-//     need a bucket (a mutable index gathers the row slices of the whole
-//     group instead and searches them in the same lockstep, its packed
-//     arcs carrying the bucket);
+//     its CSR rows in lockstep, then one check of each arc found, whose
+//     packed bucket arrives with its target (a mutable index gathers the
+//     row slices of the whole group instead and searches them in the same
+//     lockstep);
 //  5. answer the deferred pairs with scalar Reach's scratch half.
 //
 // Go has no prefetch intrinsic. The overlap comes from each loop body
@@ -182,27 +182,34 @@ func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
 	// Lockstep search for the last arc ≤ col in every row: each trip halves
 	// every span, so ⌈log2 widest⌉ trips leave every span at 1 (a span
 	// already at 1 keeps re-reading its own slot). le is -1 when the middle
-	// arc is ≤ col and 0 otherwise (cover ids are non-negative, so the
-	// difference cannot overflow), which keeps the step branch-free.
+	// arc's target is ≤ col and 0 otherwise (cover ids are non-negative and
+	// below ArcTargets, so the difference cannot overflow), which keeps the
+	// step branch-free.
 	for trips := bits.Len32(uint32(widest - 1)); trips > 0; trips-- {
 		for c := 0; c < n; c++ {
 			half := span[c] >> 1
-			le := (ix.outAdj[base[c]+half] - col[c] - 1) >> 31
+			le := (ix.outArc[base[c]+half].To() - col[c] - 1) >> 31
 			base[c] += half & le
 			span[c] -= half
 		}
 	}
 
 	for c := 0; c < n; c++ {
-		if p := base[c]; ix.outAdj[p] == col[c] && (limit[c] == weightK || ix.weights.Get(int(p)) <= limit[c]) {
+		if arcWithin(ix.outArc[base[c]], col[c], limit[c]) {
 			out[pair[c]] = true
 		}
 	}
 }
 
+// arcWithin reports whether arc a goes to col with a bucket ≤ limit: it
+// does exactly when a lies in [MakeArc(col, 0), MakeArc(col, limit)], and
+// below that range the unsigned difference wraps.
+func arcWithin(a Arc, col int32, limit uint8) bool {
+	return uint32(a-MakeArc(col, 0)) <= uint32(limit)
+}
+
 // resolveRowProbes is resolveProbes over a mutable row table: the same
-// lockstep search, each probe in its own row slice. A packed arc holds its
-// bucket beside its target, so the final check needs no second load.
+// lockstep search and final check, each probe in its own row slice.
 func (ix *Index) resolveRowProbes(group []arcProbe, out []bool) {
 	var (
 		rows                  [batchGroup][]Arc
@@ -221,8 +228,6 @@ func (ix *Index) resolveRowProbes(group []arcProbe, out []bool) {
 		n++
 	}
 
-	// The CSR branch's search, on targets: cover ids are below ArcTargets,
-	// so the difference cannot overflow either.
 	for trips := bits.Len32(uint32(widest - 1)); trips > 0; trips-- {
 		for c := 0; c < n; c++ {
 			half := span[c] >> 1
@@ -232,11 +237,8 @@ func (ix *Index) resolveRowProbes(group []arcProbe, out []bool) {
 		}
 	}
 
-	// The arc found has target col and a bucket ≤ limit exactly when it
-	// lies in [MakeArc(col, 0), MakeArc(col, limit)]; below that range the
-	// unsigned difference wraps.
 	for c := 0; c < n; c++ {
-		if a := rows[c][base[c]]; uint32(a-MakeArc(col[c], 0)) <= uint32(limit[c]) {
+		if arcWithin(rows[c][base[c]], col[c], limit[c]) {
 			out[pair[c]] = true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"kreach/internal/cover"
@@ -73,14 +74,12 @@ func kernelPairs(g *graph.Graph, rng *rand.Rand) []Pair {
 }
 
 // mutableCopy returns a mutable index over ix's graph and cover whose rows
-// are ix's CSR rows, packed: the mutable kernels then face the same arcs
+// are copies of ix's CSR rows: the mutable kernels then face the same arcs
 // as the static ones.
 func mutableCopy(ix *Index) *Index {
 	rows := make([][]Arc, len(ix.outHead)-1)
 	for u := range rows {
-		for p := ix.outHead[u]; p < ix.outHead[u+1]; p++ {
-			rows[u] = append(rows[u], MakeArc(ix.outAdj[p], ix.weights.Get(int(p))))
-		}
+		rows[u] = slices.Clone(ix.outArc[ix.outHead[u]:ix.outHead[u+1]])
 	}
 	return NewMutable(ix.g, nil, ix.k, ix.coverID, rows)
 }

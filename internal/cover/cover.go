@@ -42,6 +42,19 @@ func (s *Set) Len() int { return len(s.list) }
 // storage and must not be modified.
 func (s *Set) List() []graph.Vertex { return s.list }
 
+// IDs maps every vertex to its position in List, -1 outside the set: the
+// cover ids an index numbers its rows by.
+func (s *Set) IDs() []int32 {
+	ids := make([]int32, len(s.member))
+	for v := range ids {
+		ids[v] = -1
+	}
+	for i, v := range s.list {
+		ids[v] = int32(i)
+	}
+	return ids
+}
+
 // Strategy selects how the vertex cover is computed.
 type Strategy int
 

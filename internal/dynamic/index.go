@@ -146,7 +146,7 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("%w (got %d)", ErrBadK, opts.K)
 	}
 	n := base.NumVertices()
-	if err := checkVertexCount(n); err != nil {
+	if err := core.CheckVertexCount(n); err != nil {
 		return nil, err
 	}
 	if opts.CompactRatio <= 0 {
@@ -157,15 +157,9 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 		dg:        NewDeltaGraph(base),
 		k:         opts.K,
 		opts:      opts,
-		coverID:   make([]int32, n),
+		coverID:   cov.IDs(),
+		coverList: slices.Clone(cov.List()),
 		scratches: []*rowScratch{{}},
-	}
-	for i := range ix.coverID {
-		ix.coverID[i] = -1
-	}
-	ix.coverList = append(ix.coverList, cov.List()...)
-	for i, v := range ix.coverList {
-		ix.coverID[v] = int32(i)
 	}
 
 	// Initial rows: Algorithm 1's build, shared with the static index. The
@@ -173,11 +167,8 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	// one slab with their capacity clipped, so a row that later outgrows its
 	// slot reallocates instead of running into its neighbor.
 	rows := core.BuildRows(base, ix.coverList, ix.coverID, ix.k, opts.workers(), ix.bucketFor)
-	ix.arcCount = int(rows.Head[len(ix.coverList)])
-	slab := make([]core.Arc, 0, ix.arcCount)
-	for to, w := range rows.Arcs() {
-		slab = append(slab, core.MakeArc(to, uint8(w)))
-	}
+	slab := rows.Packed()
+	ix.arcCount = len(slab)
 	table := make([][]core.Arc, len(ix.coverList))
 	for ui := range table {
 		lo, hi := rows.Head[ui], rows.Head[ui+1]
@@ -186,15 +177,6 @@ func New(base *graph.Graph, opts Options) (*Index, error) {
 	ix.core = core.NewMutable(base, &ix.dg.ov, ix.k, ix.coverID, table)
 	ix.epoch.Store(core.NextGeneration())
 	return ix, nil
-}
-
-// checkVertexCount rejects a base graph with more vertices than a row arc
-// can name as its target (core.ArcTargets): cover ids past it would wrap.
-func checkVertexCount(n int) error {
-	if n > core.ArcTargets {
-		return fmt.Errorf("dynamic: %d vertices exceed the %d cover ids a row arc can name", n, core.ArcTargets)
-	}
-	return nil
 }
 
 // bucketFor is the static index's weight-bucket rule at this index's k.

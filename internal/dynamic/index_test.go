@@ -95,14 +95,17 @@ func TestNewRejectsBadK(t *testing.T) {
 	}
 }
 
-// TestVertexCountFitsArcs: New's guard admits a graph whose every cover id
-// fits a row arc's target field and rejects one vertex more, so an id past
-// the field cannot wrap. It checks the helper, not a 2^30-vertex graph.
+// TestVertexCountFitsArcs: the one guard every index that stores packed
+// arcs runs — New here, and core's Build, BuildWithCover (BuildMulti
+// through them), ReadBinaryIndex and the (h,k) build — admits a graph
+// whose every cover id fits an arc's target field and rejects one vertex
+// more, so an id past the field cannot wrap. It checks the helper, not a
+// 2^30-vertex graph.
 func TestVertexCountFitsArcs(t *testing.T) {
-	if err := checkVertexCount(core.ArcTargets); err != nil {
+	if err := core.CheckVertexCount(core.ArcTargets); err != nil {
 		t.Errorf("%d vertices: %v", core.ArcTargets, err)
 	}
-	if err := checkVertexCount(core.ArcTargets + 1); err == nil {
+	if err := core.CheckVertexCount(core.ArcTargets + 1); err == nil {
 		t.Errorf("%d vertices: no error", core.ArcTargets+1)
 	}
 	if id := core.ArcTargets - 1; core.MakeArc(int32(id), 2).To() != int32(id) {

@@ -57,8 +57,8 @@ func (ov *Overlay) IsDirty(dir Direction, v Vertex) bool {
 //
 // The read is split in two so that the clean half inlines into its callers
 // and a built or loaded index, whose overlay is nil, reads its adjacency
-// without a call: go build -gcflags=-m must keep reporting "can inline
-// (*Overlay).Clean". A function that also made the merge call could not
+// without a call: make lint fails if core's Reach path stops inlining it.
+// A function that also made the merge call could not
 // inline, the call alone costing 57 of the inliner's budget of 80.
 func (ov *Overlay) Clean(g *Graph, v Vertex, dir Direction) ([]Vertex, bool) {
 	if ov.IsDirty(dir, v) {
