@@ -117,16 +117,18 @@ repl-smoke:
 # kernel must answer byte-built graphs and pair lists as scalar Reach does;
 # the dynamic index's rows must equal a from-scratch derivation after every
 # byte-built mutation batch.
-# (Go allows one -fuzz pattern per package invocation.) FuzzLoadAutoIndex
-# reseals every input, so most mutants reach the decoders and many add
-# coverage; minimizing each new input for the default 60 s would spend
-# the whole budget on a handful of them, so it gets 1 s.
+# (Go allows one -fuzz pattern per package invocation.) Each target
+# minimizes a new input for 1 s, not Go's default 60 s: at the default a
+# target that finds many new inputs (FuzzLoadAutoIndex reseals every
+# input so most mutants reach the decoders; FuzzReachBatch, FuzzWALReplay
+# and FuzzReadEdgeList too) spends the rest of its budget minimizing a
+# handful of them at 0 execs/s.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' .
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/graph
-	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
-	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wal
-	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
-	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
-	$(GO) test -fuzz=FuzzReachBatch -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
-	$(GO) test -fuzz=FuzzMutate -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dynamic
+	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
+	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/wal
+	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/server
+	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/server
+	$(GO) test -fuzz=FuzzReachBatch -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/core
+	$(GO) test -fuzz=FuzzMutate -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/dynamic

@@ -1,9 +1,9 @@
 // Word-parallel kernels shared by the query hot paths. The WAH vectors in
 // wah.go serve the PWAH baseline; this file is the kernel home for the
-// k-reach index itself: uncompressed bitset primitives (AndCount, AndAny,
-// IterateSetBits) and a bitplane view of dense 2-bit weight rows
-// (WeightRow) whose lane predicates evaluate 64 cover vertices per
-// instruction instead of one per probe.
+// k-reach index itself: single-bit helpers over uncompressed bitsets and a
+// bitplane view of dense 2-bit weight rows (WeightRow) whose lane
+// predicates evaluate 64 cover vertices per instruction instead of one per
+// probe.
 //
 // The 2-bit weight alphabet is the paper's Section 4.3 observation that
 // k-reach edge weights take only the three values {≤k-2, k-1, k}; the
@@ -16,45 +16,6 @@ import "math/bits"
 
 // LaneAbsent is the reserved 2-bit code for "no arc" in dense weight rows.
 const LaneAbsent = 3
-
-// AndCount returns the number of set bits in a AND b over their common
-// prefix (the shorter length governs).
-func AndCount(a, b []uint64) int {
-	if len(b) < len(a) {
-		a = a[:len(b)]
-	}
-	total := 0
-	for i, w := range a {
-		total += bits.OnesCount64(w & b[i])
-	}
-	return total
-}
-
-// AndAny reports whether a AND b has any set bit over their common prefix.
-func AndAny(a, b []uint64) bool {
-	if len(b) < len(a) {
-		a = a[:len(b)]
-	}
-	for i, w := range a {
-		if w&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IterateSetBits calls yield(i) for every set bit position i in words,
-// ascending. The classic trailing-zero walk touches only set bits, so cost
-// is O(words + popcount).
-func IterateSetBits(words []uint64, yield func(i int)) {
-	for wi, w := range words {
-		base := wi << 6
-		for w != 0 {
-			yield(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
 
 // SetBit sets bit i of the uncompressed bitset.
 func SetBit(words []uint64, i int) { words[i>>6] |= 1 << (uint(i) & 63) }
@@ -168,21 +129,5 @@ func (r WeightRow) IterateEQ(v uint8, yield func(i int)) {
 			yield(base + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
-	}
-}
-
-// MinInto sets each lane of dst to min(a, b) of the corresponding lanes,
-// with LaneAbsent (3) the identity — the word-parallel "min over pair"
-// used when two weight rows merge (e.g. folding an overlay row into a base
-// row). dst may alias a or b. All three rows must have equal plane length.
-func MinInto(dst, a, b WeightRow) {
-	for i := range dst.B0 {
-		a0, a1 := a.B0[i], a.B1[i]
-		b0, b1 := b.B0[i], b.B1[i]
-		// lt has bit j set iff lane j of a < lane j of b, comparing the
-		// 2-bit values via bitplanes: high bit decides, low bit breaks ties.
-		lt := ^a1&b1 | ^(a1^b1)&^a0&b0
-		dst.B0[i] = a0&lt | b0&^lt
-		dst.B1[i] = a1&lt | b1&^lt
 	}
 }

@@ -11,42 +11,6 @@ import (
 
 const benchWords = 64
 
-func benchInputs() (a, b []uint64) {
-	rng := rand.New(rand.NewPCG(42, 43))
-	a, b = make([]uint64, benchWords), make([]uint64, benchWords)
-	for i := range a {
-		a[i], b[i] = rng.Uint64(), rng.Uint64()&rng.Uint64()
-	}
-	return
-}
-
-func BenchmarkAndCount(b *testing.B) {
-	x, y := benchInputs()
-	b.SetBytes(benchWords * 8)
-	for n := 0; n < b.N; n++ {
-		sinkInt = AndCount(x, y)
-	}
-}
-
-func BenchmarkAndAny(b *testing.B) {
-	x, y := benchInputs()
-	for i := range y { // force full scans: no early intersection
-		y[i] = ^x[i]
-	}
-	for n := 0; n < b.N; n++ {
-		sinkBool = AndAny(x, y)
-	}
-}
-
-func BenchmarkIterateSetBits(b *testing.B) {
-	x, _ := benchInputs()
-	for n := 0; n < b.N; n++ {
-		total := 0
-		IterateSetBits(x, func(i int) { total += i })
-		sinkInt = total
-	}
-}
-
 func benchRow() (WeightRow, []uint64) {
 	rng := rand.New(rand.NewPCG(46, 47))
 	n := benchWords * 64
@@ -95,17 +59,6 @@ func BenchmarkWeightRowIterateEQ(b *testing.B) {
 		total := 0
 		r.IterateEQ(1, func(i int) { total += i })
 		sinkInt = total
-	}
-}
-
-func BenchmarkMinInto(b *testing.B) {
-	x, _ := benchRow()
-	y, _ := benchRow()
-	dst := NewWeightRow(benchWords * 64)
-	b.SetBytes(benchWords * 8 * 2)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		MinInto(dst, x, y)
 	}
 }
 

@@ -1,7 +1,6 @@
 package bitvec
 
 import (
-	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
@@ -9,63 +8,6 @@ import (
 // The kernel tests are differential: every word-parallel operation is
 // checked against a naive per-element reference on randomized inputs, so a
 // SWAR formula cannot drift from the semantics it compresses.
-
-func randWords(rng *rand.Rand, n int) []uint64 {
-	w := make([]uint64, n)
-	for i := range w {
-		w[i] = rng.Uint64()
-	}
-	return w
-}
-
-func TestAndCountAndAnyDifferential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 200; trial++ {
-		a := randWords(rng, rng.IntN(8))
-		b := randWords(rng, rng.IntN(8))
-		if rng.IntN(4) == 0 { // force empty intersections sometimes
-			for i := range b {
-				if i < len(a) {
-					b[i] = ^a[i]
-				}
-			}
-		}
-		want := 0
-		n := min(len(a), len(b))
-		for i := 0; i < n; i++ {
-			want += bits.OnesCount64(a[i] & b[i])
-		}
-		if got := AndCount(a, b); got != want {
-			t.Fatalf("AndCount = %d, want %d", got, want)
-		}
-		if got := AndAny(a, b); got != (want > 0) {
-			t.Fatalf("AndAny = %v, want %v", got, want > 0)
-		}
-	}
-}
-
-func TestIterateSetBits(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 100; trial++ {
-		w := randWords(rng, 1+rng.IntN(5))
-		var got []int
-		IterateSetBits(w, func(i int) { got = append(got, i) })
-		var want []int
-		for i := 0; i < 64*len(w); i++ {
-			if TestBit(w, i) {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d positions, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("position %d: got %d, want %d", i, got[i], want[i])
-			}
-		}
-	}
-}
 
 func TestBitOps(t *testing.T) {
 	w := make([]uint64, 3)
@@ -172,31 +114,6 @@ func TestWeightRowIterateEQDifferential(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d v=%d lane %d: got %d, want %d", n, v, i, got[i], want[i])
 				}
-			}
-		}
-	}
-}
-
-func TestMinIntoDifferential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.IntN(200)
-		a, aref := randRow(rng, n)
-		b, bref := randRow(rng, n)
-		dst := NewWeightRow(n)
-		MinInto(dst, a, b)
-		for i := 0; i < n; i++ {
-			want := min(aref[i], bref[i])
-			if got := dst.Get(i); got != want {
-				t.Fatalf("n=%d lane %d: min(%d,%d) = %d, want %d",
-					n, i, aref[i], bref[i], got, want)
-			}
-		}
-		// Aliased destination: dst may be one of the operands.
-		MinInto(a, a, b)
-		for i := 0; i < n; i++ {
-			if got, want := a.Get(i), min(aref[i], bref[i]); got != want {
-				t.Fatalf("aliased lane %d: got %d, want %d", i, got, want)
 			}
 		}
 	}

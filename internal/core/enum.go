@@ -221,13 +221,14 @@ func (ix *Index) Enumerate(ctx context.Context, src graph.Vertex, opts EnumOptio
 func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph.Direction, sc *EnumScratch) error {
 	sc.reset(ix.g.NumVertices())
 	// The per-direction view: the index CSR (forward rows, or the
-	// transposed in-rows) with its vertex mirror and dense bitplanes, and
-	// the graph's fringe CSR in the same direction.
-	head, arcs, vtx := ix.outHead, ix.outArc, ix.outVtx
+	// transposed in-rows) with its dense bitplanes, and the graph's fringe
+	// CSR in the same direction. Both name cover ids, which the cover list
+	// resolves to graph vertices.
+	head, arcs := ix.outHead, ix.outArc
 	denseID, b0, b1 := ix.denseID, ix.denseB0, ix.denseB1
 	fringeHead, fringeAdj := ix.fringeOutHead, ix.fringeOutAdj
 	if dir == graph.Backward {
-		head, arcs, vtx = ix.inHead, ix.inArc, ix.inVtx
+		head, arcs = ix.inHead, ix.inArc
 		denseID, b0, b1 = ix.inDenseID, ix.inDenseB0, ix.inDenseB1
 		fringeHead, fringeAdj = ix.fringeInHead, ix.fringeInAdj
 	}
@@ -265,8 +266,7 @@ func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph
 		}
 	} else {
 		sc.tally.bump(pathIdxCoverRow)
-		base := int(head[c])
-		for p, a := range arcs[base:head[c+1]] {
+		for _, a := range arcs[head[c]:head[c+1]] {
 			bucket := BucketWithin
 			switch a.W() {
 			case weightLEKm2: // the unbounded index stores only this bucket
@@ -278,7 +278,7 @@ func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph
 					bucket = BucketFrontier
 				}
 			}
-			sc.out = append(sc.out, Neighbor{V: vtx[base+p], Bucket: bucket})
+			sc.out = append(sc.out, Neighbor{V: list[a.To()], Bucket: bucket})
 		}
 	}
 	if done != nil && cancelled(done) {

@@ -49,33 +49,37 @@ func ballsEqual(t *testing.T, label string, got []Neighbor, want map[graph.Verte
 	}
 }
 
-// TestEnumerateAgainstOracle sweeps random graphs × k (finite and
-// Unbounded) × directions, checking every source — covering both the
-// accelerated cover path and the BFS fallback on the same graphs.
+// TestEnumerateAgainstOracle sweeps random graphs × cover strategies × k
+// (finite and Unbounded) × directions, checking every source — covering
+// both the accelerated cover path and the BFS fallback on the same graphs.
+// The two strategies number the cover differently, so the cover path's
+// cover-id → vertex lookup is checked under both orders.
 func TestEnumerateAgainstOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{12, 40} {
 		for trial := 0; trial < 4; trial++ {
 			g := testgraph.Random(n, 3*n, uint64(100*n+trial))
-			for _, k := range []int{1, 2, 3, 5, Unbounded} {
-				ix, err := Build(g, Options{K: k, Strategy: cover.DegreePrioritized, Seed: uint64(trial)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc := NewEnumScratch()
-				for v := 0; v < n; v++ {
-					src := graph.Vertex(v)
-					for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
-						got, total, err := ix.Enumerate(ctx, src, EnumOptions{Direction: dir}, sc)
-						if err != nil {
-							t.Fatal(err)
+			for _, strategy := range []cover.Strategy{cover.RandomEdge, cover.DegreePrioritized} {
+				for _, k := range []int{1, 2, 3, 5, Unbounded} {
+					ix, err := Build(g, Options{K: k, Strategy: strategy, Seed: uint64(trial)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc := NewEnumScratch()
+					for v := 0; v < n; v++ {
+						src := graph.Vertex(v)
+						for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
+							got, total, err := ix.Enumerate(ctx, src, EnumOptions{Direction: dir}, sc)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if total != len(got) {
+								t.Fatalf("total %d != len %d without Limit", total, len(got))
+							}
+							label := fmt.Sprintf("n=%d trial=%d %v k=%d src=%d dir=%v cover=%v",
+								n, trial, strategy, k, v, dir, ix.InCover(src))
+							ballsEqual(t, label, got, oracleBall(g, src, k, dir))
 						}
-						if total != len(got) {
-							t.Fatalf("total %d != len %d without Limit", total, len(got))
-						}
-						label := fmt.Sprintf("n=%d trial=%d k=%d src=%d dir=%v cover=%v",
-							n, trial, k, v, dir, ix.InCover(src))
-						ballsEqual(t, label, got, oracleBall(g, src, k, dir))
 					}
 				}
 			}

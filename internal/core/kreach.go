@@ -90,14 +90,6 @@ type Index struct {
 	inDenseB0 []uint64
 	inDenseB1 []uint64
 
-	// Graph-vertex mirrors of the two arc arrays (finalize): the
-	// enumeration row scans emit graph vertices, and resolving each cover
-	// id through the cover list is a dependent random load per arc —
-	// mirroring the resolved ids CSR-aligned turns that into a second
-	// sequential stream. Query-time only, never serialized.
-	outVtx []graph.Vertex
-	inVtx  []graph.Vertex
-
 	// Fringe adjacency (finalize): for every cover vertex, its non-cover
 	// graph neighbors in each direction. The enumeration fringe sweeps
 	// otherwise scan the full graph adjacency and reject the cover
@@ -227,8 +219,8 @@ const denseRowMinLen = 32
 
 // finalize builds the query-time structures derived from the CSR: the
 // dense bitplane rows of every hub cover vertex, the transposed index CSR
-// that gives backward enumeration its accelerated path, the graph-vertex
-// mirrors and the fringe adjacency. A row
+// that gives backward enumeration its accelerated path, and the fringe
+// adjacency. A row
 // qualifies for a dense copy when its CSR length is at least 1/8 of the
 // cover size — at that density the two bitplanes (|S|/4 bytes) cost under
 // half of the row's own CSR footprint, and the small-world hubs the
@@ -236,17 +228,15 @@ const denseRowMinLen = 32
 // end of every build and load.
 //
 // Everything here reads the forward CSR and writes fields of its own, except
-// the in-side mirror and planes, which wait for the transpose; the layouts
-// are built on up to workers goroutines.
+// the in-side planes, which wait for the transpose; the layouts are built
+// on up to workers goroutines.
 func (ix *Index) finalize(workers int) {
 	ix.rowWords = bitvec.RowWords(ix.coverSet.Len())
 	tasks := []func(){
 		func() {
 			ix.buildTransposed()
-			ix.inVtx = ix.coverVertices(ix.inArc)
 			ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inArc)
 		},
-		func() { ix.outVtx = ix.coverVertices(ix.outArc) },
 		func() { ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outArc) },
 		func() { ix.fringeOutHead, ix.fringeOutAdj = ix.buildFringe(ix.g.OutNeighbors) },
 		func() { ix.fringeInHead, ix.fringeInAdj = ix.buildFringe(ix.g.InNeighbors) },
@@ -267,16 +257,6 @@ func (ix *Index) finalize(workers int) {
 		}()
 	}
 	wg.Wait()
-}
-
-// coverVertices resolves the targets of an arc array to graph vertices.
-func (ix *Index) coverVertices(arcs []Arc) []graph.Vertex {
-	list := ix.coverSet.List()
-	vtx := make([]graph.Vertex, len(arcs))
-	for p, a := range arcs {
-		vtx[p] = list[a.To()]
-	}
-	return vtx
 }
 
 // buildFringe filters one graph adjacency down to, per cover vertex, the

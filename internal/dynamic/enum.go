@@ -15,8 +15,9 @@ import (
 // lands in the middle. (ReachBatch makes the same trade for a whole batch
 // of pairs; balls are bounded by k, so writers wait at most one bounded
 // traversal.) The cover walk of core's static enumeration is not used:
-// its vertex mirrors and fringe lists are aligned to one CSR and cannot
-// follow the per-row slices a mutation rewrites.
+// its fringe lists and transposed rows are derived once from one cover and
+// one CSR and cannot follow the promotions and per-row slices a mutation
+// rewrites.
 
 // Enumerate materializes the k-hop ball around src on the live edge set
 // (source excluded, EnumOptions.Limit applied) and returns the members, the
