@@ -67,7 +67,7 @@ scorecard:
 	$(GO) test -count=1 -run '^TestPaperClaims$$' -v .
 
 # bench-smoke mirrors the CI benchmark-compile gate: one iteration of every
-# benchmark — the word-parallel kernel micro-benchmarks, core's
+# benchmark — bitvec's row-scan micro-benchmark (CountLEMasked), core's
 # BenchmarkBuild, the per-stage split of index construction (cover order,
 # row BFS, finalize, load), core's BenchmarkReachBatch, ns/pair of scalar
 # Reach in a loop against the staged batch kernel on one and on all workers
@@ -117,18 +117,22 @@ repl-smoke:
 # kernel must answer byte-built graphs and pair lists as scalar Reach does;
 # the dynamic index's rows must equal a from-scratch derivation after every
 # byte-built mutation batch.
-# (Go allows one -fuzz pattern per package invocation.) Each target
+# (Go allows one -fuzz pattern per package invocation.) After each target
+# its last "fuzz: elapsed … execs … new interesting …" line is printed, so
+# a target that has stopped finding new inputs shows; a failing target
+# prints its whole output and fails the make target. The output goes to a
+# file, not a pipe, because /bin/sh has no reliable pipefail. Each target
 # minimizes a new input for 1 s, not Go's default 60 s: at the default a
 # target that finds many new inputs (FuzzLoadAutoIndex reseals every
 # input so most mutants reach the decoders; FuzzReachBatch, FuzzWALReplay
 # and FuzzReadEdgeList too) spends the rest of its budget minimizing a
 # handful of them at 0 execs/s.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzLoadAutoIndex -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' .
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
-	$(GO) test -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/wal
-	$(GO) test -fuzz=FuzzFeedDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/wal
-	$(GO) test -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/server
-	$(GO) test -fuzz='^FuzzBatchReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/server
-	$(GO) test -fuzz=FuzzReachBatch -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/core
-	$(GO) test -fuzz=FuzzMutate -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/dynamic
+	@for target in 'FuzzLoadAutoIndex .' 'FuzzReadEdgeList ./internal/graph' 'FuzzWALReplay ./internal/wal' \
+		'FuzzFeedDecode ./internal/wal' '^FuzzBatchRequest$$ ./internal/server' '^FuzzBatchReply$$ ./internal/server' \
+		'FuzzReachBatch ./internal/core' 'FuzzMutate ./internal/dynamic'; do \
+		set -- $$target; out="$$(mktemp)"; \
+		if $(GO) test -fuzz="$$1" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' "$$2" >"$$out" 2>&1; then \
+			echo "$$1 $$2: $$(grep 'fuzz: elapsed' "$$out" | tail -n 1)"; rm -f "$$out"; \
+		else cat "$$out"; rm -f "$$out"; exit 1; fi; \
+	done

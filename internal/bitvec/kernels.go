@@ -1,20 +1,19 @@
-// Word-parallel kernels shared by the query hot paths. The WAH vectors in
-// wah.go serve the PWAH baseline; this file is the kernel home for the
-// k-reach index itself: single-bit helpers over uncompressed bitsets and a
-// bitplane view of dense 2-bit weight rows (WeightRow) whose lane
-// predicates evaluate 64 cover vertices per instruction instead of one per
-// probe.
+// Uncompressed bit kernels beside the WAH vectors of wah.go, which serve
+// the PWAH baseline. The k-reach index uses only the single-bit helpers:
+// Case 4 of Algorithm 2 stages t's in-neighbor cover ids as a bitmap over
+// cover ids and tests each arc against it.
 //
-// The 2-bit weight alphabet is the paper's Section 4.3 observation that
-// k-reach edge weights take only the three values {≤k-2, k-1, k}; the
-// fourth code point (3) is reserved here to mean "no arc", which is what
-// lets a dense row answer membership and weight in the same load.
+// WeightRow is a 2-bit weight row over lanes stored as two bitplanes, the
+// paper's Section 4.3 weight alphabet {≤k-2, k-1, k} plus a fourth code
+// (3) for "no arc". No index layout stores one; the benchmark's
+// bitvec.row_scan_words_per_s rung times CountLEMasked over rows as wide
+// as a workload's cover.
 
 package bitvec
 
 import "math/bits"
 
-// LaneAbsent is the reserved 2-bit code for "no arc" in dense weight rows.
+// LaneAbsent is the reserved 2-bit code for "no arc" in a WeightRow.
 const LaneAbsent = 3
 
 // SetBit sets bit i of the uncompressed bitset.
@@ -50,12 +49,6 @@ func NewWeightRow(n int) WeightRow {
 	return r
 }
 
-// Get returns the 2-bit value of lane i.
-func (r WeightRow) Get(i int) uint8 {
-	word, bit := i>>6, uint(i)&63
-	return uint8(r.B0[word]>>bit&1) | uint8(r.B1[word]>>bit&1)<<1
-}
-
 // Set stores v (0..3) at lane i.
 func (r WeightRow) Set(i int, v uint8) {
 	word, bit := i>>6, uint(i)&63
@@ -77,22 +70,6 @@ func leWord(b0, b1 uint64, max uint8) uint64 {
 	}
 }
 
-// AnyLEMasked reports whether some lane i with mask bit i set has value
-// ≤ max. It is the Case-4 kernel: mask is the in-neighbor cover bitmap,
-// the row is one hub's weight row, and one call replaces up to 64 probes.
-func (r WeightRow) AnyLEMasked(mask []uint64, max uint8) bool {
-	n := len(r.B0)
-	if len(mask) < n {
-		n = len(mask)
-	}
-	for i := 0; i < n; i++ {
-		if m := mask[i]; m != 0 && leWord(r.B0[i], r.B1[i], max)&m != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CountLEMasked counts lanes with mask bit set and value ≤ max.
 func (r WeightRow) CountLEMasked(mask []uint64, max uint8) int {
 	n := len(r.B0)
@@ -106,28 +83,4 @@ func (r WeightRow) CountLEMasked(mask []uint64, max uint8) int {
 		}
 	}
 	return total
-}
-
-// IterateEQ calls yield(i) for every lane i whose value equals v (v in
-// 0..2), ascending — the bulk row→bucket expansion kernel: enumeration
-// walks the =v lanes of a row word-parallel instead of decoding each
-// entry.
-func (r WeightRow) IterateEQ(v uint8, yield func(i int)) {
-	for wi := range r.B0 {
-		b0, b1 := r.B0[wi], r.B1[wi]
-		var w uint64
-		switch v {
-		case 0:
-			w = ^(b0 | b1)
-		case 1:
-			w = b0 &^ b1
-		default:
-			w = b1 &^ b0
-		}
-		base := wi << 6
-		for w != 0 {
-			yield(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }

@@ -27,25 +27,6 @@ func benchRow() (WeightRow, []uint64) {
 	return r, mask
 }
 
-func BenchmarkWeightRowAnyLEMasked(b *testing.B) {
-	r, mask := benchRow()
-	// Clear every ≤1 lane under the mask so the scan never exits early.
-	r.IterateEQ(0, func(i int) {
-		if TestBit(mask, i) {
-			ClearBit(mask, i)
-		}
-	})
-	r.IterateEQ(1, func(i int) {
-		if TestBit(mask, i) {
-			ClearBit(mask, i)
-		}
-	})
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		sinkBool = r.AnyLEMasked(mask, 1)
-	}
-}
-
 func BenchmarkWeightRowCountLEMasked(b *testing.B) {
 	r, mask := benchRow()
 	for n := 0; n < b.N; n++ {
@@ -53,17 +34,5 @@ func BenchmarkWeightRowCountLEMasked(b *testing.B) {
 	}
 }
 
-func BenchmarkWeightRowIterateEQ(b *testing.B) {
-	r, _ := benchRow()
-	for n := 0; n < b.N; n++ {
-		total := 0
-		r.IterateEQ(1, func(i int) { total += i })
-		sinkInt = total
-	}
-}
-
-// Sinks defeat dead-code elimination without atomic overhead.
-var (
-	sinkInt  int
-	sinkBool bool
-)
+// sinkInt defeats dead-code elimination without atomic overhead.
+var sinkInt int

@@ -42,12 +42,18 @@ func randRow(rng *rand.Rand, n int) (WeightRow, []uint8) {
 	return r, ref
 }
 
+// lane decodes lane i of r from its two planes, independently of Set.
+func lane(r WeightRow, i int) uint8 {
+	word, bit := i>>6, uint(i)&63
+	return uint8(r.B0[word]>>bit&1) | uint8(r.B1[word]>>bit&1)<<1
+}
+
 func TestWeightRowGetSet(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	for _, n := range []int{1, 63, 64, 65, 200} {
 		r, ref := randRow(rng, n)
 		for i, want := range ref {
-			if got := r.Get(i); got != want {
+			if got := lane(r, i); got != want {
 				t.Fatalf("n=%d lane %d: got %d, want %d", n, i, got, want)
 			}
 		}
@@ -57,8 +63,8 @@ func TestWeightRowGetSet(t *testing.T) {
 func TestWeightRowNewAllAbsent(t *testing.T) {
 	r := NewWeightRow(130)
 	for i := 0; i < 130; i++ {
-		if r.Get(i) != LaneAbsent {
-			t.Fatalf("lane %d of fresh row = %d, want LaneAbsent", i, r.Get(i))
+		if lane(r, i) != LaneAbsent {
+			t.Fatalf("lane %d of fresh row = %d, want LaneAbsent", i, lane(r, i))
 		}
 	}
 }
@@ -83,37 +89,6 @@ func TestWeightRowMaskedKernelsDifferential(t *testing.T) {
 			}
 			if got := r.CountLEMasked(mask, max); got != want {
 				t.Fatalf("n=%d max=%d: CountLEMasked = %d, want %d", n, max, got, want)
-			}
-			if got := r.AnyLEMasked(mask, max); got != (want > 0) {
-				t.Fatalf("n=%d max=%d: AnyLEMasked = %v, want %v", n, max, got, want > 0)
-			}
-		}
-	}
-}
-
-func TestWeightRowIterateEQDifferential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.IntN(300)
-		r, ref := randRow(rng, n)
-		for v := uint8(0); v <= 2; v++ {
-			var got []int
-			r.IterateEQ(v, func(i int) { got = append(got, i) })
-			var want []int
-			// IterateEQ scans whole plane words; lanes beyond n are absent
-			// (3) by construction and must not appear.
-			for i, rv := range ref {
-				if rv == v {
-					want = append(want, i)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d v=%d: got %d lanes, want %d", n, v, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d v=%d lane %d: got %d, want %d", n, v, i, got[i], want[i])
-				}
 			}
 		}
 	}

@@ -8,7 +8,9 @@
 //
 //   - kreach.go — Index construction (Algorithm 1): vertex cover, CSR
 //     index graph of packed Arcs (target cover id << 2 | 2-bit weight
-//     bucket), derived query-time layouts.
+//     bucket), and the layouts finalize derives for enumeration (the
+//     transposed CSR and the fringe CSRs). Every row, built, loaded or
+//     mutable, is a sorted Arc slice; there is no second row layout.
 //   - rows.go — BuildRows and its per-row body AppendRow, the
 //     per-cover-vertex k-hop BFS of Algorithm 1, shared by the plain, (h,k)
 //     and dynamic builds and by the dynamic index's row repair.
@@ -24,7 +26,7 @@
 //   - enum.go — k-hop neighborhood enumeration: BFSFallback, the
 //     graph.BFS ball every index kind falls back on (labelling each level
 //     as it is expanded), and the plain index's cover walk, one pass over a
-//     per-direction view of the index rows, bitplanes and fringe CSR.
+//     per-direction view of the index rows and fringe CSR.
 //   - multi.go — MultiIndex, the Section 4.4 ladder: one rung per k plus
 //     an unbounded rung, exact on rungs and one-sided (YesWithin) between
 //     power-of-two rungs.

@@ -25,9 +25,9 @@ import (
 //     CSR for "who reaches t" — already lists every cover vertex of the
 //     ball with its weight bucket, and — because every non-cover vertex
 //     has ALL its neighbors in the cover — one adjacency sweep over the
-//     row's ≤k-1 entries completes the fringe. Hub rows expand
-//     bucket-by-bucket through the word-parallel WeightRow.IterateEQ
-//     kernel instead of decoding one weight per arc. One walk serves both
+//     row's ≤k-1 entries completes the fringe. Each arc carries its
+//     weight bucket in the same 4 bytes as its target, so one pass over
+//     the row classifies the ball's cover portion. One walk serves both
 //     directions through a per-direction view of the index.
 //
 // The accelerated path is used only where the 2-bit weight buckets prove
@@ -196,7 +196,7 @@ func (ix *Index) Enumerate(ctx context.Context, src graph.Vertex, opts EnumOptio
 	}
 	var err error
 	if ix.InCover(src) {
-		err = ix.enumerateCover(ctx, src, opts.Direction, sc) // bumps dense-lane / cover-row
+		err = ix.enumerateCover(ctx, src, opts.Direction, sc) // bumps cover-row
 	} else {
 		err = BFSFallback(ctx, ix.g, nil, src, ix.k, opts.Direction, sc)
 	}
@@ -221,15 +221,12 @@ func (ix *Index) Enumerate(ctx context.Context, src graph.Vertex, opts EnumOptio
 func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph.Direction, sc *EnumScratch) error {
 	sc.reset(ix.g.NumVertices())
 	// The per-direction view: the index CSR (forward rows, or the
-	// transposed in-rows) with its dense bitplanes, and the graph's fringe
-	// CSR in the same direction. Both name cover ids, which the cover list
-	// resolves to graph vertices.
+	// transposed in-rows) and the graph's fringe CSR in the same direction.
+	// Both name cover ids, which the cover list resolves to graph vertices.
 	head, arcs := ix.outHead, ix.outArc
-	denseID, b0, b1 := ix.denseID, ix.denseB0, ix.denseB1
 	fringeHead, fringeAdj := ix.fringeOutHead, ix.fringeOutAdj
 	if dir == graph.Backward {
 		head, arcs = ix.inHead, ix.inArc
-		denseID, b0, b1 = ix.inDenseID, ix.inDenseB0, ix.inDenseB1
 		fringeHead, fringeAdj = ix.fringeInHead, ix.fringeInAdj
 	}
 	done := ctx.Done()
@@ -241,45 +238,26 @@ func (ix *Index) enumerateCover(ctx context.Context, src graph.Vertex, dir graph
 	// as we go: sc.near the ≤k-2 sources for Phase 2a, sc.rim the =k-1 rim
 	// sources for Phase 2b. Cover members are never marked in the visited
 	// bitmap: the fringe sweeps only ever meet non-cover vertices, so only
-	// those need dedup bits. A hub row expands bucket-by-bucket through the
-	// word-parallel IterateEQ kernel.
+	// those need dedup bits.
 	if ix.k == Unbounded || ix.k >= 2 {
 		sc.near = append(sc.near, c) // distance 0 ≤ k-2 for k ≥ 2
 	} else {
 		sc.rim = append(sc.rim, c) // k = 1: the endpoint is the whole rim
 	}
-	if slot := denseID[c]; slot >= 0 {
-		sc.tally.bump(pathIdxDenseLane)
-		drow := weightRow(b0, b1, ix.rowWords, slot)
-		drow.IterateEQ(weightLEKm2, func(cu int) {
-			sc.out = append(sc.out, Neighbor{V: list[cu], Bucket: BucketWithin})
-			sc.near = append(sc.near, int32(cu))
-		})
-		if ix.k != Unbounded {
-			drow.IterateEQ(weightKm1, func(cu int) {
-				sc.out = append(sc.out, Neighbor{V: list[cu], Bucket: BucketWithin})
-				sc.rim = append(sc.rim, int32(cu))
-			})
-			drow.IterateEQ(weightK, func(cu int) {
-				sc.out = append(sc.out, Neighbor{V: list[cu], Bucket: BucketFrontier})
-			})
-		}
-	} else {
-		sc.tally.bump(pathIdxCoverRow)
-		for _, a := range arcs[head[c]:head[c+1]] {
-			bucket := BucketWithin
-			switch a.W() {
-			case weightLEKm2: // the unbounded index stores only this bucket
-				sc.near = append(sc.near, a.To())
-			case weightKm1:
-				sc.rim = append(sc.rim, a.To())
-			default:
-				if ix.k != Unbounded {
-					bucket = BucketFrontier
-				}
+	sc.tally.bump(pathIdxCoverRow)
+	for _, a := range arcs[head[c]:head[c+1]] {
+		bucket := BucketWithin
+		switch a.W() {
+		case weightLEKm2: // the unbounded index stores only this bucket
+			sc.near = append(sc.near, a.To())
+		case weightKm1:
+			sc.rim = append(sc.rim, a.To())
+		default:
+			if ix.k != Unbounded {
+				bucket = BucketFrontier
 			}
-			sc.out = append(sc.out, Neighbor{V: list[a.To()], Bucket: bucket})
 		}
+		sc.out = append(sc.out, Neighbor{V: list[a.To()], Bucket: bucket})
 	}
 	if done != nil && cancelled(done) {
 		return ctx.Err()

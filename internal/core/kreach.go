@@ -66,29 +66,13 @@ type Index struct {
 	outHead []int32
 	outArc  []Arc
 
-	// Dense bitplane rows for hub cover vertices (finalize). A row long
-	// enough that a bitmap over all cover ids costs no more than a small
-	// multiple of its CSR footprint is additionally stored as a
-	// bitvec.WeightRow, which turns arcWeight into one lane load and the
-	// Case-4 intersection into a word-parallel kernel call. Query-time
-	// acceleration only: never serialized, rebuilt after every load.
-	rowWords int     // words per bitplane = RowWords(cover size)
-	denseID  []int32 // cover id → dense slot, -1 if CSR-only
-	denseB0  []uint64
-	denseB1  []uint64
-
 	// Transposed index CSR (finalize): in-rows over cover ids, each arc to
 	// its source with the same weight bucket, so backward enumeration from a
 	// cover target mirrors the forward accelerated path instead of falling
-	// back to BFS. Derived like the dense rows: never serialized, rebuilt
-	// after every load, and not part of SizeBytes.
+	// back to BFS. Query-time only: never serialized, rebuilt after every
+	// load, and not part of SizeBytes.
 	inHead []int32
 	inArc  []Arc
-	// Dense bitplane rows over the transposed CSR, same threshold and
-	// lifecycle as the forward ones.
-	inDenseID []int32
-	inDenseB0 []uint64
-	inDenseB1 []uint64
 
 	// Fringe adjacency (finalize): for every cover vertex, its non-cover
 	// graph neighbors in each direction. The enumeration fringe sweeps
@@ -212,32 +196,14 @@ func buildWithCover(g *graph.Graph, opts Options, s *cover.Set) (*Index, error) 
 	return ix, nil
 }
 
-// denseRowMinLen is the CSR row length below which a dense bitplane row is
-// never built: short rows are answered faster by binary search than any
-// bitmap scan, whatever the cover size.
-const denseRowMinLen = 32
-
 // finalize builds the query-time structures derived from the CSR: the
-// dense bitplane rows of every hub cover vertex, the transposed index CSR
-// that gives backward enumeration its accelerated path, and the fringe
-// adjacency. A row
-// qualifies for a dense copy when its CSR length is at least 1/8 of the
-// cover size — at that density the two bitplanes (|S|/4 bytes) cost under
-// half of the row's own CSR footprint, and the small-world hubs the
-// paper's cover construction prefers clear the bar easily. Called at the
-// end of every build and load.
-//
-// Everything here reads the forward CSR and writes fields of its own, except
-// the in-side planes, which wait for the transpose; the layouts are built
-// on up to workers goroutines.
+// transposed index CSR that gives backward enumeration its accelerated
+// path, and the fringe adjacency in both directions. Each task reads the
+// forward CSR and the graph and writes fields of its own, so they run on up
+// to workers goroutines. Called at the end of every build and load.
 func (ix *Index) finalize(workers int) {
-	ix.rowWords = bitvec.RowWords(ix.coverSet.Len())
 	tasks := []func(){
-		func() {
-			ix.buildTransposed()
-			ix.inDenseID, ix.inDenseB0, ix.inDenseB1 = ix.buildDenseRows(ix.inHead, ix.inArc)
-		},
-		func() { ix.denseID, ix.denseB0, ix.denseB1 = ix.buildDenseRows(ix.outHead, ix.outArc) },
+		ix.buildTransposed,
 		func() { ix.fringeOutHead, ix.fringeOutAdj = ix.buildFringe(ix.g.OutNeighbors) },
 		func() { ix.fringeInHead, ix.fringeInAdj = ix.buildFringe(ix.g.InNeighbors) },
 	}
@@ -287,42 +253,6 @@ func (ix *Index) buildFringe(neighbors func(graph.Vertex) []graph.Vertex) ([]int
 	return head, adj
 }
 
-// buildDenseRows scans one CSR (forward or transposed) and materializes a
-// bitplane WeightRow for every row past the dense threshold. Returns the
-// cover-id → dense-slot map (-1 = CSR-only) and the two packed planes.
-func (ix *Index) buildDenseRows(head []int32, arcs []Arc) (id []int32, b0, b1 []uint64) {
-	nc := ix.coverSet.Len()
-	id = make([]int32, nc)
-	slots := 0
-	for u := 0; u < nc; u++ {
-		id[u] = -1
-		if rowLen := int(head[u+1] - head[u]); rowLen >= denseRowMinLen && rowLen*16 >= nc {
-			id[u] = int32(slots)
-			slots++
-		}
-	}
-	if slots == 0 {
-		return id, nil, nil
-	}
-	b0 = make([]uint64, slots*ix.rowWords)
-	b1 = make([]uint64, slots*ix.rowWords)
-	for i := range b0 {
-		b0[i] = ^uint64(0) // all lanes LaneAbsent
-		b1[i] = ^uint64(0)
-	}
-	for u := 0; u < nc; u++ {
-		slot := id[u]
-		if slot < 0 {
-			continue
-		}
-		row := weightRow(b0, b1, ix.rowWords, slot)
-		for _, a := range arcs[head[u]:head[u+1]] {
-			row.Set(int(a.To()), a.W())
-		}
-	}
-	return id, b0, b1
-}
-
 // buildTransposed derives the in-row CSR from the forward CSR: inArc lists,
 // for every cover vertex v, an arc to each cover source u with u →k v,
 // ascending (the counting sort visits sources in order), with the forward
@@ -347,18 +277,6 @@ func (ix *Index) buildTransposed() {
 			next[v]++
 		}
 	}
-}
-
-// weightRow returns dense slot s of the bitplanes b0, b1, words words per
-// row.
-func weightRow(b0, b1 []uint64, words int, s int32) bitvec.WeightRow {
-	off := int(s) * words
-	return bitvec.WeightRow{B0: b0[off : off+words], B1: b1[off : off+words]}
-}
-
-// denseRow returns the bitplane view of forward dense slot s.
-func (ix *Index) denseRow(s int32) bitvec.WeightRow {
-	return weightRow(ix.denseB0, ix.denseB1, ix.rowWords, s)
 }
 
 // WeightBucket maps a BFS distance (1..k) to its 2-bit weight bucket under
@@ -417,13 +335,8 @@ func (ix *Index) row(u int32) []Arc {
 }
 
 // arcWeight returns the weight bucket of the index edge (u,v) given by
-// cover ids, and whether the edge exists. Hub rows answer in one bitplane
-// load; every other row, a mutable table's included, is binary-searched.
+// cover ids, and whether the edge exists, by a binary search of row u.
 func (ix *Index) arcWeight(u, v int32) (uint8, bool) {
-	if ix.rows == nil && ix.denseID[u] >= 0 {
-		w := ix.denseRow(ix.denseID[u]).Get(int(v))
-		return w, w != bitvec.LaneAbsent
-	}
 	return searchArcs(ix.row(u), v)
 }
 
@@ -455,5 +368,5 @@ func (ix *Index) maskWords() int {
 	if ix.rows != nil {
 		return bitvec.RowWords(len(ix.rows))
 	}
-	return ix.rowWords
+	return bitvec.RowWords(ix.coverSet.Len())
 }

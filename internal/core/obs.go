@@ -21,12 +21,9 @@ const (
 	// PathCacheHit: answered from the serving layer's result cache (only
 	// the server can classify this; the kernels never see cache hits).
 	PathCacheHit = "cache-hit"
-	// PathCoverRow: answered through sparse cover-row index arcs
-	// (Algorithm 2 lookups, CSR row sweeps).
+	// PathCoverRow: answered through the index's cover rows (Algorithm 2
+	// lookups, row sweeps).
 	PathCoverRow = "cover-row"
-	// PathDenseLane: answered through a dense word-parallel bitplane row
-	// (hub vertices promoted to dense storage).
-	PathDenseLane = "dense-lane"
 	// PathBFSFallback: answered by the exact bounded-BFS fallback (non-
 	// cover enumeration sources, (h,k) balls, off-rung ladder bounds, the
 	// dynamic overlay).
@@ -36,7 +33,6 @@ const (
 // Enumeration path counter slots (indexes into enumPathCounts).
 const (
 	pathIdxCoverRow = iota
-	pathIdxDenseLane
 	pathIdxBFSFallback
 	numPathIdx
 )
@@ -67,8 +63,7 @@ func (t *pathTally) bump(idx int) {
 
 // EnumMetrics is a snapshot of the enumeration path counters.
 type EnumMetrics struct {
-	CoverRow    uint64 // balls answered from sparse cover rows
-	DenseLane   uint64 // balls answered from dense bitplane rows
+	CoverRow    uint64 // balls answered from cover rows
 	BFSFallback uint64 // balls answered by the bounded-BFS fallback
 }
 
@@ -76,7 +71,6 @@ type EnumMetrics struct {
 func ReadEnumMetrics() EnumMetrics {
 	return EnumMetrics{
 		CoverRow:    enumPathCounts[pathIdxCoverRow].Load(),
-		DenseLane:   enumPathCounts[pathIdxDenseLane].Load(),
 		BFSFallback: enumPathCounts[pathIdxBFSFallback].Load(),
 	}
 }
@@ -123,34 +117,17 @@ func ReadBatchMetrics() BatchMetrics {
 // EnumPath reports which execution path Enumerate takes for src in the
 // given direction, without running it. It mirrors the Enumerate dispatch
 // exactly; keep the two in sync.
-func (ix *Index) EnumPath(src graph.Vertex, dir graph.Direction) string {
+func (ix *Index) EnumPath(src graph.Vertex, _ graph.Direction) string {
 	if !ix.InCover(src) {
 		return PathBFSFallback
-	}
-	c := ix.coverID[src]
-	if dir == graph.Forward {
-		if ix.denseID[c] >= 0 {
-			return PathDenseLane
-		}
-	} else if ix.inDenseID[c] >= 0 {
-		return PathDenseLane
 	}
 	return PathCoverRow
 }
 
-// ReachPath reports which execution path Reach(s, t) takes: a dense lane
-// when the driving endpoint's row is a bitplane (Case 1/2 by s, others by
-// per-neighbor rows), a sparse cover row otherwise. Pairwise queries never
-// fall back to BFS — every Algorithm 2 case is an index lookup.
-func (ix *Index) ReachPath(s, t graph.Vertex) string {
-	if s == t {
-		return PathCoverRow
-	}
-	if cs := ix.coverID[s]; cs >= 0 && ix.denseID[cs] >= 0 {
-		return PathDenseLane
-	}
-	return PathCoverRow
-}
+// ReachPath reports which execution path Reach(s, t) takes: always the
+// cover rows. Pairwise queries never fall back to BFS — every Algorithm 2
+// case is an index lookup.
+func (ix *Index) ReachPath(graph.Vertex, graph.Vertex) string { return PathCoverRow }
 
 // EnumPath reports the (h,k) enumeration path: always the BFS fallback
 // (the blurred (h,k) weights cannot place the within/frontier boundary).
@@ -173,14 +150,6 @@ func (m *MultiIndex) EnumPath(src graph.Vertex, k int, dir graph.Direction) stri
 	return PathBFSFallback
 }
 
-// ReachPath reports the ladder's pairwise path for hop bound k, by the
-// rung (or rung pair) that would answer it.
-func (m *MultiIndex) ReachPath(s, t graph.Vertex, k int) string {
-	if k < 0 || k >= m.g.NumVertices()-1 {
-		return m.unbnd.ReachPath(s, t)
-	}
-	if ix, ok := m.byK[k]; ok {
-		return ix.ReachPath(s, t)
-	}
-	return PathCoverRow
-}
+// ReachPath reports the ladder's pairwise path for any hop bound: every
+// rung, and every rung pair between them, answers through cover rows.
+func (m *MultiIndex) ReachPath(graph.Vertex, graph.Vertex) string { return PathCoverRow }

@@ -12,11 +12,12 @@ import (
 // each case reduces to at most one adjacency-list intersection against the
 // index graph.
 //
-// The intersections run over word-parallel kernels (internal/bitvec): the
-// in-neighbor cover ids of Case 4 are staged as a pooled bitmap over cover
-// ids, hub rows are intersected with it 64 lanes per word
-// (WeightRow.AnyLEMasked), and CSR-only rows probe it in O(1) per entry —
-// no per-query sorting, no binary search against the neighbor list.
+// Every index row is a slice of packed Arcs sorted by target, so a probe
+// of one arc is a binary search of one row. Case 4 stages the in-neighbor
+// cover ids of t as a bitmap over cover ids and then, per out-neighbor row
+// of s, either searches the row for each staged id or scans the row against
+// the bitmap in O(1) per arc, whichever touches fewer entries: no
+// per-query sorting, no merge of two lists.
 //
 // A mutable index (NewMutable) answers through the same code: its rows are
 // per-row arc slices searched one at a time, and the adjacency of a vertex
@@ -175,23 +176,11 @@ func (ix *Index) reachScratch(s, t graph.Vertex, cs, ct int32, scratch *QueryScr
 
 // case2 decides a Case 2 probe from t's live in-neighbors: every one is in
 // the cover, and s reaches t within k iff it reaches one of them within
-// k-1. A hub source answers each probe in one bitplane load.
+// k-1.
 func (ix *Index) case2(s graph.Vertex, cs int32, in []graph.Vertex) bool {
-	if ix.rows == nil && ix.denseID[cs] >= 0 {
-		row := ix.denseRow(ix.denseID[cs])
-		for _, v := range in {
-			if v == s {
-				return true // direct edge (s,t): 1 hop
-			}
-			if row.Get(int(ix.coverID[v])) <= weightKm1 {
-				return true
-			}
-		}
-		return false
-	}
 	for _, v := range in {
 		if v == s {
-			return true
+			return true // direct edge (s,t): 1 hop
 		}
 		if w, ok := ix.arcWeight(cs, ix.coverID[v]); ok && w <= weightKm1 {
 			return true
@@ -214,11 +203,9 @@ func (ix *Index) case3(t graph.Vertex, ct int32, out []graph.Vertex) bool {
 }
 
 // case4 scans the out-neighbors of s for one whose index row intersects
-// the staged in-neighbor bitmap at weight ≤ k-2. Hub rows use the
-// word-parallel kernel (or O(1) lane probes when the neighbor list is much
-// smaller than the row bitmap); every other row, a mutable table's
-// included, picks the probe direction by relative size: search the row for
-// each staged id, or scan it against the bitmap.
+// the staged in-neighbor bitmap at weight ≤ k-2. Each row, a mutable
+// table's included, picks the probe direction by relative size: search the
+// row for each staged id, or scan it against the bitmap.
 func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.Vertex) bool {
 	twoHopOK := ix.k == Unbounded || ix.k >= 2
 	out, clean := ix.ov.Clean(ix.g, s, graph.Forward)
@@ -229,19 +216,6 @@ func (ix *Index) case4(s graph.Vertex, in []int32, mask []uint64, buf *[]graph.V
 		cu := ix.coverID[u]
 		if twoHopOK && bitvec.TestBit(mask, int(cu)) {
 			return true // s→u→t in 2 hops
-		}
-		if ix.rows == nil && ix.denseID[cu] >= 0 {
-			row := ix.denseRow(ix.denseID[cu])
-			if len(in)*4 < ix.rowWords {
-				for _, v := range in {
-					if row.Get(int(v)) == weightLEKm2 {
-						return true
-					}
-				}
-			} else if row.AnyLEMasked(mask, weightLEKm2) {
-				return true
-			}
-			continue
 		}
 		row := ix.row(cu)
 		if len(in)*8 < len(row) {

@@ -53,9 +53,10 @@ func packBuckets(arcs []Arc) []uint64 {
 }
 
 // decodeBuckets decodes KRI1's weight block and ORs each arc's bucket into
-// arcs, whose buckets are zero. A bucket of 3, which the dense rows read
-// as bitvec.LaneAbsent, and a set bit past the last arc are rejected:
-// packBuckets writes neither, so the stream would not re-save as read.
+// arcs, whose buckets are zero. A bucket of 3 is rejected because no
+// writer stores one and no case gives it a meaning (Case 1 would accept it
+// as an arc), and a set bit past the last arc because packBuckets writes
+// none, so the stream would not re-save as read.
 func decodeBuckets(d *codec.Decoder, arcs []Arc) error {
 	words := make([]uint64, weightWords(len(arcs)))
 	if err := decodeWeightWords(d, words); err != nil {

@@ -73,7 +73,8 @@ func TestReadBinaryIndexHostile(t *testing.T) {
 		// query would read a non-cover neighbour as cover id -1.
 		"cover misses an edge": uv(zz(nil, 3), n, 0, 0, 0),
 		// Cover {0,1}, arcs 0→1 and 1→0, then a weight word whose first
-		// lane holds 3, the code dense rows read as "no arc"...
+		// lane holds 3: no writer stores one and no case gives it a
+		// meaning...
 		"weight bucket 3": binary.LittleEndian.AppendUint64(uv(zz(nil, 3), n, 2, 0, 1, 2, 1, 1, 1, 0, 1), 3),
 		// ...and one with a bit set in its third lane, past the last arc.
 		"weight bits past the last arc": binary.LittleEndian.AppendUint64(uv(zz(nil, 3), n, 2, 0, 1, 2, 1, 1, 1, 0, 1), 1<<4),

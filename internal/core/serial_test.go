@@ -17,7 +17,7 @@ import (
 // strategies and checks the loaded index against the built one: Reach over
 // a grid of pairs, and the k-hop ball from every vertex in both directions,
 // which must also equal a BFS oracle. Load re-runs finalize, so the balls
-// check the transposed CSR, dense planes and fringe lists it rebuilds.
+// check the transposed CSR and fringe lists it rebuilds.
 func TestIndexBinaryRoundTrip(t *testing.T) {
 	const n = 60
 	g := testgraph.Random(n, 200, 99)

@@ -7,9 +7,9 @@ import (
 )
 
 // This file is Index.ReachBatch's kernel. Scalar Reach walks one pair's
-// chain of dependent cache misses — coverID, denseID, outHead, a binary
-// search into outArc — before it starts the next pair, so on an index
-// larger than the cache a core has one miss in flight at a time.
+// chain of dependent cache misses — coverID, outHead, a binary search into
+// outArc — before it starts the next pair, so on an index larger than the
+// cache a core has one miss in flight at a time.
 // The pairs of a batch do not depend on each other, so the staged kernel
 // advances many of them one step per loop instead (group prefetching):
 //
@@ -20,12 +20,11 @@ import (
 //     overlay has changed;
 //  3. expand the Case 2–3 lists into arc probes, one neighbour of every
 //     list per round (a direct edge answers on the spot);
-//  4. resolve the probes batchGroup at a time: the dense slots and CSR
-//     bounds of the whole group, then a fixed-trip binary search over all
-//     its CSR rows in lockstep, then one check of each arc found, whose
-//     packed bucket arrives with its target (a mutable index gathers the
-//     row slices of the whole group instead and searches them in the same
-//     lockstep);
+//  4. resolve the probes batchGroup at a time: the CSR bounds of the whole
+//     group, then a fixed-trip binary search over all its rows in
+//     lockstep, then one check of each arc found, whose packed bucket
+//     arrives with its target (a mutable index gathers the row slices of
+//     the whole group instead and searches them in the same lockstep);
 //  5. answer the deferred pairs with scalar Reach's scratch half.
 //
 // Go has no prefetch intrinsic. The overlap comes from each loop body
@@ -150,12 +149,7 @@ func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
 		ix.resolveRowProbes(group, out)
 		return
 	}
-	var slot [batchGroup]int32
-	for j := range group {
-		slot[j] = ix.denseID[group[j].row]
-	}
-
-	// CSR-only rows, compacted: search base and remaining span, column,
+	// Non-empty rows, compacted: search base and remaining span, column,
 	// accepted bucket and pair.
 	var (
 		base, span, col, pair [batchGroup]int32
@@ -164,12 +158,6 @@ func (ix *Index) resolveProbes(group []arcProbe, out []bool) {
 	n, widest := 0, int32(1)
 	for j := range group {
 		pr := &group[j]
-		if s := slot[j]; s >= 0 {
-			if ix.denseRow(s).Get(int(pr.col)) <= pr.max {
-				out[pr.pair] = true
-			}
-			continue
-		}
 		lo, hi := ix.outHead[pr.row], ix.outHead[pr.row+1]
 		if lo == hi {
 			continue

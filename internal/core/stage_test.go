@@ -136,13 +136,14 @@ func (sh *rowProbeShapes) add(ix *Index, pairs []Pair) {
 // context. Every built index faces it twice, as built and as a mutable
 // copy (mutableCopy), so the lockstep searches over the CSR and over
 // packed row slices both answer every batch. It also checks that the suite
-// reached every case, both static row layouts and the mutable row shapes
-// the lockstep search has edges at, so a shrinking fixture cannot hollow
-// it out.
+// reached every case, Case 1–2 probes of wide rows (at least
+// max(32, |S|/16) arcs, the hub rows whose lockstep search takes the most
+// trips) and of narrower ones, and the mutable row shapes the lockstep
+// search has edges at, so a shrinking fixture cannot hollow it out.
 func TestReachBatchKernelMatchesReach(t *testing.T) {
 	lengths := []int{0, 1, 31, 32, 33, 64, 65, 1000}
 	var cases [Case4 + 1]int
-	var denseRows, csrRows, directEdges int
+	var wideRows, narrowRows, directEdges int
 	var shapes rowProbeShapes
 	for _, tg := range kernelGraphs() {
 		for _, strat := range []cover.Strategy{cover.RandomEdge, cover.DegreePrioritized} {
@@ -165,10 +166,10 @@ func TestReachBatchKernelMatchesReach(t *testing.T) {
 					c := ix.Classify(p.S, p.T)
 					cases[c]++
 					if c == Case1 || c == Case2 {
-						if ix.denseID[ix.coverID[p.S]] >= 0 {
-							denseRows++
+						if n := len(ix.row(ix.coverID[p.S])); n >= 32 && n*16 >= ix.coverSet.Len() {
+							wideRows++
 						} else {
-							csrRows++
+							narrowRows++
 						}
 					}
 					if c != CaseEqual && tg.g.HasEdge(p.S, p.T) {
@@ -209,14 +210,14 @@ func TestReachBatchKernelMatchesReach(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("pairs per case %v, dense-row %d, CSR-row %d, direct edges %d", cases, denseRows, csrRows, directEdges)
+	t.Logf("pairs per case %v, wide-row %d, narrow-row %d, direct edges %d", cases, wideRows, narrowRows, directEdges)
 	for c, n := range cases {
 		if n == 0 {
 			t.Errorf("no pair of case %v", QueryCase(c))
 		}
 	}
-	if denseRows == 0 || csrRows == 0 || directEdges == 0 {
-		t.Errorf("dense-row %d, CSR-row %d, direct-edge %d pairs: every kind must occur", denseRows, csrRows, directEdges)
+	if wideRows == 0 || narrowRows == 0 || directEdges == 0 {
+		t.Errorf("wide-row %d, narrow-row %d, direct-edge %d pairs: every kind must occur", wideRows, narrowRows, directEdges)
 	}
 	t.Logf("mutable row probes: %+v", shapes)
 	if shapes.empty == 0 || shapes.single == 0 || shapes.wide == 0 || shapes.below == 0 || shapes.above == 0 {

@@ -46,6 +46,5 @@ func (ix *Index) Enumerate(ctx context.Context, src graph.Vertex, opts core.Enum
 func (ix *Index) EnumPath(graph.Vertex, graph.Direction) string { return core.PathBFSFallback }
 
 // ReachPath reports the dynamic pairwise path: Algorithm 2 over the
-// overlay-patched cover rows, classified as cover-row work (the dynamic
-// rows are never promoted to dense lanes).
+// overlay-patched cover rows, classified as cover-row work.
 func (ix *Index) ReachPath(graph.Vertex, graph.Vertex) string { return core.PathCoverRow }

@@ -233,7 +233,6 @@ func collectCore(e *obs.Emitter) {
 	em := core.ReadEnumMetrics()
 	help := "Neighborhood enumerations by execution path."
 	e.Counter("kreach_enum_balls_total", help, map[string]string{"path": core.PathCoverRow}, float64(em.CoverRow))
-	e.Counter("kreach_enum_balls_total", help, map[string]string{"path": core.PathDenseLane}, float64(em.DenseLane))
 	e.Counter("kreach_enum_balls_total", help, map[string]string{"path": core.PathBFSFallback}, float64(em.BFSFallback))
 }
 

@@ -12,10 +12,8 @@ const (
 	// PathCacheHit: answered from a serving-layer result cache. Reported
 	// only by serving layers — the indexes themselves never see cache hits.
 	PathCacheHit = core.PathCacheHit
-	// PathCoverRow: answered through sparse cover-row index arcs.
+	// PathCoverRow: answered through the index's cover rows.
 	PathCoverRow = core.PathCoverRow
-	// PathDenseLane: answered through a dense word-parallel bitplane row.
-	PathDenseLane = core.PathDenseLane
 	// PathBFSFallback: answered by the exact bounded-BFS fallback.
 	PathBFSFallback = core.PathBFSFallback
 )
@@ -79,12 +77,12 @@ func (ix *HKIndex) EnumPath(v, _ int, forward bool) string {
 	return ix.ix.EnumPath(graph.Vertex(v), enumDir(forward))
 }
 
-// ReachPath implements ExecPathReporter: the path of the rung (or rung
-// pair) that would answer the normalized bound.
-func (ix *MultiIndex) ReachPath(s, t, k int) string {
+// ReachPath implements ExecPathReporter. The hop bound is ignored — every
+// rung answers pairwise through cover rows.
+func (ix *MultiIndex) ReachPath(s, t, _ int) string {
 	ix.g.check(s)
 	ix.g.check(t)
-	return ix.m.ReachPath(graph.Vertex(s), graph.Vertex(t), ix.NormalizeK(k))
+	return ix.m.ReachPath(graph.Vertex(s), graph.Vertex(t))
 }
 
 // EnumPath implements ExecPathReporter.
